@@ -85,9 +85,11 @@ obs-smoke:
 	$(GO) test -count 1 -run TestObsSmoke -v .
 	$(GO) test -count 1 -run 'TestKernelObsOverheadBudget|TestJournalMigrationOrdering|TestJournalFailoverOrdering|TestMetricsScrapeUnderLoad' -v ./internal/walk/
 
-# Short local fuzz session against the sampler's structural invariants.
+# Short local fuzz sessions: the sampler's structural invariants, then
+# the wire codec's decoder (no panic, bounded allocation, canonical form).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSamplerMutate -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/fabric/tcpgob/
 
 clean:
 	rm -f BENCH_concurrent.json BENCH_sharded.json BENCH_rebalance.json BENCH_backpressure.json BENCH_corpus.json BENCH_coordscale.json

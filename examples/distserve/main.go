@@ -7,7 +7,7 @@
 // processes' address spaces, with the API unchanged.
 //
 // Walker state (current vertex, hops left, the RNG stream itself) moves
-// between the processes as gob frames over loopback TCP; graph data never
+// between the processes as binary frames over loopback TCP; graph data never
 // does. New users signing up mid-flight grow each daemon's vertex space
 // independently, exercising total block-cyclic ownership across the wire.
 package main

@@ -15,7 +15,7 @@ import (
 // stage (i) picks a group by weight, stage (ii) picks a member by the
 // group's own discipline — but touches no engine state doing it, so any
 // number of goroutines may sample one view concurrently, in this process
-// or (the fields are plain serializable data, so a view survives a gob
+// or (the fields are plain serializable data, so a view survives a wire
 // frame) in another one.
 //
 // Views are the unit of the hub caches layered above the engine: a walker
@@ -74,8 +74,7 @@ type VertexView struct {
 	// Views are the unit of the hub caches, where one extraction serves
 	// thousands of draws, so the O(degree) build amortizes to nothing;
 	// Sample/SampleBatch use the table whenever it is present and fall
-	// back to the group walk otherwise (e.g. a view deserialized from an
-	// older peer).
+	// back to the group walk otherwise (a view assembled without one).
 	AliasCut []uint64
 	AliasIdx []int32
 }

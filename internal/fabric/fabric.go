@@ -10,8 +10,8 @@
 //   - fabric/inproc carries messages over channels and unbounded
 //     mailboxes inside one address space (the original ShardedLiveService
 //     plumbing, extracted);
-//   - fabric/tcpgob carries them as length-prefixed gob frames over TCP,
-//     one ordered stream per peer pair, which is what lets
+//   - fabric/tcpgob carries them as length-prefixed binary frames over
+//     TCP, one ordered stream per peer pair, which is what lets
 //     `bingowalk -shard-serve` host a shard in its own process.
 //
 // Every message is plain serializable data. In particular a Walker carries
@@ -56,8 +56,9 @@ type Walker struct {
 	Rng xrand.State
 	// Record makes crews append every visited vertex to Path (queries
 	// always record; bulk walkers record when the run counts visits).
-	// An explicit flag rather than Path != nil: gob does not distinguish
-	// empty from nil slices on the wire.
+	// An explicit flag rather than Path != nil: an empty slice and a nil
+	// one are the same bytes on the wire (a zero count) and both decode
+	// as nil.
 	Record bool
 	// Path is the recorded visit sequence (for queries, Path[0] is the
 	// start vertex).
@@ -625,9 +626,8 @@ type ReadPort interface {
 	Close() error
 }
 
-// Session roles carried in Hello.Role. The zero value is the write role
-// so every pre-role coordinator (and gob stream) keeps meaning what it
-// always did.
+// Session roles carried in Hello.Role. The zero value is the write role,
+// so a Hello that never mentions roles opens a write session.
 const (
 	// RoleWrite is the session owner: exactly one per shard set, owning
 	// the ingest router, credit windows, plan epoch, and rebalancer.
@@ -649,8 +649,8 @@ const (
 // since the reader learns the live plan from the write session's
 // broadcasts rather than asserting one of its own.
 type Hello struct {
-	// Role is the session role: RoleWrite ("" — the default, so old
-	// clients and gob zero values stay write sessions) or RoleRead.
+	// Role is the session role: RoleWrite ("" — the zero value) or
+	// RoleRead.
 	Role string
 	// Shards and Shard are the partition count and the receiver's index
 	// (the daemon sanity-checks them against its -shard K/N flags).

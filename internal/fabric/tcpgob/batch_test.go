@@ -10,7 +10,7 @@ import (
 // TestTransferBatching pins the coalescing satellite: a burst of walker
 // hand-offs toward one peer must arrive complete and intact while
 // traveling in (far) fewer frames than walkers — the per-frame cost
-// (header, gob preamble, syscall) is amortized across whatever queued
+// (header, writer lock, syscall) is amortized across whatever queued
 // behind the wire. It also covers view traffic interleaved with the
 // walker stream on the same ordered sender.
 func TestTransferBatching(t *testing.T) {

@@ -20,11 +20,11 @@ func TestMigrateIngestFrameRoundTrip(t *testing.T) {
 		Offer:      fabric.MigrateOffer{Block: 1 << 40, To: 3, Epoch: 7},
 		Watermarks: []int64{5, 0, 12},
 	}
-	got := roundTrip(t, &frame{Kind: kUpdates, Ingest: offer})
-	if !reflect.DeepEqual(got.Ingest, offer) {
-		t.Fatalf("offer element: got %+v, want %+v", got.Ingest, offer)
+	got := roundTrip(t, &frame{kind: kUpdates, ingest: &offer})
+	if !reflect.DeepEqual(*got.ingest, offer) {
+		t.Fatalf("offer element: got %+v, want %+v", got.ingest, offer)
 	}
-	if got.Ingest.IsBarrier() || got.Ingest.Commit.Epoch != 0 {
+	if got.ingest.IsBarrier() || got.ingest.Commit.Epoch != 0 {
 		t.Fatal("offer element misclassified after the wire")
 	}
 
@@ -32,16 +32,16 @@ func TestMigrateIngestFrameRoundTrip(t *testing.T) {
 		Commit:     fabric.MigrateCommit{Block: 9, From: 0, To: 2, Epoch: 8, MinWatermark: 4096},
 		Watermarks: []int64{1, 2, 3},
 	}
-	got = roundTrip(t, &frame{Kind: kUpdates, Ingest: commit})
-	if !reflect.DeepEqual(got.Ingest, commit) {
-		t.Fatalf("commit element: got %+v, want %+v", got.Ingest, commit)
+	got = roundTrip(t, &frame{kind: kUpdates, ingest: &commit})
+	if !reflect.DeepEqual(*got.ingest, commit) {
+		t.Fatalf("commit element: got %+v, want %+v", got.ingest, commit)
 	}
 
 	// A heat barrier stays a barrier and keeps its flag.
 	heat := fabric.Ingest{Barrier: 11, Heat: true, Watermarks: []int64{0, 0, 0}}
-	got = roundTrip(t, &frame{Kind: kBarrier, Ingest: heat})
-	if !got.Ingest.IsBarrier() || !got.Ingest.Heat {
-		t.Fatalf("heat barrier lost its markers: %+v", got.Ingest)
+	got = roundTrip(t, &frame{kind: kBarrier, ingest: &heat})
+	if !got.ingest.IsBarrier() || !got.ingest.Heat {
+		t.Fatalf("heat barrier lost its markers: %+v", got.ingest)
 	}
 }
 
@@ -56,9 +56,9 @@ func TestMigrateBlockFrameRoundTrip(t *testing.T) {
 			{Op: graph.OpInsert, Src: 4_294_967_290, Dst: 1, Bias: 2, FBias: 0.625},
 		},
 	}
-	got := roundTrip(t, &frame{Kind: kMigBlock, MigBlock: mb})
-	if got.Kind != kMigBlock || !reflect.DeepEqual(got.MigBlock, mb) {
-		t.Fatalf("block round-trip: got %+v, want %+v", got.MigBlock, mb)
+	got := roundTrip(t, &frame{kind: kMigBlock, migBlock: &mb})
+	if got.kind != kMigBlock || !reflect.DeepEqual(*got.migBlock, mb) {
+		t.Fatalf("block round-trip: got %+v, want %+v", got.migBlock, mb)
 	}
 }
 
@@ -67,9 +67,9 @@ func TestMigrateDoneFrameRoundTrip(t *testing.T) {
 		{Shard: 2, Block: 3, Epoch: 5, Edges: 1234},
 		{Shard: 1, Block: 1 << 33, Epoch: 6, Err: "install failed"},
 	} {
-		got := roundTrip(t, &frame{Kind: kMigDone, MigDone: d})
-		if got.Kind != kMigDone || !reflect.DeepEqual(got.MigDone, d) {
-			t.Fatalf("done round-trip: got %+v, want %+v", got.MigDone, d)
+		got := roundTrip(t, &frame{kind: kMigDone, migDone: &d})
+		if got.kind != kMigDone || !reflect.DeepEqual(*got.migDone, d) {
+			t.Fatalf("done round-trip: got %+v, want %+v", got.migDone, d)
 		}
 	}
 }
@@ -84,8 +84,8 @@ func TestHelloOverlayFrameRoundTrip(t *testing.T) {
 		Peers:       []string{"a", "b", "c", "d"},
 		Session:     77,
 	}
-	got := roundTrip(t, &frame{Kind: kHelloCoord, Hello: h})
-	if !reflect.DeepEqual(got.Hello, h) {
-		t.Fatalf("hello with overlay: got %+v, want %+v", got.Hello, h)
+	got := roundTrip(t, &frame{kind: kHelloCoord, hello: &h})
+	if !reflect.DeepEqual(*got.hello, h) {
+		t.Fatalf("hello with overlay: got %+v, want %+v", got.hello, h)
 	}
 }

@@ -1,6 +1,8 @@
 // Package tcpgob is the wire shard fabric: fabric messages travel as
-// length-prefixed gob frames over TCP, one ordered full-duplex stream per
-// peer pair.
+// length-prefixed binary frames over TCP, one ordered full-duplex stream
+// per peer pair. (The import path predates the codec: frames were gob
+// encoded until the hand-rolled format in wire.go replaced it; gob now
+// lives only in this package's tests, as the codec's reference.)
 //
 // Topology. Each shard daemon owns one Listener. A write-coordinator
 // dials it and opens a *session* by sending a Hello (partition geometry,
@@ -34,27 +36,48 @@
 //
 // Batching. Walker hand-offs toward one peer are coalesced: ForwardWalker
 // enqueues, and a per-peer sender drains whatever is queued into a single
-// kWalkerBatch frame. Under load this amortizes the per-frame cost
-// (header, gob type preamble, syscall) across every walker queued behind
-// the wire; an idle sender ships a lone walker immediately, so the
-// latency cost of batching is zero. A walker the sender cannot deliver
-// (dead peer) is retired to the coordinator as Failed — never silently
-// dropped.
+// kWalkerBatch frame. Under load this amortizes the per-frame cost (header,
+// writer lock, one write syscall) across every walker queued behind the
+// wire; an idle sender ships a lone walker immediately, so the latency
+// cost of batching is zero. A walker the sender cannot deliver (dead peer)
+// is retired to the coordinator as Failed — never silently dropped.
 //
-// Framing. Every frame is a 4-byte big-endian length followed by a
-// self-contained gob encoding of one frame struct (a fresh encoder per
-// frame: no cross-frame codec state, so a frame can be decoded in
-// isolation and a torn stream fails loudly instead of desynchronizing).
+// Framing. Every frame is
+//
+//	u32 length | u8 kind | payload
+//
+// where length counts the kind byte and the payload, and every integer —
+// the length included — is fixed-width little-endian. Each kind's payload
+// has one fixed layout (wire.go; tabulated in DESIGN.md): scalars in
+// struct order, slices and strings as a u32 count plus elements, update
+// batches and hub views as bulk columns, optional sections behind one
+// presence-flags byte. Three rules hold for every kind:
+//
+//   - Self-contained. A frame is decodable from its own bytes: no codec
+//     state crosses frames, and a decoder that does not consume exactly
+//     length bytes fails, so a torn or desynchronized stream dies loudly
+//     at the next frame instead of misreading what follows.
+//   - Bounded. A count is checked against the bytes left in its frame
+//     before anything is allocated; a link's read buffer grows only as
+//     body bytes arrive; and until a connection's hello is accepted its
+//     frames are capped at 1 MiB. Refused and torn frames are counted in
+//     bingo_fabric_decode_errors_total.
+//   - Versioned. There is no field-level self-description, so both hello
+//     kinds open with a wireVersion byte and a daemon hangs up on any
+//     other value; every layout change bumps it. Daemons and coordinators
+//     of one session must come from the same build.
+//
+// A sender encodes straight from the caller's value into a per-link buffer
+// under the writer lock and hands the kernel the whole frame in one write;
+// a reader decodes from a per-link buffer into exactly the value its
+// mailbox receives (a walker hop allocates the Walker and its Path,
+// nothing else). Buffers over 1 MiB — bootstrap batches, edge dumps — are
+// released after their frame.
 package tcpgob
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -64,10 +87,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/obs"
 )
-
-// maxFrame bounds a single frame's payload (sanity check against a torn
-// or hostile stream; bootstrap batches and edge dumps are the big ones).
-const maxFrame = 1 << 30
 
 const (
 	// defaultDialAttempts / defaultDialTimeout govern every outbound
@@ -169,90 +188,6 @@ func init() {
 		rxFrames[k] = obs.C("bingo_fabric_frames_total", "fabric", "tcp", "dir", "rx", "kind", kindNames[k])
 		rxBytes[k] = obs.C("bingo_fabric_bytes_total", "fabric", "tcp", "dir", "rx", "kind", kindNames[k])
 	}
-}
-
-// frame is the single wire message shape. Value fields: gob omits
-// zero-valued fields, so unused payloads cost nothing on the wire, and a
-// nil pointer can never poison an encode.
-type frame struct {
-	Kind     uint8
-	From     int    // kHelloPeer: sender shard index
-	Session  uint64 // kHelloPeer: dialer's session nonce
-	Hello    fabric.Hello
-	Walker   fabric.Walker
-	Walkers  []fabric.Walker // kWalkerBatch
-	Ingest   fabric.Ingest   // kUpdates / kBarrier
-	Ack      fabric.Ack
-	ViewReq  fabric.ViewRequest
-	ViewRep  fabric.ViewReply
-	MigBlock fabric.MigrateBlock // kMigBlock
-	MigDone  fabric.MigrateDone  // kMigDone
-	Credit   fabric.Credit       // kCredit
-	Bcast    fabric.Broadcast    // kBroadcast
-}
-
-// link is one connection with a locked writer. Reads are owned by exactly
-// one goroutine and need no lock.
-type link struct {
-	conn net.Conn
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	br   *bufio.Reader
-}
-
-func newLink(conn net.Conn) *link {
-	return &link{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
-}
-
-// write encodes f as one length-prefixed frame and flushes it.
-func (l *link) write(f *frame) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return fmt.Errorf("tcpgob: encode frame kind %d: %w", f.Kind, err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := l.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.bw.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if err := l.bw.Flush(); err != nil {
-		return err
-	}
-	if int(f.Kind) < len(kindNames) {
-		txFrames[f.Kind].Inc()
-		txBytes[f.Kind].Add(int64(buf.Len()) + 4)
-	}
-	return nil
-}
-
-// read decodes the next frame (blocking).
-func (l *link) read() (*frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(l.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("tcpgob: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(l.br, payload); err != nil {
-		return nil, err
-	}
-	f := new(frame)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
-		return nil, fmt.Errorf("tcpgob: decode frame: %w", err)
-	}
-	if int(f.Kind) < len(kindNames) && f.Kind > 0 {
-		rxFrames[f.Kind].Inc()
-		rxBytes[f.Kind].Add(int64(n) + 4)
-	}
-	return f, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -378,14 +313,16 @@ func (l *Listener) sessionDone(sc *ShardConn) {
 // the dialer (coordinator session or peer stream), the rest is that
 // stream's traffic.
 func (l *Listener) handleConn(lk *link) {
+	lk.rxLimit = maxHelloFrame
 	first, err := lk.read()
 	if err != nil {
 		lk.conn.Close()
 		return
 	}
-	switch first.Kind {
+	lk.rxLimit = maxFrame
+	switch first.kind {
 	case kHelloCoord:
-		h := first.Hello
+		h := *first.hello
 		if h.Shard != l.shard || (l.shards > 0 && h.Shards != l.shards) {
 			// A session for a different position than this daemon was
 			// started for: refuse loudly rather than corrupt ownership.
@@ -438,7 +375,7 @@ func (l *Listener) handleConn(lk *link) {
 		// walker frames already in flight behind the hello; only a
 		// stream from a torn-down session (nonce never to return) falls
 		// through to the timeout.
-		sc := l.waitSession(first.Session, 10*time.Second)
+		sc := l.waitSession(first.session, 10*time.Second)
 		if sc == nil {
 			lk.conn.Close()
 			return
@@ -575,18 +512,17 @@ func (s *ShardConn) readCoord(l *link) {
 			s.sessionDown()
 			return
 		}
-		switch f.Kind {
+		switch f.kind {
 		case kWalker:
-			s.walkers.Push(&f.Walker)
+			s.walkers.Push(f.walker)
 		case kWalkerBatch:
-			for i := range f.Walkers {
-				s.walkers.Push(&f.Walkers[i])
+			for _, w := range f.walkers {
+				s.walkers.Push(w)
 			}
 		case kUpdates, kBarrier:
-			in := f.Ingest
-			s.ingests.Push(&in)
+			s.ingests.Push(f.ingest)
 		case kBroadcast:
-			s.relayBroadcast(f.Bcast)
+			s.relayBroadcast(f.bcast)
 		case kShutdown:
 			s.sessionDown()
 			return
@@ -598,10 +534,10 @@ func (s *ShardConn) readCoord(l *link) {
 // and fans it out to every attached reader link. A reader attached to N
 // daemons receives each broadcast N times; broadcasts are full-state and
 // sequence-stamped, so the duplicates are harmless.
-func (s *ShardConn) relayBroadcast(b fabric.Broadcast) {
+func (s *ShardConn) relayBroadcast(b *fabric.Broadcast) {
 	s.readerMu.Lock()
 	if b.Seq >= s.lastBcast.Seq {
-		s.lastBcast = b
+		s.lastBcast = *b
 	}
 	links := make([]*link, 0, len(s.readerLinks))
 	for _, lk := range s.readerLinks {
@@ -609,7 +545,7 @@ func (s *ShardConn) relayBroadcast(b fabric.Broadcast) {
 	}
 	s.readerMu.Unlock()
 	for _, lk := range links {
-		lk.write(&frame{Kind: kBroadcast, Bcast: b}) //nolint:errcheck // dead reader links are reaped by their read loops
+		lk.write(&frame{kind: kBroadcast, bcast: b}) //nolint:errcheck // dead reader links are reaped by their read loops
 	}
 }
 
@@ -629,7 +565,7 @@ func (s *ShardConn) serveReader(lk *link, nonce uint64) {
 	s.readerLinks[nonce] = lk
 	last := s.lastBcast
 	s.readerMu.Unlock()
-	if err := lk.write(&frame{Kind: kBroadcast, Bcast: last}); err != nil {
+	if err := lk.write(&frame{kind: kBroadcast, bcast: &last}); err != nil {
 		s.dropReader(nonce, lk)
 		return
 	}
@@ -639,19 +575,18 @@ func (s *ShardConn) serveReader(lk *link, nonce uint64) {
 			s.dropReader(nonce, lk)
 			return
 		}
-		switch f.Kind {
+		switch f.kind {
 		case kWalker:
-			f.Walker.Origin = nonce
-			s.walkers.Push(&f.Walker)
+			f.walker.Origin = nonce
+			s.walkers.Push(f.walker)
 		case kWalkerBatch:
-			for i := range f.Walkers {
-				f.Walkers[i].Origin = nonce
-				s.walkers.Push(&f.Walkers[i])
+			for _, w := range f.walkers {
+				w.Origin = nonce
+				s.walkers.Push(w)
 			}
 		case kViewReq:
-			rq := f.ViewReq
-			rq.Origin = nonce
-			s.views.Push(&fabric.ViewMsg{Req: &rq})
+			f.viewReq.Origin = nonce
+			s.views.Push(&fabric.ViewMsg{Req: f.viewReq})
 		case kShutdown:
 			s.dropReader(nonce, lk)
 			return
@@ -705,22 +640,19 @@ func (s *ShardConn) readPeer(l *link) {
 			l.conn.Close()
 			return
 		}
-		switch f.Kind {
+		switch f.kind {
 		case kWalker:
-			s.walkers.Push(&f.Walker)
+			s.walkers.Push(f.walker)
 		case kWalkerBatch:
-			for i := range f.Walkers {
-				s.walkers.Push(&f.Walkers[i])
+			for _, w := range f.walkers {
+				s.walkers.Push(w)
 			}
 		case kViewReq:
-			rq := f.ViewReq
-			s.views.Push(&fabric.ViewMsg{Req: &rq})
+			s.views.Push(&fabric.ViewMsg{Req: f.viewReq})
 		case kViewRep:
-			rp := f.ViewRep
-			s.views.Push(&fabric.ViewMsg{Rep: &rp})
+			s.views.Push(&fabric.ViewMsg{Rep: f.viewRep})
 		case kMigBlock:
-			mb := f.MigBlock
-			s.blocks.Push(&mb)
+			s.blocks.Push(f.migBlock)
 		default:
 			l.conn.Close()
 			return
@@ -854,7 +786,7 @@ func (p *peerOut) loop() {
 		return
 	}
 	l := newLink(conn)
-	if err := l.write(&frame{Kind: kHelloPeer, From: p.sc.shard, Session: p.sc.hello.Session}); err != nil {
+	if err := l.write(&frame{kind: kHelloPeer, from: p.sc.shard, session: p.sc.hello.Session}); err != nil {
 		conn.Close()
 		p.fail(err)
 		return
@@ -863,6 +795,8 @@ func (p *peerOut) loop() {
 		<-p.stop
 		conn.Close()
 	}()
+	go p.watch(conn)
+	var batch []*fabric.Walker // kWalkerBatch scratch, reused across frames
 	for {
 		p.mu.Lock()
 		q := p.queue
@@ -892,24 +826,25 @@ func (p *peerOut) loop() {
 					next++
 				}
 				if next-i == 1 {
-					err = l.write(&frame{Kind: kWalker, Walker: *q[i].w})
+					err = l.write(&frame{kind: kWalker, walker: q[i].w})
 				} else {
-					f := frame{Kind: kWalkerBatch, Walkers: make([]fabric.Walker, next-i)}
-					for k := i; k < next; k++ {
-						f.Walkers[k-i] = *q[k].w
+					batch = batch[:0]
+					for _, m := range q[i:next] {
+						batch = append(batch, m.w)
 					}
-					err = l.write(&f)
+					err = l.write(&frame{kind: kWalkerBatch, walkers: batch})
+					clear(batch)
 				}
 				if err == nil {
 					p.sc.transferFrames.Add(1)
 					p.sc.transferWalkers.Add(int64(next - i))
 				}
 			case q[i].rq != nil:
-				err = l.write(&frame{Kind: kViewReq, ViewReq: *q[i].rq})
+				err = l.write(&frame{kind: kViewReq, viewReq: q[i].rq})
 			case q[i].mb != nil:
-				err = l.write(&frame{Kind: kMigBlock, MigBlock: *q[i].mb})
+				err = l.write(&frame{kind: kMigBlock, migBlock: q[i].mb})
 			default:
-				err = l.write(&frame{Kind: kViewRep, ViewRep: *q[i].rp})
+				err = l.write(&frame{kind: kViewRep, viewRep: q[i].rp})
 			}
 			if err != nil {
 				p.failWalkers(queuedWalkers(q[i:]))
@@ -920,6 +855,21 @@ func (p *peerOut) loop() {
 			i = next
 		}
 	}
+}
+
+// watch marks the stream dead the moment the peer hangs up. The peer
+// never sends on this stream, so the read returns only once the
+// connection is gone. Write errors cannot stand in for it: the first write
+// into a connection whose far end has closed succeeds (the reset comes
+// back after it), so that frame — a walker, or with one write per frame a
+// whole migration block — would vanish into a dead daemon unreported.
+func (p *peerOut) watch(conn net.Conn) {
+	var b [1]byte
+	_, err := conn.Read(b[:])
+	if err == nil {
+		err = errors.New("unexpected inbound data")
+	}
+	p.fail(fmt.Errorf("tcpgob: peer shard %d hung up: %w", p.dst, err))
 }
 
 func queuedWalkers(q []outMsg) []*fabric.Walker {
@@ -1041,7 +991,7 @@ func (s *ShardConn) RequestView(dst int, rq *fabric.ViewRequest) error {
 func (s *ShardConn) ReplyView(dst int, rp *fabric.ViewReply) error {
 	if rp.Origin != 0 {
 		if lk := s.readerLink(rp.Origin); lk != nil {
-			return lk.write(&frame{Kind: kViewRep, ViewRep: *rp})
+			return lk.write(&frame{kind: kViewRep, viewRep: rp})
 		}
 		return nil
 	}
@@ -1072,13 +1022,13 @@ func (s *ShardConn) SendBlock(dst int, mb *fabric.MigrateBlock) error {
 
 // Migrated reports a completed block install to the coordinator.
 func (s *ShardConn) Migrated(d *fabric.MigrateDone) error {
-	return s.coord.write(&frame{Kind: kMigDone, MigDone: *d})
+	return s.coord.write(&frame{kind: kMigDone, migDone: d})
 }
 
 // Credit reports ingest-stream consumption to the coordinator. Credits
 // are cumulative; one lost on a dying link is repaired by the next.
 func (s *ShardConn) Credit(cr *fabric.Credit) error {
-	return s.coord.write(&frame{Kind: kCredit, Credit: *cr})
+	return s.coord.write(&frame{kind: kCredit, credit: cr})
 }
 
 // Retire sends a finished walker back to the coordinator that launched
@@ -1088,16 +1038,16 @@ func (s *ShardConn) Credit(cr *fabric.Credit) error {
 func (s *ShardConn) Retire(w *fabric.Walker) error {
 	if w.Origin != 0 {
 		if lk := s.readerLink(w.Origin); lk != nil {
-			return lk.write(&frame{Kind: kRetire, Walker: *w})
+			return lk.write(&frame{kind: kRetire, walker: w})
 		}
 		return nil
 	}
-	return s.coord.write(&frame{Kind: kRetire, Walker: *w})
+	return s.coord.write(&frame{kind: kRetire, walker: w})
 }
 
 // Ack sends a barrier acknowledgement to the coordinator.
 func (s *ShardConn) Ack(a *fabric.Ack) error {
-	return s.coord.write(&frame{Kind: kAck, Ack: *a})
+	return s.coord.write(&frame{kind: kAck, ack: a})
 }
 
 // Close releases the session's end: peer streams stop, the coordinator
@@ -1232,7 +1182,7 @@ func dialHello(addr string, hello fabric.Hello, shard, attempts int, timeout tim
 	l := newLink(conn)
 	h := hello
 	h.Shard = shard
-	if err := l.write(&frame{Kind: kHelloCoord, Hello: h}); err != nil {
+	if err := l.write(&frame{kind: kHelloCoord, hello: &h}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("tcpgob: hello to shard %d: %w", shard, err)
 	}
@@ -1298,15 +1248,15 @@ func (c *CoordConn) readShard(shard int, l *link) {
 		if err != nil {
 			return
 		}
-		switch f.Kind {
+		switch f.kind {
 		case kRetire:
-			c.events.Push(fabric.Event{Kind: fabric.EvRetire, Walker: &f.Walker})
+			c.events.Push(fabric.Event{Kind: fabric.EvRetire, Walker: f.walker})
 		case kAck:
-			c.events.Push(fabric.Event{Kind: fabric.EvAck, Ack: &f.Ack})
+			c.events.Push(fabric.Event{Kind: fabric.EvAck, Ack: f.ack})
 		case kMigDone:
-			c.events.Push(fabric.Event{Kind: fabric.EvMigrated, Done: &f.MigDone})
+			c.events.Push(fabric.Event{Kind: fabric.EvMigrated, Done: f.migDone})
 		case kCredit:
-			c.events.Push(fabric.Event{Kind: fabric.EvCredit, Credit: &f.Credit})
+			c.events.Push(fabric.Event{Kind: fabric.EvCredit, Credit: f.credit})
 		}
 	}
 }
@@ -1350,19 +1300,19 @@ func (c *CoordConn) Shards() int { return len(c.addrs) }
 
 // LaunchWalker starts a walker on shard dst.
 func (c *CoordConn) LaunchWalker(dst int, w *fabric.Walker) error {
-	return c.link(dst).write(&frame{Kind: kWalker, Walker: *w})
+	return c.link(dst).write(&frame{kind: kWalker, walker: w})
 }
 
 // PublishUpdates appends a routed ingest element to shard dst's stream.
 func (c *CoordConn) PublishUpdates(dst int, in fabric.Ingest) error {
-	return c.link(dst).write(&frame{Kind: kUpdates, Ingest: in})
+	return c.link(dst).write(&frame{kind: kUpdates, ingest: &in})
 }
 
 // PublishBarrier appends a barrier token to every shard's ingest stream.
 func (c *CoordConn) PublishBarrier(in fabric.Ingest) error {
 	var first error
 	for i := range c.addrs {
-		if err := c.link(i).write(&frame{Kind: kBarrier, Ingest: in}); err != nil && first == nil {
+		if err := c.link(i).write(&frame{kind: kBarrier, ingest: &in}); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -1375,7 +1325,7 @@ func (c *CoordConn) PublishBarrier(in fabric.Ingest) error {
 // next broadcast repairs its cache) or the session is over anyway.
 func (c *CoordConn) PublishBroadcast(b fabric.Broadcast) error {
 	for i := range c.addrs {
-		c.link(i).write(&frame{Kind: kBroadcast, Bcast: b}) //nolint:errcheck // best-effort fan-out; full-state broadcasts self-repair
+		c.link(i).write(&frame{kind: kBroadcast, bcast: &b}) //nolint:errcheck // best-effort fan-out; full-state broadcasts self-repair
 	}
 	return nil
 }
@@ -1400,7 +1350,7 @@ func (c *CoordConn) Close() error {
 	c.mu.Unlock()
 	deadline := time.Now().Add(30 * time.Second)
 	for _, l := range links {
-		l.write(&frame{Kind: kShutdown}) //nolint:errcheck // best-effort teardown
+		l.write(&frame{kind: kShutdown}) //nolint:errcheck // best-effort teardown
 		l.conn.SetReadDeadline(deadline) //nolint:errcheck // best-effort teardown
 	}
 	if none {
@@ -1497,15 +1447,13 @@ func (r *ReaderConn) readDaemon(l *link) {
 		if err != nil {
 			return
 		}
-		switch f.Kind {
+		switch f.kind {
 		case kRetire:
-			r.events.Push(fabric.Event{Kind: fabric.EvRetire, Walker: &f.Walker})
+			r.events.Push(fabric.Event{Kind: fabric.EvRetire, Walker: f.walker})
 		case kViewRep:
-			rp := f.ViewRep
-			r.events.Push(fabric.Event{Kind: fabric.EvView, Rep: &rp})
+			r.events.Push(fabric.Event{Kind: fabric.EvView, Rep: f.viewRep})
 		case kBroadcast:
-			b := f.Bcast
-			r.events.Push(fabric.Event{Kind: fabric.EvBroadcast, Bcast: &b})
+			r.events.Push(fabric.Event{Kind: fabric.EvBroadcast, Bcast: f.bcast})
 		}
 	}
 }
@@ -1525,14 +1473,14 @@ func (r *ReaderConn) link(i int) *link {
 // of the walk layer's view of the walker it handed over).
 func (r *ReaderConn) LaunchWalker(dst int, w *fabric.Walker) error {
 	w.Origin = r.nonce
-	return r.link(dst).write(&frame{Kind: kWalker, Walker: *w})
+	return r.link(dst).write(&frame{kind: kWalker, walker: w})
 }
 
 // RequestView asks shard dst for a hub view; the reply comes back as an
 // EvView event on this reader's stream.
 func (r *ReaderConn) RequestView(dst int, rq *fabric.ViewRequest) error {
 	rq.Origin = r.nonce
-	return r.link(dst).write(&frame{Kind: kViewReq, ViewReq: *rq})
+	return r.link(dst).write(&frame{kind: kViewReq, viewReq: rq})
 }
 
 // NextEvent pops the next reader-bound event.
@@ -1552,7 +1500,7 @@ func (r *ReaderConn) Close() error {
 	links := append([]*link(nil), r.links...)
 	r.mu.Unlock()
 	for _, l := range links {
-		l.write(&frame{Kind: kShutdown}) //nolint:errcheck // best-effort teardown
+		l.write(&frame{kind: kShutdown}) //nolint:errcheck // best-effort teardown
 		l.conn.Close()
 	}
 	return nil

@@ -1,5 +1,5 @@
 // Wire-format coverage for the shard fabric: every message class must
-// round-trip through a length-prefixed gob frame unchanged — including
+// round-trip through a length-prefixed binary frame unchanged — including
 // float-bias updates and vertex IDs far beyond any construction-time
 // space. The PR-2 bug class (state frozen to the initial vertex space)
 // must not reappear at the wire boundary, so growth-path IDs up to the
@@ -19,7 +19,7 @@ import (
 )
 
 // roundTrip pushes one frame through a link pair over an in-memory pipe.
-func roundTrip(t *testing.T, f *frame) *frame {
+func roundTrip(t *testing.T, f *frame) frame {
 	t.Helper()
 	c1, c2 := net.Pipe()
 	defer c1.Close()
@@ -40,36 +40,24 @@ func roundTrip(t *testing.T, f *frame) *frame {
 func TestWalkerFrameRoundTrip(t *testing.T) {
 	// A walker mid-flight on the growth path: IDs near the top of the
 	// uint32 space, a live RNG stream, accumulated telemetry.
-	r := xrand.New(77)
-	r.Uint64() // advance so the state is not the seed-fresh one
-	w := fabric.Walker{
-		ID:        901,
-		Cur:       4_294_967_290, // far beyond any construction-time space
-		Left:      13,
-		Rng:       r.State(),
-		Record:    true,
-		Path:      []graph.VertexID{3, 4_000_000_000, 4_294_967_290},
-		Steps:     67,
-		Transfers: 9,
-		Local:     58,
-	}
-	got := roundTrip(t, &frame{Kind: kWalker, Walker: w})
-	if got.Kind != kWalker || !reflect.DeepEqual(got.Walker, w) {
-		t.Fatalf("walker round-trip: got %+v, want %+v", got.Walker, w)
+	w := *midFlightWalker()
+	got := roundTrip(t, &frame{kind: kWalker, walker: &w})
+	if got.kind != kWalker || !reflect.DeepEqual(*got.walker, w) {
+		t.Fatalf("walker round-trip: got %+v, want %+v", got.walker, w)
 	}
 	// The resumed stream must continue draw-for-draw.
 	want := xrand.FromState(w.Rng).Uint64()
-	if have := xrand.FromState(got.Walker.Rng).Uint64(); have != want {
+	if have := xrand.FromState(got.walker.Rng).Uint64(); have != want {
 		t.Fatalf("RNG stream diverged across the wire: %d vs %d", have, want)
 	}
 }
 
 func TestWalkerRecordSurvivesEmptyPath(t *testing.T) {
-	// gob collapses empty and nil slices; the Record *flag* is what keeps
-	// a visit-counting bulk walker recording after its first hand-off.
+	// The codec decodes an empty path as nil; the Record *flag* is what
+	// keeps a visit-counting bulk walker recording after its first hand-off.
 	w := fabric.Walker{ID: 1, Cur: 5, Left: 3, Record: true, Path: []graph.VertexID{}}
-	got := roundTrip(t, &frame{Kind: kWalker, Walker: w})
-	if !got.Walker.Record {
+	got := roundTrip(t, &frame{kind: kWalker, walker: &w})
+	if !got.walker.Record {
 		t.Fatal("Record flag lost on a walker with an empty path")
 	}
 }
@@ -83,17 +71,17 @@ func TestUpdateBatchFrameRoundTrip(t *testing.T) {
 		{Op: graph.OpInsert, Src: 5, Dst: 6, Bias: 1 << 62, FBias: 0.001953125},
 	}
 	in := fabric.Ingest{Ups: ups, Watermarks: []int64{12, 0, 4_000_000_000_000}}
-	got := roundTrip(t, &frame{Kind: kUpdates, Ingest: in})
-	if got.Kind != kUpdates || !reflect.DeepEqual(got.Ingest, in) {
-		t.Fatalf("update batch round-trip: got %+v, want %+v", got.Ingest, in)
+	got := roundTrip(t, &frame{kind: kUpdates, ingest: &in})
+	if got.kind != kUpdates || !reflect.DeepEqual(*got.ingest, in) {
+		t.Fatalf("update batch round-trip: got %+v, want %+v", got.ingest, in)
 	}
 }
 
 func TestBarrierAndAckFrameRoundTrip(t *testing.T) {
 	in := fabric.Ingest{Barrier: 42, Dump: true, Watermarks: []int64{7, 9}}
-	got := roundTrip(t, &frame{Kind: kBarrier, Ingest: in})
-	if got.Kind != kBarrier || !reflect.DeepEqual(got.Ingest, in) {
-		t.Fatalf("barrier round-trip: got %+v, want %+v", got.Ingest, in)
+	got := roundTrip(t, &frame{kind: kBarrier, ingest: &in})
+	if got.kind != kBarrier || !reflect.DeepEqual(*got.ingest, in) {
+		t.Fatalf("barrier round-trip: got %+v, want %+v", got.ingest, in)
 	}
 
 	a := fabric.Ack{
@@ -109,9 +97,9 @@ func TestBarrierAndAckFrameRoundTrip(t *testing.T) {
 		},
 		Cache: fabric.CacheTallies{LocalHits: 100, RemoteHits: 7, ViewRequests: 3},
 	}
-	gotA := roundTrip(t, &frame{Kind: kAck, Ack: a})
-	if gotA.Kind != kAck || !reflect.DeepEqual(gotA.Ack, a) {
-		t.Fatalf("ack round-trip: got %+v, want %+v", gotA.Ack, a)
+	gotA := roundTrip(t, &frame{kind: kAck, ack: &a})
+	if gotA.kind != kAck || !reflect.DeepEqual(*gotA.ack, a) {
+		t.Fatalf("ack round-trip: got %+v, want %+v", gotA.ack, a)
 	}
 }
 
@@ -123,27 +111,19 @@ func TestHelloFrameRoundTrip(t *testing.T) {
 		Session:   0xDEADBEEFCAFE,
 		Cache:     fabric.CacheSpec{Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
 	}
-	got := roundTrip(t, &frame{Kind: kHelloCoord, Hello: h})
-	if got.Kind != kHelloCoord || !reflect.DeepEqual(got.Hello, h) {
-		t.Fatalf("hello round-trip: got %+v, want %+v", got.Hello, h)
+	got := roundTrip(t, &frame{kind: kHelloCoord, hello: &h})
+	if got.kind != kHelloCoord || !reflect.DeepEqual(*got.hello, h) {
+		t.Fatalf("hello round-trip: got %+v, want %+v", got.hello, h)
 	}
 }
 
 // TestWalkerBatchFrameRoundTrip pins the coalesced hand-off frame: the
 // batch decodes walker-for-walker, RNG streams intact.
 func TestWalkerBatchFrameRoundTrip(t *testing.T) {
-	r := xrand.New(3)
-	ws := make([]fabric.Walker, 5)
-	for i := range ws {
-		r.Uint64()
-		ws[i] = fabric.Walker{
-			ID: uint64(100 + i), Cur: graph.VertexID(4_000_000_000 + i), Left: i,
-			Rng: r.State(), Steps: int64(i) * 7, Transfers: int64(i), Remote: int64(i % 2),
-		}
-	}
-	got := roundTrip(t, &frame{Kind: kWalkerBatch, Walkers: ws})
-	if got.Kind != kWalkerBatch || !reflect.DeepEqual(got.Walkers, ws) {
-		t.Fatalf("walker batch round-trip: got %+v, want %+v", got.Walkers, ws)
+	ws := walkerBatch(5)
+	got := roundTrip(t, &frame{kind: kWalkerBatch, walkers: ws})
+	if got.kind != kWalkerBatch || !reflect.DeepEqual(got.walkers, ws) {
+		t.Fatalf("walker batch round-trip: got %+v, want %+v", got.walkers, ws)
 	}
 }
 
@@ -151,9 +131,9 @@ func TestWalkerBatchFrameRoundTrip(t *testing.T) {
 // including a full VertexView payload with dense and list groups.
 func TestViewFrameRoundTrip(t *testing.T) {
 	rq := fabric.ViewRequest{From: 3, Vertex: 4_123_456_789}
-	gotRq := roundTrip(t, &frame{Kind: kViewReq, ViewReq: rq})
-	if gotRq.Kind != kViewReq || !reflect.DeepEqual(gotRq.ViewReq, rq) {
-		t.Fatalf("view request round-trip: got %+v, want %+v", gotRq.ViewReq, rq)
+	gotRq := roundTrip(t, &frame{kind: kViewReq, viewReq: &rq})
+	if gotRq.kind != kViewReq || !reflect.DeepEqual(*gotRq.viewReq, rq) {
+		t.Fatalf("view request round-trip: got %+v, want %+v", gotRq.viewReq, rq)
 	}
 
 	rp := fabric.ViewReply{
@@ -176,9 +156,9 @@ func TestViewFrameRoundTrip(t *testing.T) {
 			DecSum:  0.75,
 		},
 	}
-	gotRp := roundTrip(t, &frame{Kind: kViewRep, ViewRep: rp})
-	if gotRp.Kind != kViewRep || !reflect.DeepEqual(gotRp.ViewRep, rp) {
-		t.Fatalf("view reply round-trip: got %+v, want %+v", gotRp.ViewRep, rp)
+	gotRp := roundTrip(t, &frame{kind: kViewRep, viewRep: &rp})
+	if gotRp.kind != kViewRep || !reflect.DeepEqual(*gotRp.viewRep, rp) {
+		t.Fatalf("view reply round-trip: got %+v, want %+v", gotRp.viewRep, rp)
 	}
 }
 

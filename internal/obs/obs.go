@@ -17,7 +17,7 @@
 //     every record into a single atomic load + branch, which is what the
 //     kernel overhead budget test pins.
 //  3. The registry is serializable: Sample() flattens every counter,
-//     gauge, and histogram (count + sum) into a gob-friendly list so
+//     gauge, and histogram (count + sum) into a flat key/value list so
 //     shard daemons can ship their tallies to the coordinator on barrier
 //     acks, making the coordinator's /metrics fleet-wide.
 //

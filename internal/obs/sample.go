@@ -16,7 +16,7 @@ type KV struct {
 	Val int64
 }
 
-// Sample is a gob-friendly flattening of a registry: counters and gauges
+// Sample is a wire-friendly flattening of a registry: counters and gauges
 // by value, histograms as <name>_count and <name>_sum_ns pairs. Shard
 // daemons attach one to every barrier ack (fabric.Ack.Obs), which is how
 // the write-coordinator's /metrics becomes fleet-wide without a second

@@ -116,6 +116,11 @@ type coordinator struct {
 	downs   []bool
 	specs   map[uint64]*fabric.Walker
 	rejoins map[int]*rejoinState
+	// flipping counts death flips the router has published that the
+	// survivors have not all confirmed yet (see confirmFlip); walker
+	// re-routes wait on flipCond until it drains.
+	flipping int
+	flipCond *sync.Cond
 
 	// Credit-window flow control (tentpole half 1). routed[s] counts
 	// update events (and bootstrap rows) the router has published toward
@@ -277,6 +282,7 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		copySeq:  1 << 48,
 	}
 	c.credCond = sync.NewCond(&c.credMu)
+	c.flipCond = sync.NewCond(&c.mu)
 	c.planv.Store(&plan)
 	c.routing.Add(1)
 	go c.routerLoop()
@@ -676,10 +682,11 @@ func (c *coordinator) pushCtrl(op ctrlOp) {
 // strands its copies, and the wedged rejoiner stays conservatively
 // masked dead), flip the plan, announce the flip on every live shard's
 // FIFO stream (the ordering that makes the dead-mask consistent at
-// barrier points), and relaunch every in-flight walker from its stored
-// launch clone — anything queued inside the dead daemon is gone, and a
-// duplicate retire from a walker that was actually elsewhere resolves
-// harmlessly (first retire wins).
+// barrier points), and — once the survivors have confirmed the flip —
+// relaunch every in-flight walker from its stored launch clone: anything
+// queued inside the dead daemon is gone, and a duplicate retire from a
+// walker that was actually elsewhere resolves harmlessly (first retire
+// wins).
 func (c *coordinator) ctrlDownOp(s int) {
 	c.priming[s] = false
 	c.mu.Lock()
@@ -725,6 +732,32 @@ func (c *coordinator) ctrlDownOp(s int) {
 		_ = c.port.PublishUpdates(i, fabric.Ingest{Down: sd, Watermarks: c.ledgerCopy()})
 	}
 	c.broadcastNow() // readers re-route around the new dead-mask
+	c.mu.Lock()
+	c.flipping++
+	c.mu.Unlock()
+	go c.confirmFlip()
+}
+
+// confirmFlip holds walker re-routes until every survivor has applied
+// the death flip the router just published, then relaunches what is
+// still pending. The flip rides the FIFO ingest streams, so a survivor
+// with an ingest backlog keeps its old plan for a while and hands every
+// walker that reaches it back toward the dead shard — where the transport
+// fails it (a re-route sent straight back bounces again: the whole
+// reroute budget burns in milliseconds on a fast fabric and the query
+// fails) or, on a connection the peer has half-closed, accepts it and
+// loses it. A barrier behind the flip on every live stream is the
+// confirmation: walkers that failed in the window wait for it in
+// relaunchWalker, walkers that vanished in it are still pending when it
+// completes, and nothing launched afterwards can meet a stale plan. A
+// barrier error means the session is ending and failPending owns the
+// walkers.
+func (c *coordinator) confirmFlip() {
+	_ = c.Sync()
+	c.mu.Lock()
+	c.flipping--
+	c.flipCond.Broadcast()
+	c.mu.Unlock()
 	c.relaunchPending()
 }
 
@@ -890,6 +923,11 @@ func cloneWalker(w *fabric.Walker) *fabric.Walker {
 // so early attempts may still name the dead shard. On giving up the
 // walker is retired as failed through the normal resolution path.
 func (c *coordinator) relaunchWalker(w *fabric.Walker) {
+	c.mu.Lock()
+	for c.flipping > 0 {
+		c.flipCond.Wait()
+	}
+	c.mu.Unlock()
 	for i := 0; i < 50; i++ {
 		if err := c.port.LaunchWalker(c.planNow().Owner(w.Cur), w); err == nil {
 			return
