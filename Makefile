@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build vet lint test race bench bench-smoke distserve-smoke fault-smoke corpus-smoke coord-smoke obs-smoke fuzz clean
+.PHONY: all build vet lint test race loc bench bench-smoke distserve-smoke fault-smoke corpus-smoke coord-smoke obs-smoke fuzz clean
 
 all: vet build test
 
@@ -20,10 +20,16 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrency-critical packages: the walk-while-ingest
-# engine, the core sampler it wraps, the live service, and the wire
-# fabric (batched senders + multi-session listener).
+# engine, the core sampler it wraps, the live service, the wire fabric
+# (batched senders + multi-session listener), and the lock-free metrics
+# core every one of them records into.
 race:
-	$(GO) test -race -timeout 20m ./internal/concurrent/ ./internal/core/ ./internal/walk/ ./internal/fabric/tcpgob/
+	$(GO) test -race -timeout 20m ./internal/concurrent/ ./internal/core/ ./internal/walk/ ./internal/fabric/tcpgob/ ./internal/obs/
+
+# Non-test Go lines outside the repository benchmark — the one number
+# simplicity PRs quote before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -403,9 +403,9 @@ func statsLoop(interval time.Duration, stop <-chan struct{}, done *sync.WaitGrou
 }
 
 // liveServer abstracts the serving runtimes the -live mode can drive:
-// the single-engine LiveService, the sharded walker-transfer service,
-// the remote multi-process coordinator, and the standing walk corpus
-// wrapping any of them.
+// the single-engine LiveService, the sharded walker-transfer service
+// (in-process shards or shard daemons), and the standing walk corpus
+// wrapping either.
 type liveServer interface {
 	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
 	Feed(ups []graph.Update) error
@@ -478,9 +478,12 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	var svc liveServer
 	var single *concurrent.Engine
 	var sharded *walk.ShardedLiveService
-	var remote *walk.RemoteService
 	var corpus *walk.CorpusService
-	var shardEngines []*concurrent.Engine
+	var shardEngines []*concurrent.Engine // in-process shards only
+	scfg := walk.ShardedLiveConfig{
+		WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: cacheSpec,
+		Rebalance: rebOpts, CreditWindow: creditWin, Kernel: kernel,
+	}
 	if connect != "" {
 		addrs := strings.Split(connect, ",")
 		plan := walk.NewShardPlan(w.Initial.NumVertices(), len(addrs))
@@ -497,51 +500,29 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		if err != nil {
 			return err
 		}
-		remote, err = walk.NewRemoteService(port, plan, w.Initial.NumVertices(), walk.ShardedLiveConfig{
-			WalkLength: length, Seed: seed, Rebalance: rebOpts,
-			CreditWindow: creditWin,
-		})
-		if err != nil {
+		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
+		if sharded, err = walk.ServeShardedOver(port, attach, w.Initial, plan, scfg); err != nil {
 			return err
-		}
-		if err := remote.Bootstrap(w.Initial); err != nil {
-			return fmt.Errorf("bootstrap: %w", err)
-		}
-		svc = remote
-		if co.on {
-			if corpus, err = walk.NewShardedCorpusService(remote, w.Initial.NumVertices(), ccfg); err != nil {
-				return err
-			}
-			svc = corpus
 		}
 		fmt.Printf("live: %d shard daemons over the TCP fabric (range size %d), feeding %d updates in batches of %d\n",
 			plan.Shards, plan.RangeSize, len(w.Updates), batchSize)
 	} else if shards > 1 {
-		plan := walk.NewShardPlan(w.Initial.NumVertices(), shards)
-		if replicas > 1 {
-			plan.Replicas = replicas
-		}
-		engines, err := walk.BootstrapShards(w.Initial, plan, func() (walk.LiveEngine, error) {
+		sharded, err = walk.ServeSharded(w.Initial, shards, replicas, func() (walk.LiveEngine, error) {
 			s, err := core.New(w.Initial.NumVertices(), core.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
-			return concurrent.Wrap(s, concurrent.Config{}), nil
-		})
+			e := concurrent.Wrap(s, concurrent.Config{})
+			shardEngines = append(shardEngines, e)
+			return e, nil
+		}, scfg)
 		if err != nil {
 			return err
 		}
-		shardEngines = make([]*concurrent.Engine, plan.Shards)
-		for i, e := range engines {
-			shardEngines[i] = e.(*concurrent.Engine)
-		}
-		sharded, err = walk.NewShardedLiveService(engines, plan, walk.ShardedLiveConfig{
-			WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: cacheSpec,
-			Rebalance: rebOpts, CreditWindow: creditWin, Kernel: kernel,
-		})
-		if err != nil {
-			return err
-		}
+		fmt.Printf("live: %d shards × %d crew walkers (range size %d), feeding %d updates in batches of %d\n",
+			shards, workers, sharded.Plan().RangeSize, len(w.Updates), batchSize)
+	}
+	if sharded != nil {
 		svc = sharded
 		if co.on {
 			if corpus, err = walk.NewShardedCorpusService(sharded, w.Initial.NumVertices(), ccfg); err != nil {
@@ -549,8 +530,6 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 			}
 			svc = corpus
 		}
-		fmt.Printf("live: %d shards × %d crew walkers (range size %d), feeding %d updates in batches of %d\n",
-			plan.Shards, workers, plan.RangeSize, len(w.Updates), batchSize)
 	} else {
 		eng, err := core.NewFromCSR(w.Initial, core.DefaultConfig())
 		if err != nil {
@@ -575,15 +554,10 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 
 	// /statusz sections: each runtime in play exposes its structured
 	// stats snapshot beside the registry.
-	switch {
-	case remote != nil:
-		obs.RegisterStatus("remote", func() any { return remote.Stats() })
-	case sharded != nil:
+	if sharded != nil {
 		obs.RegisterStatus("sharded", func() any { return sharded.Stats() })
-	default:
-		if lsvc, ok := svc.(*walk.LiveService); ok {
-			obs.RegisterStatus("live", func() any { return lsvc.Stats() })
-		}
+	} else if lsvc, ok := svc.(*walk.LiveService); ok {
+		obs.RegisterStatus("live", func() any { return lsvc.Stats() })
 	}
 	if corpus != nil {
 		obs.RegisterStatus("corpus", func() any { return corpus.Stats() })
@@ -631,10 +605,10 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	}
 	clients.Wait()
 	feeder.Wait()
-	if remote != nil {
-		// Final barrier so the session's ingest tallies are exact before
-		// the stats snapshot.
-		if err := remote.Sync(); err != nil {
+	if sharded != nil {
+		// Final barrier so the session's ack-carried ingest tallies are
+		// exact before the stats snapshot.
+		if err := sharded.Sync(); err != nil {
 			return err
 		}
 	}
@@ -651,13 +625,12 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	if corpus != nil {
 		printCorpus(corpus, d, co.stats)
 	}
-	if remote != nil {
-		printServing(remote.Stats(), d)
-		fmt.Printf("final graph: %d vertices across %d shard daemons\n", remote.NumVertices(), remote.Shards())
-		return nil
-	}
 	if sharded != nil {
 		printServing(sharded.Stats(), d)
+		if shardEngines == nil {
+			fmt.Printf("final graph: %d vertices across %d shard daemons\n", sharded.NumVertices(), sharded.Shards())
+			return nil
+		}
 		var edges, mem int64
 		for _, e := range shardEngines {
 			edges += e.NumEdges()

@@ -127,33 +127,13 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		if err != nil {
 			return nil, err
 		}
-		ce := concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		})
-		corpus, err := walk.NewCorpusService(ce, cfg)
+		corpus, err := walk.NewCorpusService(concurrent.Wrap(s, o.Concurrency.internal()), cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &CorpusWalker{corpus: corpus, floatMode: floatMode}, nil
 	}
-	plan := walk.NewShardPlan(g.NumVertices(), shards)
-	engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-		s, err := core.New(g.NumVertices(), e.s.Config())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		}), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	svc, err := walk.NewShardedLiveService(engines, plan, walk.ShardedLiveConfig{
+	svc, err := walk.ServeSharded(g, shards, 1, e.shardEngines(g.NumVertices(), o.Concurrency), walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,

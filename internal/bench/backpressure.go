@@ -128,7 +128,7 @@ func backpressureCell(o *Options, window int) (BackpressureSeries, error) {
 			walk.RunShardNode(e, plan, shard, fab.ShardPort(shard), 1, fabric.CacheSpec{}, walk.KernelAuto) //nolint:errcheck // session errors surface via svc
 		}(i, concurrent.Wrap(s, concurrent.Config{}))
 	}
-	svc, err := walk.NewRemoteService(fab.CoordPort(), plan, backpressureVerts, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(fab.CoordPort(), nil, plan, backpressureVerts, walk.ShardedLiveConfig{
 		WalkLength: 4,
 		Seed:       o.Seed,
 		// A shallow feed queue keeps the run-ahead bound at the credit

@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-rw/bingo/internal/concurrent"
-	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
-	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/walk"
 	"github.com/bingo-rw/bingo/internal/xrand"
@@ -120,10 +117,10 @@ func coordGraph() (*graph.CSR, error) {
 }
 
 // coordCell is one running (transport, readers) deployment: the write
-// service plus R attached readers and a teardown.
+// service plus R attached readers.
 type coordCell struct {
+	svc     *walk.ShardedLiveService
 	readers []*walk.ReaderService
-	close   func()
 }
 
 // coordSpec is the session cache spec: MinDegree 1 makes every connected
@@ -134,115 +131,34 @@ func coordSpec() fabric.CacheSpec {
 	return fabric.CacheSpec{MinDegree: 1, RemoteSize: coordViewCap, RequestAfter: 1}
 }
 
-// newCoordCell deploys the shard set, write session, and R readers on
-// the chosen transport.
+// newCoordCell deploys the shard set and write session on the chosen
+// transport (the sharded runner's constructions, which on tcp put the
+// shard nodes behind real loopback sockets), then attaches R readers
+// through the service's own read-port constructor.
 func newCoordCell(o *Options, g *graph.CSR, transport string, readers int) (*coordCell, error) {
 	spec := coordSpec()
-	rcfg := walk.ReaderConfig{WalkLength: o.WalkLength, Seed: o.Seed ^ 0xead, Cache: spec}
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: o.WalkLength, Seed: o.Seed, Cache: spec}
-	plan := walk.NewShardPlan(g.NumVertices(), coordShards)
-	switch transport {
-	case "inproc":
-		engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-			s, err := core.New(g.NumVertices(), o.bingoConfig())
-			if err != nil {
-				return nil, err
-			}
-			return concurrent.Wrap(s, concurrent.Config{}), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		svc, err := walk.NewShardedLiveService(engines, plan, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cell := &coordCell{}
-		for i := 0; i < readers; i++ {
-			rd, err := svc.AttachReader(rcfg)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			cell.readers = append(cell.readers, rd)
-		}
-		cell.close = func() {
-			for _, rd := range cell.readers {
-				rd.Close()
-			}
-			svc.Close()
-		}
-		return cell, nil
-	case "tcp":
-		listeners := make([]*tcpgob.Listener, coordShards)
-		addrs := make([]string, coordShards)
-		for i := 0; i < coordShards; i++ {
-			l, err := tcpgob.Listen("127.0.0.1:0", i, coordShards)
-			if err != nil {
-				return nil, err
-			}
-			listeners[i] = l
-			addrs[i] = l.Addr().String()
-		}
-		for i := 0; i < coordShards; i++ {
-			go func(i int) {
-				defer listeners[i].Close()
-				sc, hello, err := listeners[i].Accept()
-				if err != nil {
-					return
-				}
-				s, err := core.New(hello.NumVertices, o.bingoConfig())
-				if err != nil {
-					sc.Close()
-					return
-				}
-				e := concurrent.Wrap(s, concurrent.Config{})
-				nodePlan := walk.ShardPlan{Shards: hello.Shards, RangeSize: hello.RangeSize}
-				walk.RunShardNode(e, nodePlan, i, sc, 2, hello.Cache, walk.KernelAuto)
-			}(i)
-		}
-		port, err := tcpgob.Dial(addrs, fabric.Hello{
-			RangeSize:   plan.RangeSize,
-			NumVertices: g.NumVertices(),
-			Cache:       spec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.Bootstrap(g); err != nil {
-			svc.Close()
-			return nil, err
-		}
-		cell := &coordCell{}
-		for i := 0; i < readers; i++ {
-			rp, err := tcpgob.DialReader(addrs, fabric.Hello{})
-			if err != nil {
-				cell.teardown(svc.Close)
-				return nil, err
-			}
-			rd, err := walk.NewRemoteReader(rp, rcfg)
-			if err != nil {
-				cell.teardown(svc.Close)
-				return nil, err
-			}
-			cell.readers = append(cell.readers, rd)
-		}
-		cell.close = func() { cell.teardown(svc.Close) }
-		return cell, nil
-	default:
-		return nil, fmt.Errorf("bench: unknown transport %q", transport)
+	svc, err := newShardedServiceWithConfig(o, g, transport, spec, coordShards, 2, cfg)
+	if err != nil {
+		return nil, err
 	}
+	cell := &coordCell{svc: svc}
+	for i := 0; i < readers; i++ {
+		rd, err := svc.AttachReader(walk.ReaderConfig{Seed: o.Seed ^ 0xead, Cache: spec})
+		if err != nil {
+			cell.close()
+			return nil, err
+		}
+		cell.readers = append(cell.readers, rd)
+	}
+	return cell, nil
 }
 
-func (c *coordCell) teardown(write func() error) {
+func (c *coordCell) close() {
 	for _, rd := range c.readers {
 		rd.Close()
 	}
-	write()
+	c.svc.Close()
 }
 
 // coordStarts returns reader r's start set under an R-way community

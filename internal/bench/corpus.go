@@ -172,12 +172,7 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 	if err != nil {
 		return CorpusSeries{}, err
 	}
-	backend, ok := svc.(walk.CorpusBackend)
-	if !ok {
-		svc.Close()
-		return CorpusSeries{}, fmt.Errorf("bench: %T does not back a corpus", svc)
-	}
-	corpus, err := walk.NewShardedCorpusService(backend, g.NumVertices(), walk.CorpusConfig{
+	corpus, err := walk.NewShardedCorpusService(svc, g.NumVertices(), walk.CorpusConfig{
 		WalksPerVertex: corpusWalksPerVertex,
 		WalkLength:     o.WalkLength,
 		Seed:           o.Seed,

@@ -257,10 +257,10 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 			for time.Since(start) < rebalanceWindow {
 				if time.Since(start) > rebalanceWindow/2 {
 					midOnce.Do(func() {
-						// Sync first: the tcp transport's ShardSteps refresh
-						// only on barriers, and with the rebalancer off (no
-						// heat barriers) the midpoint would otherwise read
-						// the stale pre-window tallies.
+						// Sync first: ShardSteps refresh only on barriers, and
+						// with the rebalancer off (no heat barriers) the
+						// midpoint would otherwise read the stale pre-window
+						// tallies.
 						if err := svc.Sync(); err != nil {
 							return
 						}
@@ -332,26 +332,12 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 	}, nil
 }
 
-// rebalanceService narrows the serving surface the cell needs; both
-// fabrics' services satisfy it.
-type rebalanceService interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	Stats() walk.ShardedLiveStats
-	Close() error
-}
-
 // newRebalanceService builds an empty 4-shard serving runtime with the
 // given rebalancer policy on the chosen transport (see newShardedService
-// for the transport shapes; this adds the Rebalance config both fabrics'
-// coordinators understand). The graph arrives entirely through the feed.
-func newRebalanceService(o *Options, v0 int, transport string, reb rebalance.Options, crew int) (rebalanceService, error) {
+// for the transport shapes; this adds the Rebalance config). The graph
+// arrives entirely through the feed.
+func newRebalanceService(o *Options, v0 int, transport string, reb rebalance.Options, crew int) (*walk.ShardedLiveService, error) {
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Rebalance: reb}
 	empty := &graph.CSR{Offsets: make([]int64, v0+1)}
-	svc, err := newShardedServiceWithConfig(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return svc, nil
+	return newShardedServiceWithConfig(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
 }

@@ -25,10 +25,9 @@ import (
 // cross-shard walker transfer, hub-view caches — while a feeder paces
 // update batches to a target share of total operations. The grid sweeps
 // shard count × update load × *transport* × *cache* × *workload*:
-// `inproc` runs the shards over the in-process fabric (the
-// ShardedLiveService channels), `tcp` runs the identical node and
-// coordinator logic over loopback TCP (the tcpgob fabric RemoteService
-// and the shard daemons speak), so the inproc→tcp delta is the measured
+// `inproc` runs the shards over the in-process fabric, `tcp` runs the
+// identical node and coordinator logic over loopback TCP (the tcpgob
+// fabric the shard daemons speak), so the inproc→tcp delta is the measured
 // cost of crossing the wire; cache `on`/`off` toggles the two hub-view
 // cache layers, so the off→on delta is the measured value of serving
 // hub hops lock-free and without hand-offs; workload `uniform` starts
@@ -209,16 +208,6 @@ func runSharded(o *Options) error {
 	return nil
 }
 
-// shardedService is what a cell measures: both *walk.ShardedLiveService
-// (inproc fabric) and *walk.RemoteService (tcp fabric) satisfy it.
-type shardedService interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	Stats() walk.ShardedLiveStats
-	Close() error
-}
-
 // hubStarts returns the top-degree hub set (at least 8 vertices, at most
 // the top shardedHubFraction) the hub-skewed workload starts walks on.
 func hubStarts(g *graph.CSR) []graph.VertexID {
@@ -243,7 +232,7 @@ func hubStarts(g *graph.CSR) []graph.VertexID {
 // behind real loopback sockets — the same frames, handshake, and
 // per-peer streams `bingowalk -shard-serve` daemons speak — so the cell
 // isolates wire cost without fork/exec noise.
-func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, kernel walk.KernelMode, shards, crew int) (shardedService, error) {
+func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, kernel walk.KernelMode, shards, crew int) (*walk.ShardedLiveService, error) {
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache, Kernel: kernel}
 	return newShardedServiceWithConfig(o, g, transport, cache, shards, crew, cfg)
 }
@@ -252,8 +241,7 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 // config exposed (the rebalance scenario passes a Rebalance policy; the
 // cache spec still travels separately because the tcp transport ships it
 // in the session Hello).
-func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (shardedService, error) {
-	plan := walk.NewShardPlan(g.NumVertices(), shards)
+func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, error) {
 	newEngine := func(numVertices int) (walk.LiveEngine, error) {
 		s, err := core.New(numVertices, o.bingoConfig())
 		if err != nil {
@@ -263,14 +251,11 @@ func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cac
 	}
 	switch transport {
 	case "inproc":
-		engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
+		return walk.ServeSharded(g, shards, 1, func() (walk.LiveEngine, error) {
 			return newEngine(g.NumVertices())
-		})
-		if err != nil {
-			return nil, err
-		}
-		return walk.NewShardedLiveService(engines, plan, cfg)
+		}, cfg)
 	case "tcp":
+		plan := walk.NewShardPlan(g.NumVertices(), shards)
 		listeners := make([]*tcpgob.Listener, shards)
 		addrs := make([]string, shards)
 		for i := 0; i < shards; i++ {
@@ -311,15 +296,8 @@ func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cac
 		if err != nil {
 			return nil, err
 		}
-		svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.Bootstrap(g); err != nil {
-			svc.Close()
-			return nil, err
-		}
-		return svc, nil
+		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
+		return walk.ServeShardedOver(port, attach, g, plan, cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown transport %q", transport)
 	}
@@ -377,9 +355,9 @@ func shardedCell(o *Options, g *graph.CSR, w *gen.Workload, workload, transport,
 					return
 				default:
 				}
-				// Pace against the service's live step counter and the
-				// pacer's own accepted count (service-side Updates lag a
-				// Sync on the tcp transport, so they cannot pace).
+				// Pace against the service's retire-time step counter and
+				// the pacer's own accepted count (service-side Updates are
+				// as of the last Sync, so they cannot pace).
 				budget := int64(ratio*float64(svc.Stats().Steps)) - fed.Load()
 				if budget < 256 {
 					// Sleep rather than spin: a hot pacer would steal a core

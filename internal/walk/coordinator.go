@@ -13,7 +13,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/obs"
 	"github.com/bingo-rw/bingo/internal/rebalance"
-	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // Coordinator instrumentation, resolved once at init. Query latency is
@@ -47,26 +46,26 @@ var coordSeq atomic.Uint64
 // the service — and every reader's event stream with it.
 var ErrFabricDown = errors.New("walk: shard fabric session ended")
 
-// coordinator is the front half of a sharded serving runtime over any
-// shard fabric: it launches walkers (queries and bulk runs), routes feed
-// batches by owner shard, pushes sync barriers, and consumes the event
-// stream (retires and acks) to complete them. ShardedLiveService runs it
-// over the in-process fabric; RemoteService runs the identical logic over
-// a wire fabric — the coordinator cannot tell the difference, which is
-// the point of the extraction.
+// coordinator is the write side of a sharded serving runtime over any
+// shard fabric: it routes feed batches by owner shard, pushes sync
+// barriers, runs the control plane (liveness flips, migrations,
+// broadcasts), and consumes the event stream to complete them. Walker
+// launches, re-routes, and retire resolution — Query and DeepWalk — come
+// from the embedded walkFront, the same front end every ReaderService
+// embeds. ShardedLiveService runs it over whichever fabric.CoordPort it
+// was built on; the coordinator cannot tell the transports apart.
 type coordinator struct {
+	walkFront
 	port fabric.CoordPort
 	// plan is the construction-time geometry (Shards and RangeSize never
-	// change); planv is the live ownership plan the rebalancer's
-	// committed migrations re-point. Routing, walker launches, and the
-	// rebalancer all resolve owners through planNow.
-	plan  ShardPlan
-	planv atomic.Pointer[ShardPlan]
-	cfg   ShardedLiveConfig
+	// change); the front end's planv is the live ownership plan the
+	// rebalancer's committed migrations and the liveness flips re-point.
+	// Routing, walker launches, and the rebalancer all resolve owners
+	// through planNow.
+	plan ShardPlan
+	cfg  ShardedLiveConfig
 
 	feed   chan coordMsg
-	master *xrand.RNG // Split-only after construction (reads, no state advance)
-	idSeq  atomic.Uint64
 	barSeq atomic.Uint64
 
 	// ledger is the per-shard routed-update count (written only by the
@@ -87,40 +86,23 @@ type coordinator struct {
 	bcastMu  sync.Mutex
 	bcastSeq uint64
 
-	// sendMu serializes Query/Feed/Sync/DeepWalk senders against Close,
-	// exactly as in LiveService: senders hold it in read mode across
-	// their enqueue.
-	sendMu sync.RWMutex
-	closed bool
-
-	pending sync.WaitGroup // in-flight walkers (queries and bulk)
 	routing sync.WaitGroup // router loop
 	evloop  sync.WaitGroup // event loop
 
-	// mu guards the pending-completion tables the event loop resolves,
-	// and the dead flag that fences new registrations once it has exited.
-	mu      sync.Mutex
-	dead    bool // event stream ended; nothing will ever complete again
-	replies map[uint64]chan []graph.VertexID
-	bulks   map[uint64]*bulkRun
-	syncs   map[uint64]*barrierWait
-	migs    map[uint64]chan *fabric.MigrateDone // in-flight migrations by epoch
-	acks    []fabric.Ack                        // latest ack per shard (cumulative tallies)
+	// The front end's mu (and its dead flag, which fences registrations
+	// once the event loop has exited) also guards the write-side
+	// completion tables below; Feed, barriers, and Migrate take the front
+	// end's sendMu gate like its walk calls do.
+	syncs map[uint64]*barrierWait
+	migs  map[uint64]chan *fabric.MigrateDone // in-flight migrations by epoch
+	acks  []fabric.Ack                        // latest ack per shard (cumulative tallies)
 	// downs marks shards the coordinator currently considers dead (set by
 	// the event loop the moment a link dies, cleared by the router at
 	// failback): it gates which shards a barrier is published to and
-	// which deaths need barrier fixups. specs keeps a clone of every
-	// in-flight walker's launch state (replicated sessions only) so
-	// walkers swallowed by a dead daemon can be relaunched; rejoins
-	// tracks each in-flight rejoin's outstanding block copies.
+	// which deaths need barrier fixups. rejoins tracks each in-flight
+	// rejoin's outstanding block copies.
 	downs   []bool
-	specs   map[uint64]*fabric.Walker
 	rejoins map[int]*rejoinState
-	// flipping counts death flips the router has published that the
-	// survivors have not all confirmed yet (see confirmFlip); walker
-	// re-routes wait on flipCond until it drains.
-	flipping int
-	flipCond *sync.Cond
 
 	// Credit-window flow control (tentpole half 1). routed[s] counts
 	// update events (and bootstrap rows) the router has published toward
@@ -159,8 +141,7 @@ type coordinator struct {
 	// horizon for replica re-priming.
 	maxVerts atomic.Int64
 
-	deaths, walkerReroutes, relaunched atomic.Int64
-	rejoinsDone, copiedBlocks          atomic.Int64
+	deaths, rejoinsDone, copiedBlocks atomic.Int64
 
 	// rebStop/rebWg manage the rebalancer watch loop when cfg.Rebalance
 	// is on. Close stops the loop and waits for its in-flight migration
@@ -170,16 +151,12 @@ type coordinator struct {
 	rebStop chan struct{}
 	rebWg   sync.WaitGroup
 
-	queries, steps, batches, transfers, local, remote atomic.Int64
-	migrations, movedEdges                            atomic.Int64
+	batches, migrations, movedEdges atomic.Int64
 
 	// obsKey names this session's shard-sample exporter in the obs
 	// registry; Close unregisters it so a dead session's tallies stop
 	// appearing on /metrics.
 	obsKey string
-
-	errMu sync.Mutex
-	err   error
 }
 
 // coordMsg is one element of the coordinator's feed queue: an update
@@ -216,11 +193,6 @@ type rejoinState struct {
 	donors    map[int]bool // shards serving as copy donors for this rejoin
 }
 
-// maxWalkerReroutes caps how many times one walker may be re-routed or
-// relaunched across shard deaths before its session call fails — a
-// backstop against relaunch loops when the fleet keeps churning.
-const maxWalkerReroutes = 32
-
 // migOp is one block migration routed through the feed queue, so its
 // offer and commit publishes are ordered against every batch accepted
 // before it.
@@ -250,28 +222,17 @@ type barrierWait struct {
 	done      chan struct{}
 }
 
-// bulkRun aggregates one DeepWalk invocation across its walkers.
-type bulkRun struct {
-	steps, transfers, local, remote atomic.Int64
-	visits                          *visitCounter
-	wg                              sync.WaitGroup
-}
-
 func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig) *coordinator {
 	c := &coordinator{
 		port:     port,
 		plan:     plan,
 		cfg:      cfg,
 		feed:     make(chan coordMsg, cfg.QueueDepth),
-		master:   xrand.New(cfg.Seed),
-		replies:  map[uint64]chan []graph.VertexID{},
-		bulks:    map[uint64]*bulkRun{},
 		syncs:    map[uint64]*barrierWait{},
 		migs:     map[uint64]chan *fabric.MigrateDone{},
 		acks:     make([]fabric.Ack, plan.Shards),
 		ledger:   make([]int64, plan.Shards),
 		downs:    make([]bool, plan.Shards),
-		specs:    map[uint64]*fabric.Walker{},
 		rejoins:  map[int]*rejoinState{},
 		window:   int64(cfg.CreditWindow),
 		routed:   make([]int64, plan.Shards),
@@ -281,9 +242,10 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		priming:  make([]bool, plan.Shards),
 		copySeq:  1 << 48,
 	}
+	c.walkFront.init(port, plan, cfg.Seed, cfg.WalkLength, coordQueryNs)
+	// The write side sees shard deaths, so it keeps launch clones.
+	c.specs = map[uint64]*fabric.Walker{}
 	c.credCond = sync.NewCond(&c.credMu)
-	c.flipCond = sync.NewCond(&c.mu)
-	c.planv.Store(&plan)
 	c.routing.Add(1)
 	go c.routerLoop()
 	c.evloop.Add(1)
@@ -322,17 +284,6 @@ func (c *coordinator) writeShardSamples(w io.Writer) {
 	}
 }
 
-// planNow returns the live ownership plan.
-func (c *coordinator) planNow() ShardPlan { return *c.planv.Load() }
-
-func (c *coordinator) setErr(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.errMu.Unlock()
-}
-
 // appliedStamp sums the shards' cumulative applied-update tallies from
 // the latest barrier acks — the applied-update stamp the standing-walk
 // corpus reads for its bounded-staleness check. Exact as of the last
@@ -349,9 +300,8 @@ func (c *coordinator) appliedStamp() int64 {
 	return n
 }
 
-// Err returns the first error the coordinator observed through acks (nil
-// if none). The in-process service prefers its nodes' own records; the
-// remote service has only this.
+// Err returns the first error the coordinator observed — through acks,
+// failed publishes, or walkers the fabric cut short (nil if none).
 func (c *coordinator) Err() error {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
@@ -761,33 +711,6 @@ func (c *coordinator) confirmFlip() {
 	c.relaunchPending()
 }
 
-// relaunchPending re-launches a clone of every still-pending walker (its
-// original may be lost inside a dead daemon). Each clone burns one
-// reroute from the walker's budget, which bounds relaunch churn across
-// repeated deaths.
-func (c *coordinator) relaunchPending() {
-	c.mu.Lock()
-	clones := make([]*fabric.Walker, 0, len(c.specs))
-	for id, w := range c.specs {
-		_, q := c.replies[id]
-		_, b := c.bulks[id]
-		if !q && !b {
-			delete(c.specs, id) // resolved already; drop the stale clone
-			continue
-		}
-		if w.Reroutes >= maxWalkerReroutes {
-			continue
-		}
-		w.Reroutes++
-		clones = append(clones, cloneWalker(w))
-	}
-	c.mu.Unlock()
-	for _, w := range clones {
-		c.relaunched.Add(1)
-		go c.relaunchWalker(w)
-	}
-}
-
 // ctrlUpOp handles a rejoined shard: reset its credit accounting (a
 // restarted daemon's counter begins at 0), start fanning the routed
 // stream out to it (priming), send it a plan snapshot — the first
@@ -910,35 +833,6 @@ func (c *coordinator) ctrlClearOp(s int) {
 	c.broadcastNow() // readers see the shard live again
 }
 
-// cloneWalker deep-copies a walker's launch state (Path is the only
-// reference field).
-func cloneWalker(w *fabric.Walker) *fabric.Walker {
-	cp := *w
-	cp.Path = append([]graph.VertexID(nil), w.Path...)
-	return &cp
-}
-
-// relaunchWalker retries launching a walker toward its vertex's current
-// owner until a live link accepts it — the plan flip races the launch,
-// so early attempts may still name the dead shard. On giving up the
-// walker is retired as failed through the normal resolution path.
-func (c *coordinator) relaunchWalker(w *fabric.Walker) {
-	c.mu.Lock()
-	for c.flipping > 0 {
-		c.flipCond.Wait()
-	}
-	c.mu.Unlock()
-	for i := 0; i < 50; i++ {
-		if err := c.port.LaunchWalker(c.planNow().Owner(w.Cur), w); err == nil {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	w.Failed = true
-	w.Reroutes = maxWalkerReroutes // no further re-route attempts
-	c.onRetire(w)
-}
-
 // eventLoop consumes retires and acks until the fabric's event stream
 // ends, then fails whatever is still pending (a clean Close leaves
 // nothing pending; a dead session must not leave callers blocked).
@@ -1051,71 +945,6 @@ func (c *coordinator) onCopyDone(d *fabric.MigrateDone) {
 	c.pushCtrl(ctrlOp{kind: ctrlClear, shard: d.Shard})
 }
 
-func (c *coordinator) onRetire(w *fabric.Walker) {
-	c.mu.Lock()
-	reply, isQ := c.replies[w.ID]
-	var run *bulkRun
-	var isB bool
-	if !isQ {
-		run, isB = c.bulks[w.ID]
-	}
-	if !isQ && !isB {
-		// Duplicate retire: the walker was relaunched after a shard death
-		// and both copies finished — the first resolution won. (Also
-		// covers retires arriving after failPending.)
-		c.mu.Unlock()
-		return
-	}
-	if w.Failed && c.planNow().Replicas > 1 && w.Reroutes < maxWalkerReroutes {
-		// A crew's forward hit a dead link. The retire carries the
-		// walker's exact mid-walk state (position, budget, RNG), so it
-		// continues on a live replica instead of failing the session.
-		c.mu.Unlock()
-		w.Failed = false
-		w.Reroutes++
-		c.walkerReroutes.Add(1)
-		go c.relaunchWalker(w)
-		return
-	}
-	if isQ {
-		delete(c.replies, w.ID)
-	} else {
-		delete(c.bulks, w.ID)
-	}
-	delete(c.specs, w.ID)
-	c.mu.Unlock()
-	// Tallies fold in only at resolution, so a duplicate or rerouted
-	// retire never double-counts.
-	c.steps.Add(w.Steps)
-	c.transfers.Add(w.Transfers)
-	c.local.Add(w.Local)
-	c.remote.Add(w.Remote)
-	if w.Failed {
-		c.setErr(ErrFabricDown)
-	}
-	if isQ {
-		c.queries.Add(1)
-		if w.Failed {
-			reply <- nil // Query maps a nil path to ErrFabricDown
-		} else {
-			reply <- w.Path
-		}
-		c.pending.Done()
-		return
-	}
-	run.steps.Add(w.Steps)
-	run.transfers.Add(w.Transfers)
-	run.local.Add(w.Local)
-	run.remote.Add(w.Remote)
-	if run.visits != nil {
-		for _, v := range w.Path {
-			run.visits.bump(v)
-		}
-	}
-	run.wg.Done()
-	c.pending.Done()
-}
-
 func (c *coordinator) onAck(a *fabric.Ack) {
 	if a.Err != "" {
 		c.setErr(errors.New(a.Err))
@@ -1184,10 +1013,10 @@ func (c *coordinator) onMigrated(d *fabric.MigrateDone) {
 }
 
 // failPending unblocks every caller still waiting when the event stream
-// dies: queries get a nil path (their Query call maps it to
-// ErrFabricDown), bulk runs and barriers complete with the error. It
-// also marks the coordinator dead under the same lock registrations take,
-// so no later caller can register into a table nothing will ever resolve.
+// dies: the front end fails its walkers (and marks itself dead, which
+// fences barrier and migration registrations too — set before their
+// tables are swept, so nothing can register behind the sweep), then
+// barriers and migrations complete with the error.
 func (c *coordinator) failPending() {
 	// Lift every credit gate first: a router blocked in waitCredits must
 	// wake (nothing will ever credit again) or Close would deadlock.
@@ -1195,29 +1024,16 @@ func (c *coordinator) failPending() {
 	c.credClosed = true
 	c.credCond.Broadcast()
 	c.credMu.Unlock()
+	c.walkFront.failPending()
 	c.mu.Lock()
-	c.dead = true
-	replies := c.replies
-	bulks := c.bulks
 	syncs := c.syncs
 	migs := c.migs
-	c.replies = map[uint64]chan []graph.VertexID{}
-	c.bulks = map[uint64]*bulkRun{}
 	c.syncs = map[uint64]*barrierWait{}
 	c.migs = map[uint64]chan *fabric.MigrateDone{}
-	c.specs = map[uint64]*fabric.Walker{}
 	c.rejoins = map[int]*rejoinState{}
 	c.mu.Unlock()
 	for _, ch := range migs {
 		ch <- nil // Migrate maps nil to ErrFabricDown
-	}
-	for _, ch := range replies {
-		ch <- nil
-		c.pending.Done()
-	}
-	for _, run := range bulks {
-		run.wg.Done()
-		c.pending.Done()
 	}
 	for _, bw := range syncs {
 		if bw.err == nil {
@@ -1225,84 +1041,9 @@ func (c *coordinator) failPending() {
 		}
 		close(bw.done)
 	}
-	if len(replies)+len(bulks)+len(syncs)+len(migs) > 0 {
+	if len(syncs)+len(migs) > 0 {
 		c.setErr(ErrFabricDown)
 	}
-}
-
-// Query walks from start for up to length steps (<= 0 selects the
-// configured default) and returns the visited path, start included. The
-// walk begins on the shard owning start and follows the walker-transfer
-// topology; the call blocks until the walker retires.
-func (c *coordinator) Query(start graph.VertexID, length int) ([]graph.VertexID, error) {
-	if length <= 0 {
-		length = c.cfg.WalkLength
-	}
-	var t0 time.Time
-	if obs.On() {
-		t0 = time.Now()
-	}
-	c.sendMu.RLock()
-	if c.closed {
-		c.sendMu.RUnlock()
-		return nil, ErrLiveClosed
-	}
-	id := c.idSeq.Add(1)
-	path := make([]graph.VertexID, 1, length+1)
-	path[0] = start
-	wk := &fabric.Walker{
-		ID:     id,
-		Cur:    start,
-		Left:   length,
-		Rng:    c.master.Split(id).State(),
-		Record: true,
-		Path:   path,
-	}
-	reply := make(chan []graph.VertexID, 1)
-	replicated := c.planNow().Replicas > 1
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		c.sendMu.RUnlock()
-		return nil, ErrFabricDown
-	}
-	// pending.Add must happen before the registration is visible: the
-	// matching Done comes from the event loop (retire or failPending),
-	// which may run the instant the lock is released.
-	c.pending.Add(1)
-	c.replies[id] = reply
-	if replicated {
-		// The clone outlives the launch: a shard death relaunches every
-		// pending walker from its stored spec (registered before the
-		// launch so no death can fall between them unseen).
-		c.specs[id] = cloneWalker(wk)
-	}
-	c.mu.Unlock()
-	if err := c.port.LaunchWalker(c.planNow().Owner(start), wk); err != nil {
-		if replicated {
-			// The target link died under the launch; retry toward
-			// whatever replica the flipped plan names.
-			go c.relaunchWalker(wk)
-		} else {
-			c.mu.Lock()
-			if _, still := c.replies[id]; still {
-				delete(c.replies, id)
-				c.pending.Done()
-			}
-			c.mu.Unlock()
-			c.sendMu.RUnlock()
-			return nil, err
-		}
-	}
-	c.sendMu.RUnlock()
-	p := <-reply
-	if p == nil {
-		return nil, ErrFabricDown
-	}
-	if !t0.IsZero() {
-		coordQueryNs.ObserveSince(t0)
-	}
-	return p, nil
 }
 
 // Feed enqueues a batch for routed ingestion. It blocks when the feed
@@ -1399,108 +1140,6 @@ func (c *coordinator) DumpEdges() ([][]graph.Edge, error) {
 		return nil, err
 	}
 	return bw.edges, bw.err
-}
-
-// DeepWalk runs a bulk first-order walk through the sharded runtime while
-// the feed keeps ingesting: every start becomes a transferable walker
-// with its own RNG stream. numVertices is the caller's view of the
-// current vertex space (default start set and visit-tally sizing).
-//
-// Visit counting rides on walker paths: a CountVisits run makes every
-// walker record its hops and the coordinator folds them into the tally at
-// retire, which is what lets the identical protocol cross a process
-// boundary (shards share no counter). The cost is O(len(starts) × Length)
-// transient path memory across in-flight walkers — bound the start set
-// for visit-counting runs over very large graphs.
-func (c *coordinator) DeepWalk(cfg Config, numVertices int) (Result, TransferStats, error) {
-	cfg = cfg.withDefaults(numVertices)
-	starts := cfg.Starts
-	if starts == nil {
-		starts = make([]graph.VertexID, numVertices)
-		for i := range starts {
-			starts[i] = graph.VertexID(i)
-		}
-	}
-	run := &bulkRun{}
-	if cfg.CountVisits {
-		run.visits = newVisitCounter(numVertices)
-	}
-	bulkMaster := xrand.New(cfg.Seed)
-
-	c.sendMu.RLock()
-	if c.closed {
-		c.sendMu.RUnlock()
-		return Result{}, TransferStats{}, ErrLiveClosed
-	}
-	// Register every walker before launching any: a retire must never
-	// find its run missing. The Adds precede the registrations for the
-	// same reason as in Query: failPending may Done them the instant the
-	// lock drops.
-	ids := make([]uint64, len(starts))
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		c.sendMu.RUnlock()
-		return Result{}, TransferStats{}, ErrFabricDown
-	}
-	run.wg.Add(len(starts))
-	c.pending.Add(len(starts))
-	for i := range starts {
-		ids[i] = c.idSeq.Add(1)
-		c.bulks[ids[i]] = run
-	}
-	c.mu.Unlock()
-	replicated := c.planNow().Replicas > 1
-	for i, st := range starts {
-		if run.visits != nil {
-			run.visits.bump(st)
-		}
-		wk := &fabric.Walker{
-			ID:     ids[i],
-			Cur:    st,
-			Left:   cfg.Length,
-			Rng:    bulkMaster.Split(uint64(i)).State(),
-			Record: cfg.CountVisits,
-		}
-		if replicated {
-			// Spec before launch: a death between the two relaunches the
-			// clone, and a duplicate retire resolves harmlessly.
-			c.mu.Lock()
-			if _, still := c.bulks[ids[i]]; still {
-				c.specs[ids[i]] = cloneWalker(wk)
-			}
-			c.mu.Unlock()
-		}
-		if err := c.port.LaunchWalker(c.planNow().Owner(st), wk); err != nil {
-			if replicated {
-				go c.relaunchWalker(wk)
-				continue
-			}
-			c.setErr(err)
-			c.mu.Lock()
-			if _, still := c.bulks[ids[i]]; still {
-				delete(c.bulks, ids[i])
-				run.wg.Done()
-				c.pending.Done()
-			}
-			c.mu.Unlock()
-		}
-	}
-	c.sendMu.RUnlock()
-	var t0 time.Time
-	if obs.On() {
-		t0 = time.Now()
-	}
-	run.wg.Wait()
-	if !t0.IsZero() {
-		coordDeepwalkNs.ObserveSince(t0)
-	}
-
-	res := Result{Walkers: len(starts), Steps: run.steps.Load()}
-	if run.visits != nil {
-		res.Visits = run.visits.snapshot()
-	}
-	return res, TransferStats{Transfers: run.transfers.Load(), Local: run.local.Load(), Remote: run.remote.Load()}, nil
 }
 
 // Close drains the feed (queued batches are routed and applied), stops

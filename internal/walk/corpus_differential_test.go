@@ -18,8 +18,6 @@ import (
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
-	"github.com/bingo-rw/bingo/internal/fabric"
-	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/stats"
 	"github.com/bingo-rw/bingo/internal/walk"
@@ -37,54 +35,11 @@ const (
 // newCorpusBackend builds an empty sharded serving runtime on the chosen
 // transport for the corpus to ride: the in-process fabric, or loopback
 // tcpgob shard nodes speaking the daemon protocol.
-func newCorpusBackend(t *testing.T, transport string) walk.CorpusBackend {
+func newCorpusBackend(t *testing.T, transport string) *walk.ShardedLiveService {
 	t.Helper()
-	plan := walk.NewShardPlan(hcVerts, hcShards)
-	cfg := walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: cdLength, Seed: 0x0FF1CE}
-	switch transport {
-	case "inproc":
-		engines, _ := newShardEngines(t, plan, hcVerts)
-		svc, err := walk.NewShardedLiveService(engines, plan, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return svc
-	case "tcpgob":
-		addrs := make([]string, hcShards)
-		for i := 0; i < hcShards; i++ {
-			l, err := tcpgob.Listen("127.0.0.1:0", i, hcShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs[i] = l.Addr().String()
-			go func(i int, l *tcpgob.Listener) {
-				defer l.Close()
-				sc, hello, err := l.Accept()
-				if err != nil {
-					return
-				}
-				e, err := concurrent.New(hello.NumVertices, core.DefaultConfig(), concurrent.Config{})
-				if err != nil {
-					sc.Close()
-					return
-				}
-				nodePlan := walk.ShardPlan{Shards: hello.Shards, RangeSize: hello.RangeSize}
-				walk.RunShardNode(e, nodePlan, i, sc, 2, hello.Cache, walk.KernelAuto)
-			}(i, l)
-		}
-		port, err := tcpgob.Dial(addrs, fabric.Hello{RangeSize: plan.RangeSize, NumVertices: hcVerts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := walk.NewRemoteService(port, plan, hcVerts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return svc
-	default:
-		t.Fatalf("unknown transport %q", transport)
-		return nil
-	}
+	empty := &graph.CSR{Offsets: make([]int64, hcVerts+1)}
+	return serveTransport(t, transport, empty, hcShards,
+		walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: cdLength, Seed: 0x0FF1CE})
 }
 
 func TestCorpusDifferentialInproc(t *testing.T) { testCorpusDifferential(t, "inproc") }

@@ -78,15 +78,12 @@ func TestFailoverKillRestartDifferential(t *testing.T) {
 	for i := 0; i < fvShards; i++ {
 		nodeDone[i] = runChaosNode(t, plan, i, fab.ShardPort(i))
 	}
-	svc, err := walk.NewRemoteService(fab.CoordPort(), plan, fvVerts0, walk.ShardedLiveConfig{
+	svc, err := walk.ServeShardedOver(fab.CoordPort(), nil, boot, plan, walk.ShardedLiveConfig{
 		WalkLength: 8,
 		Seed:       0xFA11,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Bootstrap(boot); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
+		t.Fatalf("ServeShardedOver: %v", err)
 	}
 
 	// Query walkers cross shards (and the failover) for the whole run;

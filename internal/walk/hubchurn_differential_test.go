@@ -171,6 +171,10 @@ func TestHubChurnCacheDifferential(t *testing.T) {
 			t.Fatalf("warm query: %v", err)
 		}
 	}
+	// The cache tallies ride barrier acks: Sync before reading them.
+	if err := svc.Sync(); err != nil {
+		t.Fatalf("Sync after warm: %v", err)
+	}
 	if st := svc.Stats(); st.Cache.LocalHits == 0 {
 		t.Fatal("warm phase produced no cache hits — the crew cache is not in play")
 	}
@@ -257,6 +261,9 @@ func TestHubChurnCacheDifferential(t *testing.T) {
 			if _, err := svc.Query(hubs[r.Intn(len(hubs))], 16); err != nil {
 				t.Fatalf("post-churn query: %v", err)
 			}
+		}
+		if err := svc.Sync(); err != nil { // the cache tallies ride barrier acks
+			t.Fatalf("post-churn Sync: %v", err)
 		}
 		if svc.Stats().Cache.RemoteHits > 0 {
 			break

@@ -112,7 +112,7 @@ type liveReq struct {
 //
 // Queries are served by the pool (reusing the per-walker RNG-stream
 // discipline of runParallel); bulk kernels over the live engine remain
-// available through Bulk, and a Sharded topology through NewSharded.
+// available through Bulk.
 type LiveService struct {
 	e   LiveEngine
 	cfg LiveConfig
@@ -253,12 +253,6 @@ func (ls *LiveService) Bulk(app App, cfg Config) Result {
 		cfg.Kernel = ls.cfg.Kernel
 	}
 	return Run(app, ls.e, cfg)
-}
-
-// NewSharded wraps the live engine in a shards-way 1-D partition (the
-// supplement §9.1 topology) that can likewise run while the feed ingests.
-func (ls *LiveService) NewSharded(shards int) *Sharded {
-	return NewSharded(ls.e, shards)
 }
 
 // Stats returns a snapshot of the service counters.

@@ -126,10 +126,20 @@ func TestLiveServiceBulkKernels(t *testing.T) {
 	if res.Walkers != 128 || res.Steps != 128*10 {
 		t.Fatalf("Bulk DeepWalk: %d walkers / %d steps, want 128 / 1280", res.Walkers, res.Steps)
 	}
-	sh := svc.NewSharded(4)
-	shRes, _ := sh.DeepWalk(walk.Config{Length: 10, Seed: 5})
-	if shRes.Steps != 128*10 {
-		t.Fatalf("Sharded DeepWalk steps %d, want 1280", shRes.Steps)
+	// The same bulk kernel through the sharded runtime, over a snapshot of
+	// the same graph.
+	var g *graph.CSR
+	e.Quiesce(func(s *core.Sampler) { g = s.Snapshot() })
+	sh, err := walk.ServeSharded(g, 4, 1, func() (walk.LiveEngine, error) {
+		return concurrent.New(128, core.DefaultConfig(), concurrent.Config{})
+	}, walk.ShardedLiveConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	shRes, _, err := sh.DeepWalk(walk.Config{Length: 10, Seed: 5})
+	if err != nil || shRes.Steps != 128*10 {
+		t.Fatalf("Sharded DeepWalk steps %d (err %v), want 1280", shRes.Steps, err)
 	}
 }
 

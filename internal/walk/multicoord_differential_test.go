@@ -33,20 +33,13 @@ import (
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
-// mcService extends the harness surface with the applied stamp the
-// readers' bounded-staleness check is anchored to.
-type mcService interface {
-	rbService
-	AppliedStamp() int64
-}
-
 // runMultiCoordDifferential drives the hub-skewed growth tape through
 // the write service while every reader serves a concurrent query storm,
 // waits for a migration to commit mid-tape, syncs, verifies bounded
 // staleness through each reader, and chi-squares the served sampling
 // distribution drawn through the readers (round-robin) against the
 // sequential replay.
-func runMultiCoordDifferential(t *testing.T, svc mcService, readers []*walk.ReaderService, tape []graph.Update) {
+func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, readers []*walk.ReaderService, tape []graph.Update) {
 	t.Helper()
 
 	parts := make([][]graph.Update, rbWriters)
@@ -334,7 +327,7 @@ func TestMultiCoordDifferentialTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := walk.NewRemoteService(port, plan, rbVerts0, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(port, nil, plan, rbVerts0, walk.ShardedLiveConfig{
 		WalkLength: 16,
 		Seed:       0xFEED,
 		Rebalance:  rbRebalanceOptions(250*time.Millisecond, 64),
@@ -348,9 +341,9 @@ func TestMultiCoordDifferentialTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DialReader %d: %v", i, err)
 		}
-		rd, err := walk.NewRemoteReader(rp, walk.ReaderConfig{WalkLength: 16, Seed: 0xAB + uint64(i)})
+		rd, err := walk.NewReaderService(rp, walk.ReaderConfig{WalkLength: 16, Seed: 0xAB + uint64(i)})
 		if err != nil {
-			t.Fatalf("NewRemoteReader %d: %v", i, err)
+			t.Fatalf("NewReaderService %d: %v", i, err)
 		}
 		readers = append(readers, rd)
 	}

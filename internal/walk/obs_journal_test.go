@@ -50,14 +50,9 @@ func firstIndexByKind(evs []obs.Event, kind string, shard int) int {
 func TestJournalMigrationOrdering(t *testing.T) {
 	const n = 96
 	g := obsRingCSR(t, n)
-	plan := NewShardPlan(n, 3)
-	engines, err := BootstrapShards(g, plan, func() (LiveEngine, error) {
+	svc, err := ServeSharded(g, 3, 1, func() (LiveEngine, error) {
 		return concurrent.New(n, core.DefaultConfig(), concurrent.Config{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewShardedLiveService(engines, plan, ShardedLiveConfig{WalkersPerShard: 1, WalkLength: 8, Seed: 9})
+	}, ShardedLiveConfig{WalkersPerShard: 1, WalkLength: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +110,9 @@ func TestJournalFailoverOrdering(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		nodeDone[i] = runNode(i, fab.ShardPort(i))
 	}
-	svc, err := NewRemoteService(fab.CoordPort(), plan, n, ShardedLiveConfig{WalkLength: 8, Seed: 11})
+	svc, err := ServeShardedOver(fab.CoordPort(), nil, g, plan, ShardedLiveConfig{WalkLength: 8, Seed: 11})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Bootstrap(g); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
+		t.Fatalf("ServeShardedOver: %v", err)
 	}
 
 	seq0 := obs.Log.Seq()

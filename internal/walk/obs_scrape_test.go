@@ -30,7 +30,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	defer obs.UnregisterStatus("scrape_test")
 
 	const n = 750 // rbVertsMax: the hub-skew tape's growth space
-	svc, _ := ringShardService(t, n, 3, walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: 12, Seed: 0x5c4a})
+	svc := ringShardService(t, n, 3, walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: 12, Seed: 0x5c4a})
 	defer svc.Close()
 	tape := buildHubSkewTape(4000, 0x5c4a)
 

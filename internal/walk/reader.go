@@ -9,7 +9,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/obs"
-	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // Reader-tier instrumentation: end-to-end query latency plus the
@@ -49,12 +48,16 @@ func (c ReaderConfig) withDefaults() ReaderConfig {
 }
 
 // ReaderService is a read-coordinator: a query front end attached to a
-// running shard set that the write-coordinator owns. It launches walkers
-// and view requests through a fabric.ReadPort (which stamps the reader's
-// session nonce so shards route retires and replies back here) and keeps
-// its routing valid by consuming the write-coordinator's broadcast
-// stream — plan epoch, ownership overlay, dead-mask, routed-update
-// watermarks, applied stamp. It never touches ingest: Feed, Sync,
+// running shard set that the write-coordinator owns. It embeds the same
+// walkFront the write coordinator does — walker launch, re-route, and
+// retire resolution are that one front end's — over a fabric.ReadPort
+// (which stamps the reader's session nonce so shards route retires and
+// replies back here), and keeps the front end's plan valid by consuming
+// the write-coordinator's broadcast stream — plan epoch, ownership
+// overlay, dead-mask, routed-update watermarks, applied stamp. What is
+// the reader's own is the read side: that broadcast follower, the
+// applied-stamp wait, and the hub-view cache that serves a walk's first
+// hops before anything is launched. It never touches ingest: Feed, Sync,
 // rebalancing, and credit flow stay with the write session.
 //
 // Scaling model: N readers share one shard set. Each serves walk hops
@@ -76,22 +79,12 @@ func (c ReaderConfig) withDefaults() ReaderConfig {
 // the completion broadcast carries a stamp covering everything fed
 // before it, and a reader past that stamp serves no older state.
 type ReaderService struct {
+	walkFront
 	port   fabric.ReadPort
 	shards int
-	cfg    ReaderConfig
-
-	planv  atomic.Pointer[ShardPlan]
-	master *xrand.RNG // Split-only after construction (reads, no state advance)
-	idSeq  atomic.Uint64
 
 	rv      *remoteViews
 	cacheOn bool
-
-	// mu guards the pending-retire callbacks and the dead flag that
-	// fences new registrations once the event stream has ended.
-	mu      sync.Mutex
-	dead    bool
-	pending map[uint64]func(*fabric.Walker)
 
 	// lastSeq is the newest broadcast sequence applied (event-loop
 	// writes; atomic for Stats).
@@ -106,9 +99,8 @@ type ReaderService struct {
 
 	verts atomic.Int64
 
-	queries, steps, transfers         atomic.Int64
-	localHits, viewReqs, launches     atomic.Int64
-	planFlips, broadcasts, relaunched atomic.Int64
+	localHits, viewReqs, launches atomic.Int64
+	planFlips, broadcasts         atomic.Int64
 
 	evloop    sync.WaitGroup
 	closeOnce sync.Once
@@ -145,16 +137,12 @@ func NewReaderService(port fabric.ReadPort, cfg ReaderConfig) (*ReaderService, e
 	r := &ReaderService{
 		port:    port,
 		shards:  port.Shards(),
-		cfg:     cfg,
-		master:  xrand.New(cfg.Seed),
-		pending: map[uint64]func(*fabric.Walker){},
 		cacheOn: !cfg.Cache.Off,
 	}
+	r.walkFront.init(port, ShardPlan{Shards: r.shards, RangeSize: 1}, cfg.Seed, cfg.WalkLength, readerQueryNs)
 	r.appliedCond = sync.NewCond(&r.appliedMu)
 	r.rv = newRemoteViews(r.shards, cfg.Cache.RemoteSize, cfg.Cache.RequestAfter)
 	r.rv.ownerOf = func(v graph.VertexID) int { return r.planNow().Owner(v) }
-	base := ShardPlan{Shards: r.shards, RangeSize: 1}
-	r.planv.Store(&base)
 	// The write-coordinator's newest broadcast is cached transport-side
 	// and delivered at attach; consume events until it lands so routing
 	// is valid before the first Query.
@@ -174,9 +162,6 @@ func NewReaderService(port fabric.ReadPort, cfg ReaderConfig) (*ReaderService, e
 	go r.eventLoop()
 	return r, nil
 }
-
-// planNow returns the reader's view of the live ownership plan.
-func (r *ReaderService) planNow() ShardPlan { return *r.planv.Load() }
 
 // NumVertices returns the reader's view of the vertex-space bound (from
 // the broadcast stream; the space grows live under the writer's feed).
@@ -209,7 +194,7 @@ func (r *ReaderService) WaitApplied(stamp int64) error {
 
 // eventLoop consumes retires, view replies, and broadcasts until the
 // write session (or this reader's port) closes, then fails whatever is
-// still pending.
+// still pending and wakes WaitApplied callers.
 func (r *ReaderService) eventLoop() {
 	defer r.evloop.Done()
 	for {
@@ -229,6 +214,10 @@ func (r *ReaderService) eventLoop() {
 		}
 	}
 	r.failPending()
+	r.appliedMu.Lock()
+	r.appliedEnd = true
+	r.appliedCond.Broadcast()
+	r.appliedMu.Unlock()
 }
 
 // applyBroadcast folds one write-coordinator broadcast in. Broadcasts
@@ -274,83 +263,6 @@ func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 	r.appliedMu.Unlock()
 }
 
-// register installs a retire callback for walker id.
-func (r *ReaderService) register(id uint64, cb func(*fabric.Walker)) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return ErrFabricDown
-	}
-	r.pending[id] = cb
-	return nil
-}
-
-// resolve removes and returns walker id's callback (nil if already
-// resolved — duplicate retires after a relaunch resolve harmlessly).
-func (r *ReaderService) resolve(id uint64) func(*fabric.Walker) {
-	r.mu.Lock()
-	cb := r.pending[id]
-	delete(r.pending, id)
-	r.mu.Unlock()
-	return cb
-}
-
-func (r *ReaderService) onRetire(w *fabric.Walker) {
-	if w == nil {
-		return
-	}
-	if w.Failed && r.planNow().Replicas > 1 && w.Reroutes < maxWalkerReroutes {
-		// A hand-off hit a dead link mid-walk. The retire carries the
-		// walker's exact state; continue it on whatever replica the
-		// flipped plan names instead of failing the caller.
-		r.mu.Lock()
-		still := r.pending[w.ID] != nil
-		r.mu.Unlock()
-		if still {
-			w.Failed = false
-			w.Reroutes++
-			r.relaunched.Add(1)
-			go r.relaunchWalker(w)
-			return
-		}
-	}
-	if cb := r.resolve(w.ID); cb != nil {
-		cb(w)
-	}
-}
-
-// relaunchWalker retries launching toward the walker's vertex's current
-// owner — the broadcast carrying the plan flip races the launch, so
-// early attempts may still name the dead shard.
-func (r *ReaderService) relaunchWalker(w *fabric.Walker) {
-	for i := 0; i < 50; i++ {
-		if err := r.port.LaunchWalker(r.planNow().Owner(w.Cur), w); err == nil {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	w.Failed = true
-	w.Reroutes = maxWalkerReroutes
-	r.onRetire(w)
-}
-
-// failPending unblocks every caller still waiting when the event stream
-// ends, and fences later registrations.
-func (r *ReaderService) failPending() {
-	r.mu.Lock()
-	r.dead = true
-	pend := r.pending
-	r.pending = map[uint64]func(*fabric.Walker){}
-	r.mu.Unlock()
-	for _, cb := range pend {
-		cb(nil)
-	}
-	r.appliedMu.Lock()
-	r.appliedEnd = true
-	r.appliedCond.Broadcast()
-	r.appliedMu.Unlock()
-}
-
 // maybeRequestView asks u's owner for its hub view when the crossing
 // counter says the traffic warrants it (same churn-aware admission the
 // shard nodes use).
@@ -369,10 +281,11 @@ func (r *ReaderService) maybeRequestView(u graph.VertexID) {
 // configured default) and returns the visited path, start included.
 // Hops are served from the reader's own hub-view cache while a valid
 // cached view covers the walker's position; the remainder (if any) is
-// launched into the shard set and the retire completes the path.
+// launched into the shard set through the front end and the retire
+// completes the path.
 func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexID, error) {
 	if length <= 0 {
-		length = r.cfg.WalkLength
+		length = r.walkLength
 	}
 	var t0 time.Time
 	if obs.On() {
@@ -404,47 +317,33 @@ func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexI
 		r.steps.Add(int64(length))
 		readerLocalHits.Add(int64(length))
 		if !t0.IsZero() {
-			readerQueryNs.ObserveSince(t0)
+			r.queryNs.ObserveSince(t0)
 		}
 		return path, nil
 	}
 	r.maybeRequestView(cur)
-	wk := &fabric.Walker{
+	r.launches.Add(1)
+	path, err := r.run(&fabric.Walker{
 		ID:     id,
 		Cur:    cur,
 		Left:   left,
 		Rng:    rng.State(),
 		Record: true,
 		Path:   path,
-	}
-	reply := make(chan *fabric.Walker, 1)
-	if err := r.register(id, func(w *fabric.Walker) { reply <- w }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	r.launches.Add(1)
-	if err := r.port.LaunchWalker(r.planNow().Owner(cur), wk); err != nil {
-		if r.planNow().Replicas > 1 {
-			// The target link died under the launch; retry toward
-			// whatever replica the flipped plan names.
-			go r.relaunchWalker(wk)
-		} else if cb := r.resolve(id); cb != nil {
-			return nil, err
-		}
-	}
-	w := <-reply
-	if w == nil || w.Failed {
-		return nil, ErrFabricDown
-	}
+	// The front end folded the shard-served segment's tallies in at the
+	// retire; the reader-served hops are this query's own.
 	local := int64(length - left)
-	r.queries.Add(1)
-	r.steps.Add(w.Steps + local)
-	r.transfers.Add(w.Transfers)
+	r.steps.Add(local)
 	readerLocalHits.Add(local)
 	readerLaunches.Inc()
 	if !t0.IsZero() {
-		readerQueryNs.ObserveSince(t0)
+		r.queryNs.ObserveSince(t0)
 	}
-	return w.Path, nil
+	return path, nil
 }
 
 // DeepWalk runs a bulk first-order walk through the shard set from this
@@ -452,84 +351,9 @@ func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexI
 // stream, exactly as on the write-coordinator, but retires route back
 // here. The write session keeps ingesting concurrently.
 func (r *ReaderService) DeepWalk(cfg Config) (Result, TransferStats, error) {
-	n := r.NumVertices()
-	cfg = cfg.withDefaults(n)
-	starts := cfg.Starts
-	if starts == nil {
-		starts = make([]graph.VertexID, n)
-		for i := range starts {
-			starts[i] = graph.VertexID(i)
-		}
-	}
-	var visits *visitCounter
-	if cfg.CountVisits {
-		visits = newVisitCounter(n)
-	}
-	bulkMaster := xrand.New(cfg.Seed)
-	var wg sync.WaitGroup
-	var steps, transfers, local, remote atomic.Int64
-	var failed atomic.Bool
-	var visMu sync.Mutex
-	replicated := r.planNow().Replicas > 1
-	for i, st := range starts {
-		id := r.idSeq.Add(1)
-		if visits != nil {
-			visits.bump(st)
-		}
-		wk := &fabric.Walker{
-			ID:     id,
-			Cur:    st,
-			Left:   cfg.Length,
-			Rng:    bulkMaster.Split(uint64(i)).State(),
-			Record: cfg.CountVisits,
-		}
-		wg.Add(1)
-		cb := func(w *fabric.Walker) {
-			if w == nil || w.Failed {
-				failed.Store(true)
-			} else {
-				steps.Add(w.Steps)
-				transfers.Add(w.Transfers)
-				local.Add(w.Local)
-				remote.Add(w.Remote)
-				if visits != nil {
-					visMu.Lock()
-					for _, v := range w.Path {
-						visits.bump(v)
-					}
-					visMu.Unlock()
-				}
-			}
-			wg.Done()
-		}
-		if err := r.register(id, cb); err != nil {
-			wg.Done()
-			failed.Store(true)
-			continue
-		}
-		r.launches.Add(1)
-		if err := r.port.LaunchWalker(r.planNow().Owner(st), wk); err != nil {
-			if replicated {
-				go r.relaunchWalker(wk)
-				continue
-			}
-			if cb := r.resolve(id); cb != nil {
-				failed.Store(true)
-				wg.Done()
-			}
-		}
-	}
-	wg.Wait()
-	r.steps.Add(steps.Load())
-	r.transfers.Add(transfers.Load())
-	if failed.Load() {
-		return Result{}, TransferStats{}, ErrFabricDown
-	}
-	res := Result{Walkers: len(starts), Steps: steps.Load()}
-	if visits != nil {
-		res.Visits = visits.snapshot()
-	}
-	return res, TransferStats{Transfers: transfers.Load(), Local: local.Load(), Remote: remote.Load()}, nil
+	res, ts, err := r.walkFront.DeepWalk(cfg, r.NumVertices())
+	r.launches.Add(int64(res.Walkers))
+	return res, ts, err
 }
 
 // Stats snapshots the reader's activity counters.

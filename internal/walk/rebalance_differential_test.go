@@ -105,22 +105,11 @@ func buildHubSkewTape(n int, seed uint64) []graph.Update {
 	return tape
 }
 
-// rbService is the slice of the serving surface the harness drives;
-// both fabrics' services satisfy it.
-type rbService interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	Stats() walk.ShardedLiveStats
-	LivePlan() walk.ShardPlan
-	Close() error
-}
-
 // runRebalanceDifferential drives the harness against svc and returns
 // the final stats; dump reads the distributed edge state back after the
 // walks (before Close for the remote service, after Close for inproc —
 // the caller picks).
-func runRebalanceDifferential(t *testing.T, svc rbService, tape []graph.Update) walk.ShardedLiveStats {
+func runRebalanceDifferential(t *testing.T, svc *walk.ShardedLiveService, tape []graph.Update) walk.ShardedLiveStats {
 	t.Helper()
 
 	parts := make([][]graph.Update, rbWriters)
@@ -439,7 +428,7 @@ func TestRebalanceLiveDifferentialTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := walk.NewRemoteService(port, plan, rbVerts0, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(port, nil, plan, rbVerts0, walk.ShardedLiveConfig{
 		WalkLength: 16,
 		Seed:       0xFEED,
 		Rebalance:  rbRebalanceOptions(250*time.Millisecond, 64),

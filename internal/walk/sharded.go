@@ -5,9 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
-	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // ShardPlan fixes the 1-D partition geometry of a sharded run: vertices
@@ -299,8 +297,7 @@ func (p ShardPlan) holdersOf(v graph.VertexID) []int {
 // BootstrapShards builds the per-shard engine set of a sharded live
 // service from a snapshot: newEngine constructs one empty live engine
 // (that is where config choices live), and each engine is fed exactly the
-// rows plan assigns to its shard. Shared by Engine.ServeSharded, the CLI,
-// and the bench runner so bootstrap semantics cannot drift between them.
+// rows plan assigns to its shard — the bootstrap half of ServeSharded.
 func BootstrapShards(g *graph.CSR, plan ShardPlan, newEngine func() (LiveEngine, error)) ([]LiveEngine, error) {
 	engines := make([]LiveEngine, plan.Shards)
 	for i, part := range plan.PartitionCSR(g) {
@@ -360,268 +357,17 @@ func (c *visitCounter) snapshot() []int64 {
 	return c.counts
 }
 
-// Sharded reproduces the multi-GPU architecture of supplement §9.1:
-// vertices are 1-D partitioned into contiguous ranges, each owned by a
-// shard worker, and *walkers* are transferred between shards rather than
-// sampling structures ("the cost of transferring the sampling data
-// structure might be larger than recalculating it while transferring
-// walkers has the light burden of communication").
-//
-// Each shard worker drains its inbox, advances each walker while it remains
-// on locally-owned vertices, and forwards it to the owning shard as soon as
-// it crosses a partition boundary — the queue hand-off standing in for the
-// paper's peer-to-peer GPU transfer. Inboxes are unbounded so that
-// circular forwarding between shards can never deadlock.
-type Sharded struct {
-	e    Engine
-	plan ShardPlan
-}
-
-// NewSharded wraps an engine in a shards-way 1-D partition.
-func NewSharded(e Engine, shards int) *Sharded {
-	return &Sharded{e: e, plan: NewShardPlan(e.NumVertices(), shards)}
-}
-
-// Owner returns the shard owning vertex v (total over the ID space, so
-// safe for vertices added after construction).
-func (s *Sharded) Owner(v graph.VertexID) int { return s.plan.Owner(v) }
-
-// Shards returns the partition count.
-func (s *Sharded) Shards() int { return s.plan.Shards }
-
-// Plan returns the partition geometry.
-func (s *Sharded) Plan() ShardPlan { return s.plan }
-
-// walker is the state transferred between shards.
-type walker struct {
-	id   uint64
-	cur  graph.VertexID
-	hops int
-}
-
 // TransferStats reports the communication volume of a sharded run.
 type TransferStats struct {
-	// Transfers counts walker hand-offs between shards.
+	// Transfers counts walker hand-offs between shards. A walk's final
+	// hop never causes one, even when it crossed a boundary: a finished
+	// walker retires where it is.
 	Transfers int64
-	// Local counts steps that did not cause a hand-off: steps staying
-	// within the owning shard, plus a walk's final hop even when it
-	// crossed a boundary (a finished walker retires where it is).
+	// Local counts steps sampled by the shard owning the walker's vertex.
 	Local int64
 	// Remote counts steps at non-owned vertices served from a cached
 	// hub view — hops that would have been hand-offs without the
-	// fabric-side cache.
+	// fabric-side cache. Every step is one or the other: Steps = Local +
+	// Remote.
 	Remote int64
-}
-
-// inbox is an unbounded MPMC walker queue, shared by the Sharded demo
-// kernel (element: walker value) and the ShardedLiveService crews
-// (element: *liveWalker). Unboundedness is what makes the shard topology
-// deadlock-free: a forward never blocks the sender.
-type inbox[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []T
-	closed bool
-}
-
-func newInbox[T any]() *inbox[T] {
-	b := &inbox[T]{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *inbox[T]) push(w T) {
-	b.mu.Lock()
-	b.items = append(b.items, w)
-	b.mu.Unlock()
-	b.cond.Signal()
-}
-
-func (b *inbox[T]) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// pop blocks until an item is available or the inbox is closed; queued
-// items are drained before the closure is observed.
-func (b *inbox[T]) pop() (T, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.items) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	w := b.items[0]
-	b.items = b.items[1:]
-	return w, true
-}
-
-// popUpTo blocks until at least one item is available (or the inbox is
-// closed), then appends up to max queued items to dst — the batch-drain
-// form a frontier-stepping worker fills its batch with.
-func (b *inbox[T]) popUpTo(dst []T, max int) ([]T, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.items) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.items) == 0 {
-		return dst, false
-	}
-	n := len(b.items)
-	if n > max {
-		n = max
-	}
-	dst = append(dst, b.items[:n]...)
-	b.items = b.items[n:]
-	return dst, true
-}
-
-// tryPopUpTo is popUpTo without the blocking: it drains whatever is
-// queued, up to max, and never waits (a worker topping up a live batch
-// must not stall on an empty queue while it holds steppable walkers).
-func (b *inbox[T]) tryPopUpTo(dst []T, max int) []T {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.items)
-	if n > max {
-		n = max
-	}
-	dst = append(dst, b.items[:n]...)
-	b.items = b.items[n:]
-	return dst
-}
-
-// DeepWalk runs fixed-length first-order walks through the sharded
-// runtime. The sampled distribution is identical to the single-engine
-// DeepWalk; only the execution topology differs. Workers step their
-// inbox's walkers through the shared frontier kernel: a batch is drained
-// per queue round, co-located walkers draw in per-vertex batches
-// (Config.Kernel selects sparse/dense/auto), and walkers crossing a
-// partition boundary are forwarded to their owner as before.
-func (s *Sharded) DeepWalk(cfg Config) (Result, TransferStats) {
-	cfg = cfg.withDefaults(s.e.NumVertices())
-	starts := startsOf(s.e, cfg)
-	var vc *visitCounter
-	if cfg.CountVisits {
-		vc = newVisitCounter(s.e.NumVertices())
-	}
-	master := xrand.New(cfg.Seed)
-	rngs := make([]*xrand.RNG, len(starts))
-	for i := range starts {
-		rngs[i] = master.Split(uint64(i))
-	}
-
-	inboxes := make([]*inbox[walker], s.plan.Shards)
-	for i := range inboxes {
-		inboxes[i] = newInbox[walker]()
-	}
-	var stats TransferStats
-	var steps int64
-	var mu sync.Mutex
-	var pending sync.WaitGroup // one count per live walker
-	var wg sync.WaitGroup      // shard workers
-
-	for shard := 0; shard < s.plan.Shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			k := newStepKernel(s.e, cfg.Kernel, fabric.CacheSpec{Off: true})
-			f := getFrontier(kernelBatch)
-			defer putFrontier(f)
-			wks := make([]walker, kernelBatch)
-			var drain []walker
-			var localSteps, localTransfers, localStay int64
-			n := 0
-			for {
-				// Refill: block only when no walker is steppable, top up
-				// opportunistically otherwise so frontiers stay dense.
-				var ok bool
-				if n == 0 {
-					drain, ok = inboxes[shard].popUpTo(drain[:0], kernelBatch)
-					if !ok {
-						break
-					}
-				} else if n < kernelBatch {
-					drain = inboxes[shard].tryPopUpTo(drain[:0], kernelBatch-n)
-				} else {
-					drain = drain[:0]
-				}
-				for _, wk := range drain {
-					wks[n] = wk
-					f.cur[n] = wk.cur
-					f.rng[n] = rngs[wk.id]
-					n++
-				}
-				f.n = n
-				k.stepBatch(f)
-				for i := 0; i < n; {
-					if !f.ok[i] { // dead end: the walker retires here
-						pending.Done()
-						n--
-						f.swap(i, n)
-						wks[i], wks[n] = wks[n], wks[i]
-						continue
-					}
-					localSteps++
-					wks[i].hops++
-					next := f.next[i]
-					wks[i].cur = next
-					f.cur[i] = next
-					if vc != nil {
-						vc.bump(next)
-					}
-					// Forward only walkers with hops left: a walker whose
-					// final hop crossed the boundary has nothing to do on
-					// the other side, so it retires here instead of paying
-					// a pointless transfer plus queue round trip.
-					if owner := s.Owner(next); owner != shard && wks[i].hops < cfg.Length {
-						localTransfers++
-						inboxes[owner].push(wks[i])
-						n--
-						f.swap(i, n)
-						wks[i], wks[n] = wks[n], wks[i]
-						continue
-					}
-					localStay++
-					if wks[i].hops >= cfg.Length {
-						pending.Done()
-						n--
-						f.swap(i, n)
-						wks[i], wks[n] = wks[n], wks[i]
-						continue
-					}
-					i++
-				}
-			}
-			mu.Lock()
-			steps += localSteps
-			stats.Transfers += localTransfers
-			stats.Local += localStay
-			mu.Unlock()
-		}(shard)
-	}
-
-	pending.Add(len(starts))
-	for i, st := range starts {
-		if vc != nil {
-			vc.bump(st)
-		}
-		inboxes[s.Owner(st)].push(walker{id: uint64(i), cur: st})
-	}
-	pending.Wait()
-	for _, b := range inboxes {
-		b.close()
-	}
-	wg.Wait()
-	res := Result{Walkers: len(starts), Steps: steps}
-	if vc != nil {
-		res.Visits = vc.snapshot()
-	}
-	return res, stats
 }

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -11,12 +12,14 @@ import (
 	"github.com/bingo-rw/bingo/internal/rebalance"
 )
 
-// ShardedLiveService is the multi-lock-domain serving runtime: N per-shard
-// live engines, each owning the vertices of one ShardPlan slot, behind a
-// single Query/Feed front. Where LiveService puts every walker and the
-// ingest loop into one engine's lock domain, the sharded service gives each
-// shard its own engine, its own walker crew, and its own ingester —
-// writers on shard A never contend with walkers on shard B.
+// ShardedLiveService is the sharded serving runtime — the one service
+// type over any shard fabric: a coordinator (ingest router, barriers,
+// control plane, and the walk front end) driving N shard nodes, each
+// owning the vertices of one ShardPlan slot, behind a single Query/Feed
+// front. Where LiveService puts every walker and the ingest loop into
+// one engine's lock domain, each shard has its own engine, its own walker
+// crew, and its own ingester — writers on shard A never contend with
+// walkers on shard B.
 //
 // The execution model is the supplement §9.1 topology made live:
 //
@@ -28,7 +31,10 @@ import (
 //   - Feed batches pass through a single router that splits them by
 //     Owner(Src) and publishes the pieces on per-shard ingest streams. One
 //     router plus one ingester per shard keeps per-source order: all of a
-//     source's updates land on one stream, in feed order.
+//     source's updates land on one stream, in feed order. Beyond the feed
+//     queue, a per-shard credit window bounds the update events in flight
+//     toward each shard (ShardedLiveConfig.CreditWindow), so a feeder that
+//     outruns the shards' apply rate blocks in Feed.
 //   - Ownership is total over the vertex-ID space (ShardPlan is
 //     block-cyclic), so engines growing their vertex space under the feed
 //     never produce an out-of-range owner. A walker stepping onto a vertex
@@ -36,22 +42,25 @@ import (
 //     the same dead-end the unsharded engine reports before the inserting
 //     batch lands.
 //
-// Since the shard-fabric extraction, the service is literally a
-// coordinator plus N shard nodes wired over the in-process fabric
-// (internal/fabric/inproc): all cross-shard communication — walker
-// hand-offs, routed update publishes, barriers, retires — flows through
-// fabric ports, and the identical coordinator/node logic runs across
-// processes over the TCP fabric (RemoteService, `bingowalk -shard-serve`).
-// Walker delivery is unbounded and retires never block, so circular
-// forwarding between shards cannot deadlock. Close drains the feed, waits
-// for in-flight walkers, and stops the crews.
+// Where the shard nodes live is decided by which constructor ran and by
+// nothing else: NewShardedLiveService takes local engines and spawns the
+// nodes as goroutines over the in-process fabric; NewShardedLiveServiceOver
+// takes an already-dialed fabric.CoordPort whose far side hosts them (in
+// practice `bingowalk -shard-serve` daemons over tcpgob). Everything else
+// — every method below — is the same code on both. All cross-shard
+// communication flows through fabric ports; walker delivery is unbounded
+// and retires never block, so circular forwarding between shards cannot
+// deadlock.
 type ShardedLiveService struct {
-	engines []LiveEngine
-	nodes   []*shardNode
-	coord   *coordinator
-	fab     *inproc.Fabric // retained so read-coordinators can attach
-	plan    ShardPlan
-	cfg     ShardedLiveConfig
+	coord *coordinator
+	// nodes are the shard nodes this service spawned and must wait for at
+	// Close; empty over a dialed port, whose nodes belong to their hosts.
+	nodes []*shardNode
+	// attach opens a read port onto the same shard set (captured at
+	// construction: fab.AttachReader in-process, a tcpgob.DialReader
+	// closure over a dialed port; nil = the service cannot attach readers).
+	attach func() (fabric.ReadPort, error)
+	verts  int // construction-time vertex space (acks can only widen it)
 }
 
 // ShardedLiveConfig parameterizes a ShardedLiveService.
@@ -120,14 +129,26 @@ func (c ShardedLiveConfig) withDefaults(shards int) ShardedLiveConfig {
 // reports the hub-view cache layers: Cache.RemoteHits are steps at
 // non-owned vertices served from a peer's shipped view instead of a
 // walker hand-off.
+//
+// The fields run on two clocks, the same two on every transport.
+// Coordinator-side counters are current as of the call: Queries, Steps,
+// Transfers, and Local fold in when a walker retires (a walk in flight
+// has contributed nothing yet), Batches when the router takes a batch,
+// and Rebalance, Failover, and Backpressure as their events happen.
+// Shard-side counters — Updates, Dropped, ShardSteps, Cache — are each
+// shard's cumulative tallies from its latest barrier ack, i.e. as of the
+// last Sync (the rebalancer's heat checks and DumpEdges refresh them
+// too). A caller that wants the two clocks to agree quiesces its own
+// walks and calls Sync first; then Steps == Local + Cache.RemoteHits and,
+// with no read-coordinators attached, the ShardSteps sum to Steps.
 type ShardedLiveStats struct {
 	Queries, Steps            int64
 	Batches, Updates, Dropped int64
 	Transfers, Local          int64
 	Cache                     fabric.CacheTallies
-	// ShardSteps is the per-shard split of Steps (indexed by shard) — the
-	// load-share view the rebalancer acts on. In-process services read it
-	// live; remote services as of the last Sync.
+	// ShardSteps is the per-shard split of the hops the shard set served
+	// (indexed by shard; read-coordinators' walks included) — the
+	// load-share view the rebalancer acts on.
 	ShardSteps []int64
 	// Corpus tallies the standing-walk-corpus maintenance riding on this
 	// service, when one is attached (see CorpusService.ShardedStats; the
@@ -203,65 +224,146 @@ func validateReplication(plan ShardPlan, cfg ShardedLiveConfig) error {
 	return nil
 }
 
-// NewShardedLiveService starts the shard crews, the ingest router, and one
-// ingester per shard, wired over the in-process shard fabric. engines[i]
-// must already hold exactly the rows of the vertices plan assigns to shard
-// i (see ShardPlan.PartitionCSR) and be safe for concurrent sampling and
-// updating (e.g. concurrent.Engine). The service takes ownership of the
-// engines.
+// NewShardedLiveService starts the service over local engines: the shard
+// crews, the ingest router, and one ingester per shard run as goroutines
+// wired over the in-process shard fabric. engines[i] must already hold
+// exactly the rows of the vertices plan assigns to shard i (see
+// BootstrapShards) and be safe for concurrent sampling and updating (e.g.
+// concurrent.Engine). The service takes ownership of the engines.
 func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
 	if len(engines) == 0 || len(engines) != plan.Shards {
 		return nil, fmt.Errorf("walk: %d shard engines for a %d-shard plan", len(engines), plan.Shards)
 	}
 	cfg = cfg.withDefaults(plan.Shards)
-	if cfg.Rebalance.On {
-		for i, e := range engines {
-			if _, ok := e.(RangeExtractor); !ok {
-				return nil, fmt.Errorf("walk: rebalancing needs row extraction, which shard %d's engine (%T) lacks", i, e)
-			}
+	verts := 0
+	for i, e := range engines {
+		if _, ok := e.(RangeExtractor); cfg.Rebalance.On && !ok {
+			return nil, fmt.Errorf("walk: rebalancing needs row extraction, which shard %d's engine (%T) lacks", i, e)
 		}
+		if _, ok := e.(RangeSnapshotter); plan.Replicas > 1 && !ok {
+			return nil, fmt.Errorf("walk: replication needs row snapshots, which shard %d's engine (%T) lacks", i, e)
+		}
+		verts = max(verts, e.NumVertices())
 	}
 	if err := validateReplication(plan, cfg); err != nil {
 		return nil, err
 	}
-	if plan.Replicas > 1 {
-		for i, e := range engines {
-			if _, ok := e.(RangeSnapshotter); !ok {
-				return nil, fmt.Errorf("walk: replication needs row snapshots, which shard %d's engine (%T) lacks", i, e)
-			}
-		}
-	}
 	fab := inproc.New(plan.Shards, cfg.QueueDepth)
-	s := &ShardedLiveService{
-		engines: engines,
-		nodes:   make([]*shardNode, plan.Shards),
-		fab:     fab,
-		plan:    plan,
-		cfg:     cfg,
-	}
+	nodes := make([]*shardNode, plan.Shards)
 	for i := range engines {
-		s.nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, cfg.Kernel, false)
+		nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, cfg.Kernel, false)
 	}
-	s.coord = newCoordinator(fab.CoordPort(), plan, cfg)
-	s.coord.noteVerts(int64(s.NumVertices()))
+	attach := func() (fabric.ReadPort, error) { return fab.AttachReader(), nil }
+	s := newShardedLiveService(fab.CoordPort(), attach, plan, verts, cfg)
+	s.nodes = nodes
 	return s, nil
 }
 
-// Shards returns the partition count.
-func (s *ShardedLiveService) Shards() int { return s.plan.Shards }
+// NewShardedLiveServiceOver starts the service over an already-dialed
+// coordinator port whose far side hosts the shard nodes. numVertices is
+// the construction-time vertex space (the hosts size their engines from
+// the same session Hello) and plan must match the geometry announced to
+// them; attach opens read ports onto the same shard set for AttachReader
+// (nil if the deployment has none to offer). The service takes ownership
+// of the port: Close ends the session. The shards start empty — see
+// ServeShardedOver for the bootstrapped form.
+func NewShardedLiveServiceOver(port fabric.CoordPort, attach func() (fabric.ReadPort, error), plan ShardPlan, numVertices int, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	cfg = cfg.withDefaults(plan.Shards)
+	if err := validateReplication(plan, cfg); err != nil {
+		return nil, err
+	}
+	return newShardedLiveService(port, attach, plan, numVertices, cfg), nil
+}
 
-// Plan returns the partition geometry.
-func (s *ShardedLiveService) Plan() ShardPlan { return s.plan }
+func newShardedLiveService(port fabric.CoordPort, attach func() (fabric.ReadPort, error), plan ShardPlan, verts int, cfg ShardedLiveConfig) *ShardedLiveService {
+	s := &ShardedLiveService{coord: newCoordinator(port, plan, cfg), attach: attach, verts: verts}
+	s.coord.noteVerts(int64(verts))
+	return s
+}
 
-// NumVertices returns the widest vertex space across the shard engines —
-// the service-level ID space (shards grow independently under the feed).
-func (s *ShardedLiveService) NumVertices() int {
-	n := 0
-	for _, e := range s.engines {
-		if v := e.NumVertices(); v > n {
-			n = v
+// ServeSharded is the local-engines way a sharded service comes to
+// exist, written once: derive the plan for the snapshot (replicas > 1
+// turns on block replication), build one engine per shard holding exactly
+// its rows (newEngine is where engine config choices live), start the
+// service.
+func ServeSharded(g *graph.CSR, shards, replicas int, newEngine func() (LiveEngine, error), cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	plan := NewShardPlan(g.NumVertices(), shards)
+	if replicas > 1 {
+		plan.Replicas = replicas
+	}
+	engines, err := BootstrapShards(g, plan, newEngine)
+	if err != nil {
+		return nil, err
+	}
+	return NewShardedLiveService(engines, plan, cfg)
+}
+
+// ServeShardedOver is the dialed-port way a sharded service comes to
+// exist, written once: start the service over the port, ship the snapshot
+// to the shard hosts through the fabric itself, and return once a
+// confirming barrier says every host holds exactly the rows it must. On
+// failure the session is closed.
+func ServeShardedOver(port fabric.CoordPort, attach func() (fabric.ReadPort, error), g *graph.CSR, plan ShardPlan, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	s, err := NewShardedLiveServiceOver(port, attach, plan, g.NumVertices(), cfg)
+	if err != nil {
+		port.Close()
+		return nil, err
+	}
+	if err := s.bootstrap(g); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("walk: bootstrapping shards: %w", err)
+	}
+	return s, nil
+}
+
+// bootstrapChunk bounds one bootstrap batch (updates per feed element):
+// large enough to amortize framing, small enough that the credit window
+// still paces the stream.
+const bootstrapChunk = 1 << 16
+
+// bootstrap ships a snapshot to the shards as dedicated snapshot (Boot)
+// batches — fanned to every replica, credit-paced, but excluded from the
+// routed ledger and the shards' update tallies, so a bootstrapped
+// session's Updates counter reflects feed events alone.
+func (s *ShardedLiveService) bootstrap(g *graph.CSR) error {
+	// Partition with replication stripped: each row must reach the router
+	// exactly once — the router's boot path itself fans every update out
+	// to all of its block's holders (PartitionCSR would otherwise
+	// duplicate the rows a second time).
+	base := s.coord.plan
+	base.Replicas = 1
+	for _, part := range base.PartitionCSR(g) {
+		for len(part) > 0 {
+			n := min(len(part), bootstrapChunk)
+			if err := s.coord.feedBoot(part[:n]); err != nil {
+				return err
+			}
+			part = part[n:]
 		}
 	}
+	return s.Sync()
+}
+
+// Shards returns the partition count.
+func (s *ShardedLiveService) Shards() int { return s.coord.plan.Shards }
+
+// Plan returns the construction-time partition geometry.
+func (s *ShardedLiveService) Plan() ShardPlan { return s.coord.plan }
+
+// LivePlan returns the live ownership plan (rebalancing overlay and
+// dead-mask included).
+func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
+
+// NumVertices returns the widest vertex space observed across the shards
+// (exact as of the last Sync; at least the construction-time space —
+// shards grow independently under the feed).
+func (s *ShardedLiveService) NumVertices() int {
+	n := s.verts
+	s.coord.mu.Lock()
+	for _, a := range s.coord.acks {
+		n = max(n, a.Vertices)
+	}
+	s.coord.mu.Unlock()
 	return n
 }
 
@@ -283,18 +385,11 @@ func (s *ShardedLiveService) Feed(ups []graph.Update) error {
 }
 
 // Sync blocks until every feed batch accepted before the call has been
-// applied (or dropped) on its shards, then reports the first ingest error.
-// It is the barrier between "fed" and "visible to walkers".
-func (s *ShardedLiveService) Sync() error {
-	bw, err := s.coord.barrier(false, false)
-	if err != nil {
-		return err
-	}
-	if bw.err != nil {
-		return bw.err
-	}
-	return s.Err()
-}
+// applied (or dropped) on its shards, then reports the first ingest error
+// observed anywhere. It is the barrier between "fed" and "visible to
+// walkers", and it refreshes the ack-carried tallies Stats and
+// NumVertices read.
+func (s *ShardedLiveService) Sync() error { return s.coord.Sync() }
 
 // DeepWalk runs a bulk first-order walk through the sharded runtime while
 // the feed keeps ingesting: every start becomes a transferable walker with
@@ -304,34 +399,42 @@ func (s *ShardedLiveService) DeepWalk(cfg Config) (Result, TransferStats, error)
 	return s.coord.DeepWalk(cfg, s.NumVertices())
 }
 
-// Stats returns a snapshot of the service counters. Walk-side counters
-// (Steps, Transfers, Local) are read live from the shard nodes; Queries
-// and Batches from the coordinator.
-func (s *ShardedLiveService) Stats() ShardedLiveStats {
-	st := ShardedLiveStats{
-		Queries:    s.coord.queries.Load(),
-		Batches:    s.coord.batches.Load(),
-		ShardSteps: make([]int64, len(s.nodes)),
-	}
-	for i, n := range s.nodes {
-		st.ShardSteps[i] = n.steps.Load()
-		st.Steps += st.ShardSteps[i]
-		st.Transfers += n.transfers.Load()
-		st.Local += n.local.Load()
-		st.Updates += n.updates.Load()
-		st.Dropped += n.dropped.Load()
-		st.Cache.Add(n.cacheTallies())
-	}
-	st.Rebalance = s.coord.rebalanceTallies()
-	st.Failover = s.coord.failoverTallies()
-	st.Backpressure.Window = s.coord.window
-	st.Backpressure.MaxOutstanding, st.Backpressure.Stalled = s.coord.backpressureTallies()
-	return st
+// DumpEdges reads back every shard's live edge multiset (indexed by
+// shard), consistent with all feed batches accepted before the call —
+// the verification path the differential harnesses use to match a
+// sharded session against a sequential replay edge-for-edge.
+func (s *ShardedLiveService) DumpEdges() ([][]graph.Edge, error) {
+	return s.coord.DumpEdges()
 }
 
-// Plan returns the live ownership plan (overlay included); the Plan
-// method above returns the construction-time geometry.
-func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
+// Stats snapshots the service counters; see ShardedLiveStats for which
+// fields are retire-time and which are as of the last Sync. In-process
+// callers that want the ingest counters current call Sync first, exactly
+// as callers over a wire fabric always had to.
+func (s *ShardedLiveService) Stats() ShardedLiveStats {
+	c := s.coord
+	st := ShardedLiveStats{
+		Queries:    c.queries.Load(),
+		Steps:      c.steps.Load(),
+		Batches:    c.batches.Load(),
+		Transfers:  c.transfers.Load(),
+		Local:      c.local.Load(),
+		ShardSteps: make([]int64, c.plan.Shards),
+		Rebalance:  c.rebalanceTallies(),
+		Failover:   c.failoverTallies(),
+	}
+	c.mu.Lock()
+	for i, a := range c.acks {
+		st.Updates += a.Updates
+		st.Dropped += a.Dropped
+		st.ShardSteps[i] = a.Steps
+		st.Cache.Add(a.Cache)
+	}
+	c.mu.Unlock()
+	st.Backpressure.Window = c.window
+	st.Backpressure.MaxOutstanding, st.Backpressure.Stalled = c.backpressureTallies()
+	return st
+}
 
 // AppliedStamp is the sum of the shards' cumulative applied-update
 // stamps from the latest barrier acks — the watermark evidence the
@@ -339,38 +442,43 @@ func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
 // last Sync.
 func (s *ShardedLiveService) AppliedStamp() int64 { return s.coord.appliedStamp() }
 
-// AttachReader attaches a read-coordinator to this service's shard set
-// over the in-process fabric: the returned ReaderService serves Query
-// and DeepWalk against the same shard engines while this service (the
-// write session) keeps exclusive ownership of ingest, credit flow, and
-// rebalancing. Any number of readers may attach; each detaches
-// independently with Close, and all fail over to ErrFabricDown when the
-// write session closes.
+// AttachReader attaches a read-coordinator to this service's shard set:
+// the returned ReaderService serves Query and DeepWalk against the same
+// shards while this service (the write session) keeps exclusive ownership
+// of ingest, credit flow, and rebalancing. Any number of readers may
+// attach; each detaches independently with Close, and all fail over to
+// ErrFabricDown when the write session closes.
 func (s *ShardedLiveService) AttachReader(cfg ReaderConfig) (*ReaderService, error) {
-	if cfg.WalkLength <= 0 {
-		cfg.WalkLength = s.cfg.WalkLength
+	if s.attach == nil {
+		return nil, errors.New("walk: this service was built without a read-port constructor")
 	}
-	return NewReaderService(s.fab.AttachReader(), cfg)
+	if cfg.WalkLength <= 0 {
+		cfg.WalkLength = s.coord.walkLength
+	}
+	port, err := s.attach()
+	if err != nil {
+		return nil, err
+	}
+	return NewReaderService(port, cfg)
 }
 
-// Err returns the first ingest error observed (nil if none).
-func (s *ShardedLiveService) Err() error {
-	for _, n := range s.nodes {
-		if err := n.firstErr(); err != nil {
-			return err
-		}
-	}
-	return s.coord.Err()
-}
+// Err returns the first error observed (nil if none): ingest errors
+// arrive with barrier acks, so it is current as of the last Sync.
+func (s *ShardedLiveService) Err() error { return s.coord.Err() }
 
 // Close drains the feed (queued batches are applied), waits for every
-// in-flight walker to retire, stops the crews and ingesters, and returns
-// the first ingest error. Close is idempotent; Query, Feed, Sync, and
+// in-flight walker to retire, ends the fabric session — the service's own
+// nodes stop, remote hosts drain, report, and wind down — and returns the
+// first error observed, including ingest errors of its own nodes that no
+// barrier had reported yet. Close is idempotent; Query, Feed, Sync, and
 // DeepWalk fail with ErrLiveClosed afterwards.
 func (s *ShardedLiveService) Close() error {
-	s.coord.Close()
+	err := s.coord.Close()
 	for _, n := range s.nodes {
 		n.wait()
+		if err == nil {
+			err = n.firstErr()
+		}
 	}
-	return s.Err()
+	return err
 }

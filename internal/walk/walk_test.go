@@ -197,48 +197,6 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
-func TestShardedMatchesUnsharded(t *testing.T) {
-	s := buildEngine(t, 200, 3000, 33)
-	plain := DeepWalk(s, Config{Length: 30, Seed: 5, CountVisits: true})
-	for _, shards := range []int{1, 2, 4, 7} {
-		sh := NewSharded(s, shards)
-		res, stats := sh.DeepWalk(Config{Length: 30, Seed: 5, CountVisits: true})
-		if res.Steps != plain.Steps {
-			t.Fatalf("shards=%d: steps %d vs %d", shards, res.Steps, plain.Steps)
-		}
-		for v := range plain.Visits {
-			if res.Visits[v] != plain.Visits[v] {
-				t.Fatalf("shards=%d: visits[%d] %d vs %d", shards, v, res.Visits[v], plain.Visits[v])
-			}
-		}
-		if shards > 1 && stats.Transfers == 0 {
-			t.Errorf("shards=%d: no walker transfers on a random graph", shards)
-		}
-		if shards == 1 && stats.Transfers != 0 {
-			t.Error("single shard should never transfer")
-		}
-	}
-}
-
-func TestShardedOwner(t *testing.T) {
-	s := buildEngine(t, 100, 500, 41)
-	sh := NewSharded(s, 4)
-	if sh.Shards() != 4 {
-		t.Fatal("shards wrong")
-	}
-	seen := map[int]bool{}
-	for v := 0; v < 100; v++ {
-		o := sh.Owner(graph.VertexID(v))
-		if o < 0 || o >= 4 {
-			t.Fatalf("owner(%d) = %d", v, o)
-		}
-		seen[o] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("only %d shards own vertices", len(seen))
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults(10)
 	if c.Length != 80 || c.TermProb != 1.0/80 || c.P != 0.5 || c.Q != 2 {

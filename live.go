@@ -34,6 +34,10 @@ type ConcurrentConfig struct {
 	Workers int
 }
 
+func (c ConcurrentConfig) internal() concurrent.Config {
+	return concurrent.Config{Stripes: c.Stripes, MaxStepRetries: c.MaxStepRetries, Workers: c.Workers}
+}
+
 // ConcurrentEngine is a fully concurrent Bingo engine: any number of
 // goroutines may sample, walk, insert, delete, and batch-apply updates
 // simultaneously. Sampling stays O(1) and updates O(K); operations on
@@ -52,12 +56,7 @@ func (e *Engine) Concurrent() *ConcurrentEngine {
 
 // ConcurrentWith is Concurrent with explicit tuning.
 func (e *Engine) ConcurrentWith(cfg ConcurrentConfig) *ConcurrentEngine {
-	ce := concurrent.Wrap(e.s, concurrent.Config{
-		Stripes:        cfg.Stripes,
-		MaxStepRetries: cfg.MaxStepRetries,
-		Workers:        cfg.Workers,
-	})
-	return &ConcurrentEngine{ce: ce, floatMode: e.s.Config().FloatBias}
+	return &ConcurrentEngine{ce: concurrent.Wrap(e.s, cfg.internal()), floatMode: e.s.Config().FloatBias}
 }
 
 // NumVertices returns the vertex-ID space size.
@@ -233,15 +232,11 @@ func (o RebalanceOptions) opts() rebalance.Options {
 	}
 }
 
-// RebalanceStats report the rebalancer's cumulative activity.
-type RebalanceStats struct {
-	// Migrations counts completed block migrations; MovedEdges the edges
-	// they shipped between shards.
-	Migrations, MovedEdges int64
-	// PlanEpoch is the ownership plan's overlay version (0 = the
-	// block-cyclic base plan, never rebalanced).
-	PlanEpoch uint64
-}
+// RebalanceStats report the rebalancer's cumulative activity: completed
+// block Migrations, the MovedEdges they shipped between shards, and the
+// ownership plan's overlay version PlanEpoch (0 = the block-cyclic base
+// plan, never rebalanced).
+type RebalanceStats = walk.RebalanceTallies
 
 // LiveOptions configure Serve.
 type LiveOptions struct {
@@ -366,32 +361,35 @@ type ShardedOptions struct {
 	Kernel string
 }
 
-// HubCacheStats report the hub-view cache layers of a sharded runtime.
-type HubCacheStats struct {
-	// LocalHits counts hops served lock-free from a crew walker's own
-	// view cache; LocalStale counts views dropped on epoch mismatch.
-	LocalHits, LocalStale int64
-	// RemoteHits counts hops at non-owned vertices served from a peer's
-	// shipped view instead of a walker hand-off; RemoteStale counts
-	// remote views dropped by watermark invalidation.
-	RemoteHits, RemoteStale int64
-	// ViewRequests and ViewsServed count the fabric's view fetch
-	// traffic (issued and answered, respectively).
-	ViewRequests, ViewsServed int64
-}
+// HubCacheStats report the hub-view cache layers of a sharded runtime:
+// LocalHits are hops served lock-free from a crew walker's own view cache
+// and LocalStale views dropped on epoch mismatch; RemoteHits are hops at
+// non-owned vertices served from a peer's shipped view instead of a
+// walker hand-off and RemoteStale remote views dropped by watermark
+// invalidation; ViewRequests and ViewsServed count the fabric's view
+// fetch traffic (issued and answered).
+type HubCacheStats = fabric.CacheTallies
 
 // ShardedLiveStats snapshots a ShardedLiveWalker's counters. Transfers
-// and Local split walk steps into cross-shard hand-offs and steps that
-// stayed on the owning shard; Cache.RemoteHits are boundary crossings
-// the hub cache absorbed.
+// counts cross-shard walker hand-offs and Local the hops sampled by the
+// shard owning the walker's vertex; Cache.RemoteHits are boundary
+// crossings the hub cache absorbed, so Steps = Local + Cache.RemoteHits.
+//
+// The fields run on two clocks, the same for in-process shards and remote
+// daemons. Queries, Steps, Transfers, and Local fold in when a walk
+// retires, Batches when the router takes a batch, and Rebalance, Failover,
+// and Backpressure as their events happen: current as of the call.
+// Updates, Dropped, ShardSteps, and Cache are the shards' cumulative
+// tallies from their latest barrier acknowledgement: exact as of the last
+// Sync. Call Sync first when the ingest counters must be current.
 type ShardedLiveStats struct {
 	Queries, Steps            int64
 	Batches, Updates, Dropped int64
 	Transfers, Local          int64
 	Cache                     HubCacheStats
-	// ShardSteps splits Steps by serving shard — the load-share view the
-	// rebalancer acts on (live for in-process shards, as of the last
-	// Sync for remote daemons).
+	// ShardSteps splits the hops the shard set served by serving shard
+	// (attached readers' walks included) — the load-share view the
+	// rebalancer acts on.
 	ShardSteps []int64
 	// Corpus reports standing-walk-corpus maintenance riding on this
 	// service when one is attached (see CorpusWalker.ServiceStats; only
@@ -408,27 +406,19 @@ type ShardedLiveStats struct {
 	Backpressure BackpressureStats
 }
 
-// FailoverStats report a replicated session's failover activity.
-type FailoverStats struct {
-	// Deaths counts shard-link death events; Reroutes walkers re-routed
-	// to a live replica mid-walk; Relaunches walker clones relaunched
-	// because their originals may have died with a daemon.
-	Deaths, Reroutes, Relaunches int64
-	// Rejoins counts completed rejoin/failback cycles; CopiedBlocks the
-	// snapshot blocks shipped while re-priming rejoined shards.
-	Rejoins, CopiedBlocks int64
-}
+// FailoverStats report a replicated session's failover activity: Deaths
+// counts shard-link death events, Reroutes walkers re-routed to a live
+// replica mid-walk, Relaunches walker clones relaunched because their
+// originals may have died with a daemon, Rejoins completed
+// rejoin/failback cycles, and CopiedBlocks the snapshot blocks shipped
+// while re-priming rejoined shards.
+type FailoverStats = walk.FailoverTallies
 
-// BackpressureStats report the ingest credit window's observed pressure.
-type BackpressureStats struct {
-	// Window is the configured per-shard credit window (0 = disabled).
-	Window int64
-	// MaxOutstanding is the largest admitted per-shard in-flight update
-	// event count; Stalled is the total time the feed router spent
-	// blocked waiting for shard credits.
-	MaxOutstanding int64
-	Stalled        time.Duration
-}
+// BackpressureStats report the ingest credit window's observed pressure:
+// the configured per-shard Window (0 = disabled), MaxOutstanding — the
+// largest admitted per-shard in-flight update event count — and Stalled,
+// the total time the feed router spent blocked waiting for shard credits.
+type BackpressureStats = walk.BackpressureTallies
 
 // TransferRatio is walker hand-offs per sampled hop — the share of walk
 // progress that cost a cross-shard transfer (hops the hub cache served
@@ -440,19 +430,14 @@ func (s ShardedLiveStats) TransferRatio() float64 {
 	return float64(s.Transfers) / float64(s.Steps)
 }
 
-func fromCacheTallies(t fabric.CacheTallies) HubCacheStats {
-	return HubCacheStats{
-		LocalHits: t.LocalHits, LocalStale: t.LocalStale,
-		RemoteHits: t.RemoteHits, RemoteStale: t.RemoteStale,
-		ViewRequests: t.ViewRequests, ViewsServed: t.ViewsServed,
-	}
-}
-
 // ShardedLiveWalker serves walk queries through the sharded live runtime:
 // N per-shard concurrent engines, an ingest router splitting feed batches
 // by owner shard, and cross-shard walker transfer — the supplement §9.1
 // partitioned topology as a live Query/Feed service. The API mirrors
-// LiveWalker, plus Sync (an ingest barrier) and transfer telemetry.
+// LiveWalker, plus Sync (an ingest barrier) and transfer telemetry. It is
+// one type whether the shards are goroutines in this process
+// (ServeSharded) or shard-daemon processes behind the TCP fabric
+// (ServeRemote): the same coordinator drives either over its fabric port.
 type ShardedLiveWalker struct {
 	svc       *walk.ShardedLiveService
 	floatMode bool
@@ -468,30 +453,12 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	if shards < 1 {
 		shards = 1
 	}
-	g := e.s.Snapshot()
-	plan := walk.NewShardPlan(g.NumVertices(), shards)
-	if o.Replicas > 1 {
-		plan.Replicas = o.Replicas
-	}
-	engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-		s, err := core.New(g.NumVertices(), e.s.Config())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		}), nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	kernel, err := walk.ParseKernelMode(o.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	svc, err := walk.NewShardedLiveService(engines, plan, walk.ShardedLiveConfig{
+	g := e.s.Snapshot()
+	svc, err := walk.ServeSharded(g, shards, o.Replicas, e.shardEngines(g.NumVertices(), o.Concurrency), walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
 		QueueDepth:      o.QueueDepth,
 		WalkLength:      o.WalkLength,
@@ -507,8 +474,25 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	return &ShardedLiveWalker{svc: svc, floatMode: e.s.Config().FloatBias}, nil
 }
 
+// shardEngines returns the constructor of one empty shard engine — the
+// engine's own sampler config over a numVertices space, wrapped for
+// concurrent use — that the sharded bootstrap calls once per shard.
+func (e *Engine) shardEngines(numVertices int, cc ConcurrentConfig) func() (walk.LiveEngine, error) {
+	return func() (walk.LiveEngine, error) {
+		s, err := core.New(numVertices, e.s.Config())
+		if err != nil {
+			return nil, err
+		}
+		return concurrent.Wrap(s, cc.internal()), nil
+	}
+}
+
 // Shards returns the partition count.
 func (sw *ShardedLiveWalker) Shards() int { return sw.svc.Shards() }
+
+// NumVertices returns the widest vertex space observed across the shards
+// (exact as of the last Sync).
+func (sw *ShardedLiveWalker) NumVertices() int { return sw.svc.NumVertices() }
 
 // Query walks from start for up to length steps (<= 0 selects the
 // default) across the sharded runtime and returns the visited path, start
@@ -530,12 +514,14 @@ func (sw *ShardedLiveWalker) Feed(ups []Update) error {
 
 // Sync blocks until every batch accepted before the call is applied on
 // its shards, then reports the first ingest error — the barrier between
-// "fed" and "visible to queries".
+// "fed" and "visible to queries" — and refreshes the ack-carried tallies
+// Stats reads.
 func (sw *ShardedLiveWalker) Sync() error { return sw.svc.Sync() }
 
 // DeepWalk runs a bulk first-order walk through the sharded runtime while
-// the feed keeps ingesting, returning the run's transfer stats alongside
-// the result.
+// the feed keeps ingesting. The stats value beside the result covers this
+// run alone: its Steps, Transfers, Local, and Cache.RemoteHits, tallied
+// as its walkers retired.
 func (sw *ShardedLiveWalker) DeepWalk(o WalkOptions) (WalkResult, ShardedLiveStats, error) {
 	res, ts, err := sw.svc.DeepWalk(o.internal())
 	st := ShardedLiveStats{Steps: res.Steps, Transfers: ts.Transfers, Local: ts.Local}
@@ -543,41 +529,31 @@ func (sw *ShardedLiveWalker) DeepWalk(o WalkOptions) (WalkResult, ShardedLiveSta
 	return fromWalk(res), st, err
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters (see ShardedLiveStats for which
+// are current as of the call and which as of the last Sync).
 func (sw *ShardedLiveWalker) Stats() ShardedLiveStats {
 	return fromShardedStats(sw.svc.Stats())
 }
 
+// fromShardedStats re-types the internal snapshot; only Corpus, whose
+// public shape differs, is converted.
 func fromShardedStats(st walk.ShardedLiveStats) ShardedLiveStats {
 	return ShardedLiveStats{
 		Queries: st.Queries, Steps: st.Steps,
 		Batches: st.Batches, Updates: st.Updates, Dropped: st.Dropped,
 		Transfers: st.Transfers, Local: st.Local,
-		Cache:      fromCacheTallies(st.Cache),
-		ShardSteps: st.ShardSteps,
-		Corpus:     fromCorpusTallies(st.Corpus),
-		Rebalance: RebalanceStats{
-			Migrations: st.Rebalance.Migrations,
-			MovedEdges: st.Rebalance.MovedEdges,
-			PlanEpoch:  st.Rebalance.PlanEpoch,
-		},
-		Failover: FailoverStats{
-			Deaths:       st.Failover.Deaths,
-			Reroutes:     st.Failover.Reroutes,
-			Relaunches:   st.Failover.Relaunches,
-			Rejoins:      st.Failover.Rejoins,
-			CopiedBlocks: st.Failover.CopiedBlocks,
-		},
-		Backpressure: BackpressureStats{
-			Window:         st.Backpressure.Window,
-			MaxOutstanding: st.Backpressure.MaxOutstanding,
-			Stalled:        st.Backpressure.Stalled,
-		},
+		Cache:        st.Cache,
+		ShardSteps:   st.ShardSteps,
+		Corpus:       fromCorpusTallies(st.Corpus),
+		Rebalance:    st.Rebalance,
+		Failover:     st.Failover,
+		Backpressure: st.Backpressure,
 	}
 }
 
-// Close drains the feed, waits for in-flight walkers, stops the shard
-// crews, and returns the first ingest error. Idempotent.
+// Close drains the feed, waits for in-flight walkers, ends the session —
+// in-process shard crews stop, shard daemons wind down and exit their
+// serving loop — and returns the first ingest error. Idempotent.
 func (sw *ShardedLiveWalker) Close() error { return sw.svc.Close() }
 
 // ---------------------------------------------------------------------------
@@ -617,16 +593,11 @@ type RemoteOptions struct {
 	Kernel string
 }
 
-// RemoteWalker serves walk queries across a set of shard-daemon
-// processes: the same coordinator ShardedLiveWalker runs in-process,
-// driving walker transfers, routed feeds, and sync barriers over the TCP
-// shard fabric instead of channels. The API mirrors ShardedLiveWalker;
-// ingest-side counters (Updates, Dropped) are exact as of the last Sync,
-// since the shards report them through barrier acknowledgements.
-type RemoteWalker struct {
-	svc       *walk.RemoteService
-	floatMode bool
-}
+// RemoteWalker is the ShardedLiveWalker ServeRemote returns: the shards
+// are shard-daemon processes and the coordinator drives walker transfers,
+// routed feeds, and sync barriers over the TCP shard fabric instead of
+// channels. Nothing else differs, so it is the same type.
+type RemoteWalker = ShardedLiveWalker
 
 // ServeRemote partitions the engine's current graph across one shard
 // daemon per address (each a `bingowalk -shard-serve` process, already
@@ -659,7 +630,8 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if err != nil {
 		return nil, err
 	}
-	svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), walk.ShardedLiveConfig{
+	attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
+	svc, err := walk.ServeShardedOver(port, attach, g, plan, walk.ShardedLiveConfig{
 		QueueDepth:   o.QueueDepth,
 		WalkLength:   o.WalkLength,
 		Seed:         o.Seed,
@@ -667,64 +639,10 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 		CreditWindow: o.CreditWindow,
 	})
 	if err != nil {
-		port.Close()
-		return nil, err
-	}
-	if err := svc.Bootstrap(g); err != nil {
-		svc.Close()
-		return nil, fmt.Errorf("bingo: bootstrapping shards: %w", err)
+		return nil, fmt.Errorf("bingo: %w", err)
 	}
 	return &RemoteWalker{svc: svc, floatMode: floatMode}, nil
 }
-
-// Shards returns the partition (daemon) count.
-func (rw *RemoteWalker) Shards() int { return rw.svc.Shards() }
-
-// NumVertices returns the widest vertex space observed across the shard
-// daemons (exact as of the last Sync).
-func (rw *RemoteWalker) NumVertices() int { return rw.svc.NumVertices() }
-
-// Query walks from start for up to length steps (<= 0 selects the
-// default) across the shard daemons and returns the visited path, start
-// included.
-func (rw *RemoteWalker) Query(start VertexID, length int) ([]VertexID, error) {
-	return rw.svc.Query(start, length)
-}
-
-// Feed enqueues updates; the coordinator routes them to their owner
-// daemons preserving per-source order. It blocks when the feed queue is
-// full and fails with an error after Close.
-func (rw *RemoteWalker) Feed(ups []Update) error {
-	internal, err := toInternalUpdates(rw.floatMode, ups)
-	if err != nil {
-		return err
-	}
-	return rw.svc.Feed(internal)
-}
-
-// Sync blocks until every batch accepted before the call is applied on
-// its daemons, then reports the first ingest error — and refreshes the
-// ack-carried tallies Stats reads.
-func (rw *RemoteWalker) Sync() error { return rw.svc.Sync() }
-
-// DeepWalk runs a bulk first-order walk across the shard daemons while
-// the feed keeps ingesting.
-func (rw *RemoteWalker) DeepWalk(o WalkOptions) (WalkResult, ShardedLiveStats, error) {
-	res, ts, err := rw.svc.DeepWalk(o.internal())
-	st := ShardedLiveStats{Steps: res.Steps, Transfers: ts.Transfers, Local: ts.Local}
-	st.Cache.RemoteHits = ts.Remote
-	return fromWalk(res), st, err
-}
-
-// Stats snapshots the session counters (Updates/Dropped, per-shard
-// steps, and the cache tallies as of the last Sync).
-func (rw *RemoteWalker) Stats() ShardedLiveStats {
-	return fromShardedStats(rw.svc.Stats())
-}
-
-// Close ends the session: the feed drains, in-flight walkers retire, the
-// daemons wind down and exit their serving loop. Idempotent.
-func (rw *RemoteWalker) Close() error { return rw.svc.Close() }
 
 // ---------------------------------------------------------------------------
 // Read-coordinators (query-tier scale-out)
@@ -787,7 +705,7 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := walk.NewRemoteReader(port, walk.ReaderConfig{
+	svc, err := walk.NewReaderService(port, walk.ReaderConfig{
 		WalkLength: o.WalkLength,
 		Seed:       o.Seed,
 		Cache:      o.HubCache.spec(),
@@ -798,10 +716,11 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 	return &ReaderWalker{svc: svc}, nil
 }
 
-// AttachReader attaches an in-process read-coordinator to this walker's
-// shard set: the returned ReaderWalker serves Query/DeepWalk against the
-// same shard engines while this walker keeps exclusive ownership of
-// ingest and rebalancing.
+// AttachReader attaches a read-coordinator to this walker's shard set —
+// over the in-process fabric for ServeSharded, over fresh TCP connections
+// to the same daemons for ServeRemote: the returned ReaderWalker serves
+// Query/DeepWalk against the same shards while this walker keeps
+// exclusive ownership of ingest and rebalancing.
 func (sw *ShardedLiveWalker) AttachReader(o ReaderOptions) (*ReaderWalker, error) {
 	svc, err := sw.svc.AttachReader(walk.ReaderConfig{
 		WalkLength: o.WalkLength,
@@ -939,11 +858,7 @@ func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o
 		sc.Close()
 		return ShardServeStats{}, err
 	}
-	eng := concurrent.Wrap(s, concurrent.Config{
-		Stripes:        o.Concurrency.Stripes,
-		MaxStepRetries: o.Concurrency.MaxStepRetries,
-		Workers:        o.Concurrency.Workers,
-	})
+	eng := concurrent.Wrap(s, o.Concurrency.internal())
 	walkers := o.Walkers
 	if walkers <= 0 {
 		walkers = runtime.GOMAXPROCS(0)
@@ -964,6 +879,6 @@ func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o
 		Steps: st.Steps, Transfers: st.Transfers, Local: st.Local,
 		Updates: st.Updates, Dropped: st.Dropped,
 		Vertices: st.Vertices, Edges: st.Edges,
-		Cache: fromCacheTallies(st.Cache),
+		Cache: st.Cache,
 	}, err
 }
