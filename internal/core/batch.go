@@ -227,18 +227,8 @@ func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *bat
 			if g.kind == KindEmpty && g.count == 0 {
 				// Fresh group: adopt the working representation
 				// directly (no members to carry over).
-				switch working {
-				case KindDense:
-					g.kind = KindDense
-				case KindSparse:
-					g.kind = KindSparse
-				case KindRegular:
-					g.kind = KindRegular
-					g.inv = make([]int32, dAfterIns)
-					for k := range g.inv {
-						g.inv[k] = -1
-					}
-				}
+				g.kind = working
+				g.initIndex(dAfterIns)
 				continue
 			}
 			s.convert(g, working, dAfterIns, biasRow, cc)
@@ -248,7 +238,7 @@ func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *bat
 			vx.groups[i].growInv(dAfterIns)
 		}
 		if s.cfg.FloatBias {
-			vx.dec.growInv(dAfterIns)
+			vx.decimal().growInv(dAfterIns)
 		}
 		s.adjs.Grow(u, len(ins))
 		for _, rec := range ins {
@@ -457,7 +447,7 @@ func (s *Sampler) twoPhaseDelete(u graph.VertexID, slots []int32, sc *batchScrat
 // rebuildVertex is step (iii) of the batched workflow: reclassification of
 // every group (the paper's group-type transformations, counted for Table
 // 4), index shrinking, decimal-group recomputation, and a single
-// inter-group alias rebuild.
+// inter-group alias rebuild (which drops the emptied groups).
 //
 // Classification uses the same hysteresis bands as the streaming path
 // (wantConvert) rather than the raw Equation 9 boundary: with exact
@@ -488,8 +478,7 @@ func (s *Sampler) rebuildVertex(u graph.VertexID, cc *convCounters) {
 			g.shrinkInv(d)
 		}
 	}
-	vx.compactGroups()
-	if s.cfg.FloatBias {
+	if vx.dec != nil {
 		vx.dec.shrinkInv(d)
 		vx.dec.recompute(s.adjs.RemRow(u))
 	}

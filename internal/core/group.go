@@ -20,14 +20,25 @@ import (
 //	one:     the single member inline
 //	sparse:  member list + compact hash inverted index (member → pos)
 //	regular: member list + full inverted index (neighbor idx → pos)
+//
+// Everything Sample reads (gid, kind, count, one, the list header) is
+// inline; the inverted indices only updates read sit behind ix, so the
+// dense and one-element groups that dominate real graphs cost the 48-byte
+// header and nothing else.
 type group struct {
 	gid   int16
 	kind  GroupKind
 	count int32
-	one   int32     // KindOne member
-	list  []int32   // KindSparse / KindRegular members
-	inv   []int32   // KindRegular: inv[neighborIdx] = pos, -1 otherwise
-	sinv  ihash.Map // KindSparse: member → pos
+	one   int32       // KindOne member
+	list  []int32     // KindSparse / KindRegular members
+	ix    *groupIndex // KindSparse / KindRegular; nil otherwise
+}
+
+// groupIndex is a group's update-only inverted index: the full d-sized
+// array of a regular group, or the hash of a sparse one.
+type groupIndex struct {
+	inv  []int32   // KindRegular: inv[neighborIdx] = pos, -1 otherwise
+	sinv ihash.Map // KindSparse: member → pos
 }
 
 // decodeGID splits a flattened group id into digit position and value.
@@ -78,10 +89,10 @@ func (g *group) add(idx int32) {
 	case KindOne:
 		panic("core: add to full one-element group without conversion")
 	case KindSparse:
-		g.sinv.Add(uint32(idx), g.count)
+		g.ix.sinv.Add(uint32(idx), g.count)
 		g.list = append(g.list, idx)
 	case KindRegular:
-		g.inv[idx] = g.count
+		g.ix.inv[idx] = g.count
 		g.list = append(g.list, idx)
 	}
 	g.count++
@@ -98,7 +109,8 @@ func (g *group) remove(idx int32) {
 		}
 		g.kind = KindEmpty
 	case KindSparse:
-		pos := g.sinv.FindAny(uint32(idx))
+		sinv := &g.ix.sinv
+		pos := sinv.FindAny(uint32(idx))
 		if pos < 0 {
 			panic(fmt.Sprintf("core: member %d missing from sparse group %d", idx, g.gid))
 		}
@@ -106,12 +118,13 @@ func (g *group) remove(idx int32) {
 		tail := g.list[last]
 		if pos != last {
 			g.list[pos] = tail
-			g.sinv.Replace(uint32(tail), last, pos)
+			sinv.Replace(uint32(tail), last, pos)
 		}
-		g.sinv.Remove(uint32(idx), pos)
+		sinv.Remove(uint32(idx), pos)
 		g.list = g.list[:last]
 	case KindRegular:
-		pos := g.inv[idx]
+		inv := g.ix.inv
+		pos := inv[idx]
 		if pos < 0 {
 			panic(fmt.Sprintf("core: member %d missing from regular group %d", idx, g.gid))
 		}
@@ -119,9 +132,9 @@ func (g *group) remove(idx int32) {
 		tail := g.list[last]
 		if pos != last {
 			g.list[pos] = tail
-			g.inv[tail] = pos
+			inv[tail] = pos
 		}
-		g.inv[idx] = -1
+		inv[idx] = -1
 		g.list = g.list[:last]
 	default:
 		panic("core: remove from empty group")
@@ -146,21 +159,23 @@ func (g *group) rename(old, new int32) {
 		}
 		g.one = new
 	case KindSparse:
-		pos := g.sinv.FindAny(uint32(old))
+		sinv := &g.ix.sinv
+		pos := sinv.FindAny(uint32(old))
 		if pos < 0 {
 			panic(fmt.Sprintf("core: rename of non-member %d in sparse group %d", old, g.gid))
 		}
 		g.list[pos] = new
-		g.sinv.Remove(uint32(old), pos)
-		g.sinv.Add(uint32(new), pos)
+		sinv.Remove(uint32(old), pos)
+		sinv.Add(uint32(new), pos)
 	case KindRegular:
-		pos := g.inv[old]
+		inv := g.ix.inv
+		pos := inv[old]
 		if pos < 0 {
 			panic(fmt.Sprintf("core: rename of non-member %d in regular group %d", old, g.gid))
 		}
 		g.list[pos] = new
-		g.inv[new] = pos
-		g.inv[old] = -1
+		inv[new] = pos
+		inv[old] = -1
 	default:
 		panic("core: rename in empty group")
 	}
@@ -213,9 +228,24 @@ func (g *group) members(dst []int32, biasRow []uint64, radixBits int) []int32 {
 // releaseStorage drops representation-specific storage, keeping count.
 func (g *group) releaseStorage() {
 	g.list = nil
-	g.inv = nil
-	g.sinv = ihash.Map{}
+	g.ix = nil
 	g.one = -1
+}
+
+// initIndex allocates the empty inverted index the group's kind needs: a
+// d-sized all-absent array for regular groups, an empty hash for sparse
+// ones.
+func (g *group) initIndex(d int) {
+	switch g.kind {
+	case KindSparse:
+		g.ix = &groupIndex{}
+	case KindRegular:
+		inv := make([]int32, d)
+		for i := range inv {
+			inv[i] = -1
+		}
+		g.ix = &groupIndex{inv: inv}
+	}
 }
 
 // convertTo rebuilds the group in the target representation. d is the
@@ -232,6 +262,7 @@ func (g *group) convertTo(target GroupKind, d int, biasRow []uint64, radixBits i
 	}
 	g.releaseStorage()
 	g.kind = target
+	g.initIndex(d)
 	switch target {
 	case KindEmpty:
 		if g.count != 0 {
@@ -247,16 +278,12 @@ func (g *group) convertTo(target GroupKind, d int, biasRow []uint64, radixBits i
 	case KindSparse:
 		g.list = append(g.list, scratch...)
 		for pos, idx := range g.list {
-			g.sinv.Add(uint32(idx), int32(pos))
+			g.ix.sinv.Add(uint32(idx), int32(pos))
 		}
 	case KindRegular:
 		g.list = append(g.list, scratch...)
-		g.inv = make([]int32, d)
-		for i := range g.inv {
-			g.inv[i] = -1
-		}
 		for pos, idx := range g.list {
-			g.inv[idx] = int32(pos)
+			g.ix.inv[idx] = int32(pos)
 		}
 	}
 	return scratch
@@ -269,22 +296,27 @@ func (g *group) growInv(d int) {
 	if g.kind != KindRegular {
 		return
 	}
-	for len(g.inv) < d {
-		g.inv = append(g.inv, -1)
+	for len(g.ix.inv) < d {
+		g.ix.inv = append(g.ix.inv, -1)
 	}
 }
 
 // shrinkInv truncates a regular group's inverted index after the adjacency
 // row shrank to degree d. All dropped slots must already be non-members.
 func (g *group) shrinkInv(d int) {
-	if g.kind != KindRegular || len(g.inv) <= d {
+	if g.kind != KindRegular || len(g.ix.inv) <= d {
 		return
 	}
-	g.inv = g.inv[:d]
+	g.ix.inv = g.ix.inv[:d]
 }
 
-// footprint returns the bytes attributable to this group's structures,
-// excluding the struct header itself (counted per vertex).
-func (g *group) footprint() int64 {
-	return int64(cap(g.list))*4 + int64(cap(g.inv))*4 + g.sinv.Footprint()
+// listBytes and indexBytes split the bytes this group holds outside its
+// header: the member list, and the inverted index with its own header.
+func (g *group) listBytes() int64 { return int64(cap(g.list)) * 4 }
+
+func (g *group) indexBytes() int64 {
+	if g.ix == nil {
+		return 0
+	}
+	return groupIndexSize + int64(cap(g.ix.inv))*4 + g.ix.sinv.Footprint()
 }

@@ -22,8 +22,9 @@ import (
 //  3. sparse hash indices are exact inverses of member lists;
 //  4. group kinds are consistent with the adaptive policy (within the
 //     streaming hysteresis bands) or all-regular in baseline mode;
-//  5. the inter-group alias table covers exactly the non-empty groups and
-//     its total equals the vertex's total (scaled) bias mass;
+//  5. the inter-group alias table has one bucket per group in group order
+//     (plus a last one for a decimal group with mass) and its total equals
+//     the vertex's total (scaled) bias mass;
 //  6. in float mode, decimal-group membership matches non-zero remainders
 //     and the cached sum matches the rem column.
 func (s *Sampler) CheckInvariants() error {
@@ -106,11 +107,11 @@ func (s *Sampler) checkVertex(u graph.VertexID) error {
 		}
 		switch g.kind {
 		case KindRegular:
-			if len(g.inv) != d {
-				return fmt.Errorf("group %d inv len %d, want %d", g.gid, len(g.inv), d)
+			if g.ix == nil || len(g.ix.inv) != d {
+				return fmt.Errorf("group %d regular inverted index missing or not degree-sized", g.gid)
 			}
 			n := int32(0)
-			for idx, pos := range g.inv {
+			for idx, pos := range g.ix.inv {
 				if pos < 0 {
 					continue
 				}
@@ -123,11 +124,11 @@ func (s *Sampler) checkVertex(u graph.VertexID) error {
 				return fmt.Errorf("group %d inv population %d, want %d", g.gid, n, g.count)
 			}
 		case KindSparse:
-			if g.sinv.Len() != int(g.count) {
-				return fmt.Errorf("group %d sinv len %d, want %d", g.gid, g.sinv.Len(), g.count)
+			if g.ix == nil || g.ix.sinv.Len() != int(g.count) {
+				return fmt.Errorf("group %d sparse hash index missing or not %d entries", g.gid, g.count)
 			}
 			for pos, idx := range g.list {
-				if g.sinv.FindAny(uint32(idx)) != int32(pos) {
+				if g.ix.sinv.FindAny(uint32(idx)) != int32(pos) {
 					return fmt.Errorf("group %d sinv[%d] != %d", g.gid, idx, pos)
 				}
 			}
@@ -136,10 +137,17 @@ func (s *Sampler) checkVertex(u graph.VertexID) error {
 				return fmt.Errorf("group %d one-element with count %d", g.gid, g.count)
 			}
 		}
+		if (g.kind == KindDense || g.kind == KindOne) && (g.ix != nil || g.list != nil) {
+			return fmt.Errorf("group %d kind %v holds list or index storage", g.gid, g.kind)
+		}
 	}
 
 	// Decimal group.
-	if s.cfg.FloatBias {
+	hasDec := false
+	if s.cfg.FloatBias && d > 0 {
+		if vx.dec == nil {
+			return fmt.Errorf("decimal group missing at degree %d", d)
+		}
 		remRow := s.adjs.RemRow(u)
 		wantSum := 0.0
 		wantMembers := 0
@@ -166,34 +174,35 @@ func (s *Sampler) checkVertex(u graph.VertexID) error {
 			}
 		}
 		totalMass += vx.dec.sum
+		hasDec = vx.dec.count() > 0 && vx.dec.sum > 0
+	} else if vx.dec != nil && vx.dec.count() > 0 {
+		return fmt.Errorf("decimal group holds %d members at degree %d", vx.dec.count(), d)
 	}
 
 	// Inter-group alias table.
 	if vx.dirty {
 		return fmt.Errorf("dirty outside batch")
 	}
-	if len(vx.slots) != len(vx.wts) {
-		return fmt.Errorf("slots/wts length mismatch")
-	}
 	if totalMass == 0 {
-		if !vx.inter.Empty() {
+		if len(vx.buckets) != 0 {
 			return fmt.Errorf("alias non-empty with zero mass")
 		}
 		return nil
 	}
-	if math.Abs(vx.inter.Total()-totalMass) > 1e-6*totalMass+1e-9 {
-		return fmt.Errorf("alias total %v, want %v", vx.inter.Total(), totalMass)
+	if math.Abs(vx.total-totalMass) > 1e-6*totalMass+1e-9 {
+		return fmt.Errorf("alias total %v, want %v", vx.total, totalMass)
 	}
-	// Every slot must reference a live group (or the decimal group).
-	for i, gi := range vx.slots {
-		if gi < 0 {
-			if !s.cfg.FloatBias || vx.dec.count() == 0 {
-				return fmt.Errorf("slot %d references empty decimal group", i)
-			}
-			continue
-		}
-		if int(gi) >= len(vx.groups) || vx.groups[gi].count == 0 {
-			return fmt.Errorf("slot %d references dead group index %d", i, gi)
+	// Bucket i is group i; the decimal group, when it has mass, is last.
+	nb := len(vx.groups)
+	if hasDec {
+		nb++
+	}
+	if len(vx.buckets) != nb {
+		return fmt.Errorf("%d alias buckets for %d groups (decimal %v)", len(vx.buckets), len(vx.groups), hasDec)
+	}
+	for i, bk := range vx.buckets {
+		if bk.prob < 0 || bk.prob > 1 || bk.alias < 0 || int(bk.alias) >= nb {
+			return fmt.Errorf("bucket %d = %+v out of range", i, bk)
 		}
 	}
 	return nil
@@ -204,7 +213,7 @@ func (s *Sampler) checkVertex(u graph.VertexID) error {
 // this against Equation 2 and against empirical frequencies.
 func (s *Sampler) VertexProbabilities(u graph.VertexID) map[int32]float64 {
 	vx := &s.vx[u]
-	total := vx.inter.Total()
+	total := vx.total
 	out := map[int32]float64{}
 	if total == 0 {
 		return out
@@ -219,7 +228,7 @@ func (s *Sampler) VertexProbabilities(u graph.VertexID) map[int32]float64 {
 			out[m] += sub / total
 		}
 	}
-	if s.cfg.FloatBias {
+	if vx.dec != nil {
 		remRow := s.adjs.RemRow(u)
 		for _, m := range vx.dec.list {
 			out[m] += float64(remRow[m]) / total

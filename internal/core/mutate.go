@@ -113,7 +113,7 @@ func (s *Sampler) rewriteBias(u graph.VertexID, idx int32, newBias uint64, newRe
 		g.add(idx)
 	}
 	if s.cfg.FloatBias {
-		vx.dec.growInv(d)
+		vx.dec.growInv(d) // the rewritten edge is live, so dec exists
 		if oldRem != 0 {
 			vx.dec.remove(idx, oldRem)
 		}
@@ -124,7 +124,6 @@ func (s *Sampler) rewriteBias(u graph.VertexID, idx int32, newBias uint64, newRe
 	for i := range vx.groups {
 		s.maybeConvertStreaming(&vx.groups[i], d, s.adjs.BiasRow(u), &cc)
 	}
-	vx.compactGroups()
 	s.rebuildInter(u)
 	s.cc.merge(&cc)
 }
@@ -144,13 +143,8 @@ func (s *Sampler) DeleteVertex(u graph.VertexID) error {
 		s.adjs.Unindex(u, i)
 	}
 	s.adjs.Truncate(u, 0)
-	for i := range vx.groups {
-		vx.groups[i].releaseStorage()
-		vx.groups[i].count = 0
-		vx.groups[i].kind = KindEmpty
-	}
-	vx.groups = vx.groups[:0]
-	vx.dec = decGroup{}
+	vx.groups = nil
+	vx.dec = nil
 	s.rebuildInter(u)
 	return nil
 }

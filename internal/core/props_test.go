@@ -268,7 +268,7 @@ func TestGroupOneElementConversion(t *testing.T) {
 		t.Fatalf("kind %v one %d", g.kind, g.one)
 	}
 	g.convertTo(KindRegular, 4, biasRow, 1, nil)
-	if g.inv[0] != 0 || g.list[0] != 0 {
+	if g.ix.inv[0] != 0 || g.list[0] != 0 {
 		t.Fatal("one→regular lost the member")
 	}
 	g.convertTo(KindOne, 4, biasRow, 1, nil)

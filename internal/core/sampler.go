@@ -15,16 +15,50 @@ import (
 
 // vertex is the per-vertex sampling state: the radix groups, the decimal
 // group (float mode), and the inter-group alias table (paper Figure 4).
+//
+// The alias table is one bucket per group in groups order, then one for the
+// decimal group when it carries mass: bucket i draws groups[i], and the
+// bucket past the last group draws dec. rebuildInter compacts groups before
+// building the buckets, so the correspondence needs no slot map. The build
+// scratch (the weights and Vose worklists) lives on the rebuilding
+// goroutine's stack, never in the record.
 type vertex struct {
-	groups []group // non-empty groups, sorted by gid
-	// slots maps an alias bucket to the group's index in groups, or -1
-	// for the decimal group. It is rebuilt by rebuildInter after every
-	// group mutation, so stored indices are never stale.
-	slots []int16
-	wts   []float64
-	inter sampling.AliasTable
-	dec   decGroup
-	dirty bool // inter table stale; only ever true inside ApplyBatch
+	groups  []group // non-empty groups, sorted by gid
+	buckets []bucket
+	total   float64   // Σ bucket weights: the vertex's (scaled) mass
+	dec     *decGroup // float mode only; nil until the vertex gets an edge
+	dirty   bool      // buckets stale; only ever true inside ApplyBatch
+}
+
+// bucket is one Vose alias bucket: keep this bucket's index with
+// probability prob, else take alias.
+type bucket struct {
+	prob  float64
+	alias int32
+}
+
+// pick performs stage (i) of the two-stage draw: an alias draw over the
+// buckets, skipped when there is only one. The caller has checked that
+// buckets is non-empty. It consumes the RNG exactly as
+// sampling.AliasTable.Sample does.
+func (vx *vertex) pick(r *xrand.RNG) int {
+	b := vx.buckets
+	if len(b) == 1 {
+		return 0
+	}
+	i := r.Intn(len(b))
+	if r.Float64() < b[i].prob {
+		return i
+	}
+	return int(b[i].alias)
+}
+
+// decimal returns the vertex's decimal group, creating it on first use.
+func (vx *vertex) decimal() *decGroup {
+	if vx.dec == nil {
+		vx.dec = &decGroup{}
+	}
+	return vx.dec
 }
 
 // findGroup returns the slice position of gid, or the insertion point with
@@ -41,24 +75,38 @@ func (vx *vertex) findGroup(gid int16) (int, bool) {
 }
 
 // ensureGroup returns the group for gid, creating an empty one in sorted
-// position if needed.
+// position if needed. A full slice grows by exactly one group: a vertex
+// keeps its group count from one update to the next, so amortized
+// doubling would only leave a slack tail in every touched record.
 func (vx *vertex) ensureGroup(gid int16) *group {
 	i, ok := vx.findGroup(gid)
 	if !ok {
-		vx.groups = append(vx.groups, group{})
+		n := len(vx.groups)
+		if n == cap(vx.groups) {
+			grown := make([]group, n, n+1)
+			copy(grown, vx.groups)
+			vx.groups = grown
+		}
+		vx.groups = vx.groups[:n+1]
 		copy(vx.groups[i+1:], vx.groups[i:])
 		vx.groups[i] = group{gid: gid, kind: KindEmpty, one: -1}
 	}
 	return &vx.groups[i]
 }
 
-// compactGroups drops emptied groups.
+// compactGroups drops emptied groups, and the slice's capacity with them
+// once less than half of it is in use.
 func (vx *vertex) compactGroups() {
 	out := vx.groups[:0]
 	for i := range vx.groups {
 		if vx.groups[i].count > 0 {
 			out = append(out, vx.groups[i])
 		}
+	}
+	// Zero the stale copies past the new length so they pin no storage.
+	clear(vx.groups[len(out):])
+	if len(out) < cap(out)/2 {
+		out = append([]group(nil), out...)
 	}
 	vx.groups = out
 }
@@ -233,7 +281,6 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 	vx := &s.vx[u]
 	biasRow := s.adjs.BiasRow(u)
 	d := len(biasRow)
-	vx.groups = vx.groups[:0]
 	b := s.cfg.RadixBits
 	// Count pass.
 	counts := map[int16]int32{}
@@ -245,6 +292,7 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 			}
 		}
 	}
+	vx.groups = make([]group, 0, len(counts))
 	for gid, c := range counts {
 		kind := KindRegular
 		if s.cfg.Adaptive {
@@ -258,15 +306,9 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 	// Fill pass for representations that carry members.
 	for i := range vx.groups {
 		g := &vx.groups[i]
-		switch g.kind {
-		case KindRegular:
+		if g.kind == KindSparse || g.kind == KindRegular {
 			g.list = make([]int32, 0, g.count)
-			g.inv = make([]int32, d)
-			for k := range g.inv {
-				g.inv[k] = -1
-			}
-		case KindSparse:
-			g.list = make([]int32, 0, g.count)
+			g.initIndex(d)
 		}
 		g.count = 0 // re-accumulated below via add
 	}
@@ -291,11 +333,12 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 			}
 		}
 	}
-	if s.cfg.FloatBias {
-		vx.dec.growInv(d)
+	if s.cfg.FloatBias && d > 0 {
+		dec := vx.decimal()
+		dec.growInv(d)
 		remRow := s.adjs.RemRow(u)
 		for idx := int32(0); idx < int32(d); idx++ {
-			vx.dec.add(idx, remRow[idx])
+			dec.add(idx, remRow[idx])
 		}
 	}
 	s.rebuildInter(u)
@@ -306,10 +349,10 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 func (g *group) inv0add(idx int32) {
 	switch g.kind {
 	case KindSparse:
-		g.sinv.Add(uint32(idx), g.count)
+		g.ix.sinv.Add(uint32(idx), g.count)
 		g.list = append(g.list, idx)
 	case KindRegular:
-		g.inv[idx] = g.count
+		g.ix.inv[idx] = g.count
 		g.list = append(g.list, idx)
 	default:
 		panic("core: inv0add on kind without list")
@@ -354,7 +397,7 @@ func (s *Sampler) Config() Config { return s.cfg }
 // TotalBias returns the total sampling mass at u (scaled mass in float
 // mode).
 func (s *Sampler) TotalBias(u graph.VertexID) float64 {
-	return s.vx[u].inter.Total()
+	return s.vx[u].total
 }
 
 func (s *Sampler) ensureVertex(u graph.VertexID) {
@@ -418,8 +461,9 @@ func (s *Sampler) insertEdge(u, dst graph.VertexID, bias uint64, rem float32, cc
 		vx.groups[i].growInv(d)
 	}
 	if s.cfg.FloatBias {
-		vx.dec.growInv(d)
-		vx.dec.add(idx, rem)
+		dec := vx.decimal()
+		dec.growInv(d)
+		dec.add(idx, rem)
 	}
 	b := s.cfg.RadixBits
 	biasRow := s.adjs.BiasRow(u)
@@ -501,7 +545,6 @@ func (s *Sampler) deleteEdge(u graph.VertexID, idx int32, cc *convCounters) {
 	if s.cfg.FloatBias {
 		vx.dec.shrinkInv(d)
 	}
-	vx.compactGroups()
 }
 
 // Delete removes one live instance of edge u→dst (streaming path).
@@ -547,25 +590,47 @@ func (s *Sampler) maybeConvertStreaming(g *group, d int, biasRow []uint64, cc *c
 	}
 }
 
+// stackBuckets is the bucket count rebuildInter builds in stack scratch:
+// every group of a binary radix (64 digit positions) plus the decimal
+// group. Wider radixes fall back to heap scratch above it.
+const stackBuckets = 65
+
 // rebuildInter rebuilds u's inter-group alias table (paper Figure 5 step
-// (ii)). O(number of groups) = O(K).
+// (ii)). O(number of groups) = O(K). It compacts the groups first, so
+// bucket i is group i and the decimal bucket, when present, is last.
 func (s *Sampler) rebuildInter(u graph.VertexID) {
 	vx := &s.vx[u]
-	vx.slots = vx.slots[:0]
-	vx.wts = vx.wts[:0]
+	vx.compactGroups()
+	n := len(vx.groups)
+	hasDec := vx.dec != nil && vx.dec.count() > 0 && vx.dec.sum > 0
+	if hasDec {
+		n++
+	}
+	var wbuf [stackBuckets]float64
+	var abuf, sbuf, lbuf [stackBuckets]int32
+	w, alias := wbuf[:], abuf[:]
+	if n > stackBuckets {
+		w, alias = make([]float64, n), make([]int32, n)
+	}
+	w, alias = w[:n], alias[:n]
 	for i := range vx.groups {
-		g := &vx.groups[i]
-		if g.count == 0 {
-			continue
-		}
-		vx.slots = append(vx.slots, int16(i))
-		vx.wts = append(vx.wts, g.weight(s.cfg.RadixBits))
+		w[i] = vx.groups[i].weight(s.cfg.RadixBits)
 	}
-	if s.cfg.FloatBias && vx.dec.count() > 0 && vx.dec.sum > 0 {
-		vx.slots = append(vx.slots, -1)
-		vx.wts = append(vx.wts, vx.dec.sum)
+	if hasDec {
+		w[n-1] = vx.dec.sum
 	}
-	vx.inter.Build(vx.wts)
+	// The weights become the stay probabilities in place.
+	vx.total, _, _ = sampling.Vose(w, w, alias, sbuf[:0], lbuf[:0])
+	if vx.total == 0 {
+		n = 0
+	}
+	if cap(vx.buckets) < n || n < cap(vx.buckets)/2 {
+		vx.buckets = make([]bucket, n)
+	}
+	vx.buckets = vx.buckets[:n]
+	for i := range vx.buckets {
+		vx.buckets[i] = bucket{prob: w[i], alias: alias[i]}
+	}
 	vx.dirty = false
 }
 
@@ -581,20 +646,14 @@ func (s *Sampler) Sample(u graph.VertexID, r *xrand.RNG) (graph.VertexID, bool) 
 	if vx.dirty {
 		panic("core: Sample during unfinished batch update")
 	}
-	if vx.inter.Empty() {
+	if len(vx.buckets) == 0 {
 		return 0, false
 	}
-	// Fast path: a single group needs no inter-group draw.
-	slot := 0
-	if len(vx.slots) > 1 {
-		slot = vx.inter.Sample(r)
-	}
-	gi := vx.slots[slot]
 	var idx int32
-	if gi < 0 {
-		idx = vx.dec.sample(r, s.adjs.RemRow(u))
-	} else {
+	if gi := vx.pick(r); gi < len(vx.groups) {
 		idx = vx.groups[gi].sample(r, s.adjs.BiasRow(u), s.cfg.RadixBits)
+	} else {
+		idx = vx.dec.sample(r, s.adjs.RemRow(u))
 	}
 	return s.adjs.Dst(u, idx), true
 }
@@ -606,40 +665,25 @@ func (s *Sampler) SampleSlot(u graph.VertexID, r *xrand.RNG) (int32, bool) {
 		return -1, false
 	}
 	vx := &s.vx[u]
-	if vx.inter.Empty() {
+	if len(vx.buckets) == 0 {
 		return -1, false
 	}
-	slot := 0
-	if len(vx.slots) > 1 {
-		slot = vx.inter.Sample(r)
+	if gi := vx.pick(r); gi < len(vx.groups) {
+		return vx.groups[gi].sample(r, s.adjs.BiasRow(u), s.cfg.RadixBits), true
 	}
-	gi := vx.slots[slot]
-	if gi < 0 {
-		return vx.dec.sample(r, s.adjs.RemRow(u)), true
-	}
-	return vx.groups[gi].sample(r, s.adjs.BiasRow(u), s.cfg.RadixBits), true
+	return vx.dec.sample(r, s.adjs.RemRow(u)), true
 }
 
 var (
 	groupStructSize  = int64(unsafe.Sizeof(group{}))
+	groupIndexSize   = int64(unsafe.Sizeof(groupIndex{}))
 	vertexStructSize = int64(unsafe.Sizeof(vertex{}))
+	bucketSize       = int64(unsafe.Sizeof(bucket{}))
+	decGroupSize     = int64(unsafe.Sizeof(decGroup{}))
 )
 
 // Footprint returns the total bytes held by the sampler: adjacency,
-// group structures, inverted indices, and alias tables. This is the
-// quantity reported in the paper's memory columns.
-func (s *Sampler) Footprint() int64 {
-	total := s.adjs.Footprint()
-	total += int64(len(s.vx)) * int64(unsafe.Sizeof(vertex{}))
-	for u := range s.vx {
-		vx := &s.vx[u]
-		total += int64(cap(vx.groups)) * groupStructSize
-		for i := range vx.groups {
-			total += vx.groups[i].footprint()
-		}
-		total += int64(cap(vx.slots))*2 + int64(cap(vx.wts))*8
-		total += vx.inter.Footprint()
-		total += vx.dec.footprint()
-	}
-	return total
-}
+// vertex records, group structures, inverted indices, and alias tables.
+// This is the quantity reported in the paper's memory columns;
+// CollectFootprint splits it by structure.
+func (s *Sampler) Footprint() int64 { return s.CollectFootprint().Total }

@@ -52,17 +52,17 @@ func TestSparseGroupForms(t *testing.T) {
 	if g.count != 6 {
 		t.Errorf("sparse group count %d, want 6", g.count)
 	}
-	if g.sinv.Len() != 6 {
-		t.Errorf("sparse hash index holds %d, want 6", g.sinv.Len())
+	if g.ix.sinv.Len() != 6 {
+		t.Errorf("sparse hash index holds %d, want 6", g.ix.sinv.Len())
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Memory claim: the sparse index must be far smaller than a d-sized
 	// regular inverted index would be.
-	if g.sinv.Footprint() >= int64(s.Degree(0))*4 {
+	if g.ix.sinv.Footprint() >= int64(s.Degree(0))*4 {
 		t.Errorf("sparse index %dB not smaller than regular %dB",
-			g.sinv.Footprint(), s.Degree(0)*4)
+			g.ix.sinv.Footprint(), s.Degree(0)*4)
 	}
 }
 

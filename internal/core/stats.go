@@ -5,14 +5,11 @@ import (
 )
 
 // GroupStats aggregates group-structure statistics across all vertices,
-// feeding Figures 9 (group element ratios) and 11 (adaptive-representation
-// memory breakdown).
+// feeding Figures 9 (group element ratios) and 11 (group-kind ratios);
+// CollectFootprint is the memory breakdown.
 type GroupStats struct {
 	// Groups counts groups by representation kind.
 	Groups [NumKinds]int64
-	// Bytes attributes group storage (member lists, inverted indices,
-	// hash indices) to the representation kind holding it.
-	Bytes [NumKinds]int64
 	// PosElements[j] is the number of sub-biases stored at digit position
 	// j across the graph (Figure 9's per-group element counts).
 	PosElements []int64
@@ -25,8 +22,6 @@ type GroupStats struct {
 	Elements int64
 	// DecimalMembers counts decimal-group members (float mode).
 	DecimalMembers int64
-	// AliasBytes is the total inter-group alias table storage.
-	AliasBytes int64
 }
 
 // CollectGroupStats scans every vertex's groups.
@@ -37,7 +32,6 @@ func (s *Sampler) CollectGroupStats() GroupStats {
 		for i := range vx.groups {
 			g := &vx.groups[i]
 			gs.Groups[g.kind]++
-			gs.Bytes[g.kind] += g.footprint() + groupStructSize
 			j, _ := decodeGID(g.gid, s.cfg.RadixBits)
 			for len(gs.PosElements) <= j {
 				gs.PosElements = append(gs.PosElements, 0)
@@ -47,8 +41,9 @@ func (s *Sampler) CollectGroupStats() GroupStats {
 			gs.PosVertices[j]++
 			gs.Elements += int64(g.count)
 		}
-		gs.DecimalMembers += int64(s.vx[u].dec.count())
-		gs.AliasBytes += vx.inter.Footprint() + int64(cap(vx.slots))*2 + int64(cap(vx.wts))*8
+		if vx.dec != nil {
+			gs.DecimalMembers += int64(vx.dec.count())
+		}
 	}
 	return gs
 }
@@ -87,9 +82,9 @@ func (s *Sampler) GroupElementRatios() []float64 {
 
 // KindSavings compares, for the groups currently held in one
 // representation, their actual storage (GA) against what the same groups
-// would cost under the all-regular baseline (BS): struct header + 4·count
-// member list + 4·degree inverted index. This is the per-panel quantity of
-// Figure 11(b)–(d).
+// would cost under the all-regular baseline (BS): group header, inverted
+// index header, 4·count member list and 4·degree inverted index. This is
+// the per-panel quantity of Figure 11(b)–(d).
 type KindSavings struct {
 	BS, GA int64
 }
@@ -102,39 +97,65 @@ func (s *Sampler) AdaptiveSavings() [NumKinds]KindSavings {
 		vx := &s.vx[u]
 		for i := range vx.groups {
 			g := &vx.groups[i]
-			bs := groupStructSize + 4*int64(g.count) + 4*d
-			out[g.kind].BS += bs
-			out[g.kind].GA += groupStructSize + g.footprint()
+			out[g.kind].BS += groupStructSize + groupIndexSize + 4*int64(g.count) + 4*d
+			out[g.kind].GA += groupStructSize + g.listBytes() + g.indexBytes()
 		}
 	}
 	return out
 }
 
-// FootprintBreakdown splits Footprint into the quantities Figure 11
-// reports: adjacency storage, per-kind group storage, alias tables, and
-// decimal groups.
+// FootprintBreakdown splits Footprint by structure — the per-structure
+// rows Figure 11 reports. The parts add up to Total, and Total is exactly
+// what Footprint returns.
 type FootprintBreakdown struct {
+	// Adjacency is the dynamic adjacency store (columns and edge index).
 	Adjacency int64
-	Kind      [NumKinds]int64
-	Alias     int64
-	Decimal   int64
+	// VertexHdr is the vertex records themselves.
 	VertexHdr int64
-	Total     int64
+	// Headers is the group headers, by the kind of the group.
+	Headers [NumKinds]int64
+	// Members is the sparse and regular groups' member lists.
+	Members int64
+	// Indices is the sparse and regular groups' inverted indices,
+	// including the index headers.
+	Indices int64
+	// Kind attributes headers, member lists and indices to the kind of
+	// the group holding them; it sums to Σ Headers + Members + Indices.
+	Kind [NumKinds]int64
+	// Slack is the unused capacity of the per-vertex group slices.
+	Slack int64
+	// Alias is the inter-group alias buckets.
+	Alias int64
+	// Decimal is the float-mode decimal groups.
+	Decimal int64
+	// Total is the sum of all of the above but Kind.
+	Total int64
 }
 
-// CollectFootprint computes the Figure 11 memory breakdown.
+// CollectFootprint computes the Figure 11 memory breakdown in one pass.
 func (s *Sampler) CollectFootprint() FootprintBreakdown {
 	var fb FootprintBreakdown
 	fb.Adjacency = s.adjs.Footprint()
-	gs := s.CollectGroupStats()
-	fb.Kind = gs.Bytes
-	fb.Alias = gs.AliasBytes
-	for u := range s.vx {
-		fb.Decimal += s.vx[u].dec.footprint()
-	}
 	fb.VertexHdr = int64(len(s.vx)) * vertexStructSize
-	fb.Total = fb.Adjacency + fb.Alias + fb.Decimal + fb.VertexHdr
-	for _, b := range fb.Kind {
+	for u := range s.vx {
+		vx := &s.vx[u]
+		for i := range vx.groups {
+			g := &vx.groups[i]
+			lb, ib := g.listBytes(), g.indexBytes()
+			fb.Headers[g.kind] += groupStructSize
+			fb.Members += lb
+			fb.Indices += ib
+			fb.Kind[g.kind] += groupStructSize + lb + ib
+		}
+		fb.Slack += int64(cap(vx.groups)-len(vx.groups)) * groupStructSize
+		fb.Alias += int64(cap(vx.buckets)) * bucketSize
+		if vx.dec != nil {
+			fb.Decimal += decGroupSize + vx.dec.footprint()
+		}
+	}
+	fb.Total = fb.Adjacency + fb.VertexHdr + fb.Members + fb.Indices +
+		fb.Slack + fb.Alias + fb.Decimal
+	for _, b := range fb.Headers {
 		fb.Total += b
 	}
 	return fb

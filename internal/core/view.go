@@ -105,7 +105,7 @@ func (s *Sampler) ViewOf(u graph.VertexID) VertexView {
 	if vx.dirty {
 		panic("core: ViewOf during unfinished batch update")
 	}
-	if len(vx.slots) == 0 {
+	if len(vx.buckets) == 0 {
 		return vw
 	}
 	vw.Dsts = append([]graph.VertexID(nil), s.adjs.DstRow(u)...)
@@ -113,24 +113,24 @@ func (s *Sampler) ViewOf(u graph.VertexID) VertexView {
 	if s.cfg.FloatBias {
 		vw.Rem = append([]float32(nil), s.adjs.RemRow(u)...)
 	}
+	// Cum accumulates the bucket weights exactly as rebuildInter computed
+	// them: one per group in bucket order, then the decimal group's sum.
 	cum := 0.0
-	for si, gi := range vx.slots {
-		cum += vx.wts[si]
+	for i := range vx.groups {
+		g := &vx.groups[i]
+		cum += g.weight(s.cfg.RadixBits)
 		vw.Cum = append(vw.Cum, cum)
-		if gi < 0 {
-			// The decimal group; rebuildInter appends it last, so the
-			// final Cum entry is its slot.
-			vw.Dec = true
-			vw.DecList = append([]int32(nil), vx.dec.list...)
-			vw.DecSum = vx.dec.sum
-			continue
-		}
-		g := &vx.groups[gi]
 		vg := ViewGroup{GID: g.gid, Kind: g.kind, Count: g.count, One: g.one}
 		if len(g.list) > 0 {
 			vg.List = append([]int32(nil), g.list...)
 		}
 		vw.Groups = append(vw.Groups, vg)
+	}
+	if len(vx.buckets) > len(vx.groups) {
+		vw.Dec = true
+		vw.DecList = append([]int32(nil), vx.dec.list...)
+		vw.DecSum = vx.dec.sum
+		vw.Cum = append(vw.Cum, cum+vx.dec.sum)
 	}
 	vw.buildAlias()
 	return vw

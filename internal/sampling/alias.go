@@ -36,55 +36,67 @@ func (t *AliasTable) Build(weights []float64) {
 	n := len(weights)
 	t.prob = grow(t.prob, n)
 	t.alias = growInt32(t.alias, n)
-	t.small = t.small[:0]
-	t.large = t.large[:0]
+	t.total, t.small, t.large = Vose(weights, t.prob, t.alias, t.small[:0], t.large[:0])
+	if n == 0 || t.total == 0 {
+		t.prob = t.prob[:0]
+		t.alias = t.alias[:0]
+	}
+}
 
-	t.total = 0
+// Vose is the one alias construction in the repository (Vose's algorithm),
+// shared by AliasTable and by the core sampler's inter-group buckets so
+// both draw identically. It fills prob[i] (the stay probability of bucket
+// i, in [0,1]) and alias[i] (its fallback index) for every weight and
+// returns the weights' sum. prob and alias need len(weights) entries; prob
+// may be weights itself, since each weight is read before its bucket is
+// written. small and large are worklist scratch: they are appended to and
+// returned emptied, so callers keep whatever capacity they grew. On an
+// empty or zero-mass input prob and alias are left unwritten. Negative
+// weights panic.
+func Vose(weights, prob []float64, alias []int32, small, large []int32) (total float64, _, _ []int32) {
 	for _, w := range weights {
 		if w < 0 {
 			panic("sampling: negative weight")
 		}
-		t.total += w
+		total += w
 	}
-	if n == 0 || t.total == 0 {
-		t.prob = t.prob[:0]
-		t.alias = t.alias[:0]
-		return
+	n := len(weights)
+	if n == 0 || total == 0 {
+		return total, small, large
 	}
 
 	// Scale each weight to mean 1 and split into small/large worklists.
-	scale := float64(n) / t.total
+	scale := float64(n) / total
 	for i, w := range weights {
-		t.prob[i] = w * scale
-		t.alias[i] = int32(i)
-		if t.prob[i] < 1 {
-			t.small = append(t.small, int32(i))
+		prob[i] = w * scale
+		alias[i] = int32(i)
+		if prob[i] < 1 {
+			small = append(small, int32(i))
 		} else {
-			t.large = append(t.large, int32(i))
+			large = append(large, int32(i))
 		}
 	}
-	for len(t.small) > 0 && len(t.large) > 0 {
-		s := t.small[len(t.small)-1]
-		t.small = t.small[:len(t.small)-1]
-		l := t.large[len(t.large)-1]
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		small = small[:len(small)-1]
+		l := large[len(large)-1]
 		// Bucket s keeps probability prob[s] for itself; the remainder
 		// of the bucket is donated by l.
-		t.alias[s] = l
-		t.prob[l] -= 1 - t.prob[s]
-		if t.prob[l] < 1 {
-			t.large = t.large[:len(t.large)-1]
-			t.small = append(t.small, l)
+		alias[s] = l
+		prob[l] -= 1 - prob[s]
+		if prob[l] < 1 {
+			large = large[:len(large)-1]
+			small = append(small, l)
 		}
 	}
 	// Numerical leftovers: everything remaining fills its own bucket.
-	for _, i := range t.small {
-		t.prob[i] = 1
+	for _, i := range small {
+		prob[i] = 1
 	}
-	for _, i := range t.large {
-		t.prob[i] = 1
+	for _, i := range large {
+		prob[i] = 1
 	}
-	t.small = t.small[:0]
-	t.large = t.large[:0]
+	return total, small[:0], large[:0]
 }
 
 // NewAlias builds a fresh table from weights.
