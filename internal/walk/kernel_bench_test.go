@@ -3,7 +3,6 @@ package walk
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
@@ -98,20 +97,33 @@ func BenchmarkKernelStep(b *testing.B) {
 	}
 }
 
-// TestKernelObsOverheadBudget pins the tentpole's hot-path cost bound:
-// a metrics-on stepping round must stay within 2%% of the metrics-off
-// round. One round is kernelBatch steps, so the per-round instrument
-// cost (two counter adds, one clock read, one histogram observe) is
-// amortized across the batch; the budget is measured best-of-5 attempts
-// because wall-clock ratios on a shared machine are noisy — a genuine
-// regression fails every attempt, scheduler jitter does not.
+// kernelObsAddsPerRound is the metrics layer's budget on one stepping
+// round of kernelBatch steps: one round-latency observation (two atomic
+// adds: bucket and sum) plus the rounds and steps counters (one each).
+const kernelObsAddsPerRound = 4
+
+// TestKernelObsOverheadBudget pins the metrics layer's cost on the
+// stepping hot path as counted work rather than a wall-clock ratio (which
+// race instrumentation and a shared machine both distort): a round
+// allocates nothing with metrics on or off; with metrics off it records
+// nothing; with metrics on it records at most kernelObsAddsPerRound atomic
+// adds, counted from the registry — two per histogram observation, one per
+// round for each counter that moved — and only into the kernel's own
+// series, so an instrument added to the round shows up here.
 func TestKernelObsOverheadBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped in -short")
-	}
 	e := benchHubEngine(t, 2048)
 	defer obs.SetEnabled(true)
-	run := func(on bool) time.Duration {
+	const runs = 200
+	calls := int64(runs + 1) // AllocsPerRun adds one warm-up call
+	kernelSeries := map[string]bool{
+		"bingo_kernel_rounds_total":  true,
+		"bingo_kernel_steps_total":   true,
+		"bingo_kernel_round_seconds": true,
+	}
+	// measure runs the rounds and returns allocations and atomic adds per
+	// round, the registry deltas by series, and the series outside the
+	// kernel's own that moved.
+	measure := func(on bool) (allocs, adds float64, delta map[string]int64, foreign []string) {
 		obs.SetEnabled(on)
 		k := newStepKernel(e, KernelAuto, fabric.CacheSpec{})
 		f := getFrontier(kernelBatch)
@@ -120,27 +132,68 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 		for w := 0; w < 64; w++ {
 			stepAndAdvance(k, f)
 		}
-		t0 := time.Now()
-		for i := 0; i < 400; i++ {
-			stepAndAdvance(k, f)
+		before := map[string]obs.MetricSnap{}
+		for _, m := range obs.Default.Snapshot() {
+			before[m.Name+m.Labels] = m
 		}
-		return time.Since(t0)
+		allocs = testing.AllocsPerRun(runs, func() {
+			for i := 0; i < f.n; i++ {
+				f.cur[i] = graph.VertexID(i % benchHubs)
+			}
+			k.stepBatch(f)
+		})
+		delta = map[string]int64{}
+		var total int64
+		for _, m := range obs.Default.Snapshot() {
+			b := before[m.Name+m.Labels]
+			d := m.Value - b.Value
+			if m.Kind == "histogram" {
+				d = m.Count - b.Count
+				total += 2 * d
+			} else if d != 0 {
+				total += calls
+			}
+			if d == 0 {
+				continue
+			}
+			delta[m.Name] += d
+			if m.Labels != "" || !kernelSeries[m.Name] {
+				foreign = append(foreign, m.Name+m.Labels)
+			}
+		}
+		return allocs, float64(total) / float64(calls), delta, foreign
 	}
-	const budget = 1.02
-	best := 0.0
-	for attempt := 0; attempt < 5; attempt++ {
-		off := run(false)
-		on := run(true)
-		ratio := float64(on) / float64(off)
-		if attempt == 0 || ratio < best {
-			best = ratio
+
+	// A series moved by a goroutine another test left behind is not the
+	// kernel's doing: retry a few times, a genuine regression fails all.
+	var fails []string
+	for attempt := 0; attempt < 3; attempt++ {
+		fails = fails[:0]
+		allocsOff, addsOff, _, foreignOff := measure(false)
+		allocsOn, addsOn, delta, foreignOn := measure(true)
+		if allocsOff != 0 || allocsOn != 0 {
+			fails = append(fails, fmt.Sprintf("allocs per round: %.2f metrics off, %.2f on, want 0", allocsOff, allocsOn))
 		}
-		if best <= budget {
-			t.Logf("attempt %d: metrics-on/off round ratio %.4f (within %.0f%% budget)", attempt, best, (budget-1)*100)
+		if addsOff != 0 || len(foreignOff) > 0 {
+			fails = append(fails, fmt.Sprintf("metrics off recorded %.1f atomic adds per round (%v)", addsOff, foreignOff))
+		}
+		if addsOn > kernelObsAddsPerRound || len(foreignOn) > 0 {
+			fails = append(fails, fmt.Sprintf("metrics on: %.1f atomic adds per round, budget %d; series outside the kernel's moved: %v",
+				addsOn, kernelObsAddsPerRound, foreignOn))
+		}
+		if delta["bingo_kernel_rounds_total"] != calls || delta["bingo_kernel_round_seconds"] != calls ||
+			delta["bingo_kernel_steps_total"] != calls*kernelBatch {
+			fails = append(fails, fmt.Sprintf("kernel series moved %v over %d rounds of %d steps", delta, calls, kernelBatch))
+		}
+		if len(fails) == 0 {
+			t.Logf("attempt %d: 0 allocs per round; %.1f atomic adds per round on (budget %d), %.1f off",
+				attempt, addsOn, kernelObsAddsPerRound, addsOff)
 			return
 		}
 	}
-	t.Errorf("metrics-on stepping round is %.1f%% slower than metrics-off across 5 attempts (budget 2%%)", (best-1)*100)
+	for _, f := range fails {
+		t.Error(f)
+	}
 }
 
 // TestKernelStepAllocBudget pins the satellite's allocs-per-step budget:

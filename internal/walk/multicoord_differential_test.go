@@ -1,7 +1,7 @@
 // The multi-coordinator extension of the rebalance differential harness:
 // read-coordinators attach to the running shard set and serve queries
-// *while* the write-coordinator feeds a hub-skewed growth tape and the
-// heat-aware rebalancer migrates the hot blocks live. Afterwards the
+// *while* the write-coordinator feeds a hub-skewed growth tape and
+// scripted migrations move the hot blocks live. Afterwards the
 // distributed state must still match a sequential replay edge-for-edge,
 // and the sampling distribution served *through a reader* — hops from
 // its broadcast-validated hub-view cache and shard-launched remainders
@@ -35,39 +35,15 @@ import (
 
 // runMultiCoordDifferential drives the hub-skewed growth tape through
 // the write service while every reader serves a concurrent query storm,
-// waits for a migration to commit mid-tape, syncs, verifies bounded
+// commits the two scripted migrations mid-tape, syncs, verifies bounded
 // staleness through each reader, and chi-squares the served sampling
 // distribution drawn through the readers (round-robin) against the
 // sequential replay.
 func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, readers []*walk.ReaderService, tape []graph.Update) {
 	t.Helper()
 
-	parts := make([][]graph.Update, rbWriters)
-	for _, up := range tape {
-		w := int(up.Src) % rbWriters
-		parts[w] = append(parts[w], up)
-	}
-	var writers sync.WaitGroup
-	for w := 0; w < rbWriters; w++ {
-		writers.Add(1)
-		go func(part []graph.Update) {
-			defer writers.Done()
-			const chunk = 64
-			for lo := 0; lo < len(part); lo += chunk {
-				hi := lo + chunk
-				if hi > len(part) {
-					hi = len(part)
-				}
-				if err := svc.Feed(part[lo:hi]); err != nil {
-					t.Errorf("Feed: %v", err)
-					return
-				}
-			}
-		}(parts[w])
-	}
-
 	// Every reader serves a hot-block query storm while the tape lands
-	// and the plan flips under it.
+	// and both scripted flips commit under it.
 	done := make(chan struct{})
 	var storms sync.WaitGroup
 	for ri, rd := range readers {
@@ -99,22 +75,8 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 			}
 		}(ri, rd)
 	}
-	writers.Wait()
-
-	// Keep write-side heat flowing until a migration commits mid-serving.
-	deadline := time.Now().Add(60 * time.Second)
-	r := xrand.New(0x4EA8)
-	for svc.Stats().Rebalance.Migrations == 0 {
-		if time.Now().After(deadline) {
-			close(done)
-			storms.Wait()
-			t.Fatalf("no migration fired under hub-skewed load: stats %+v, shard steps %v",
-				svc.Stats().Rebalance, svc.Stats().ShardSteps)
-		}
-		if _, err := svc.Query(rbHotVertex(r), 16); err != nil {
-			t.Fatalf("Query while waiting for migration: %v", err)
-		}
-	}
+	rbFeed(t, svc, tape)
+	rbMigrate(t, svc, rbLateMove)
 	close(done)
 	storms.Wait()
 	if t.Failed() {
@@ -131,8 +93,8 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 	if st.Updates != int64(len(tape)) || st.Dropped != 0 {
 		t.Fatalf("ingest stats %+v, want %d updates, 0 dropped", st, len(tape))
 	}
-	if st.Rebalance.Migrations == 0 || len(livePlan.Overlay) == 0 {
-		t.Fatalf("rebalancer idle: %+v", st.Rebalance)
+	if st.Rebalance.Migrations != 2 || len(livePlan.Overlay) != 2 {
+		t.Fatalf("want the 2 scripted migrations committed: %+v, overlay %v", st.Rebalance, livePlan.Overlay)
 	}
 
 	// Bounded staleness: the write side's post-Sync stamp covers the
@@ -239,7 +201,6 @@ func TestMultiCoordDifferentialInproc(t *testing.T) {
 		WalkersPerShard: 2,
 		WalkLength:      16,
 		Seed:            0xFEED,
-		Rebalance:       rbRebalanceOptions(15*time.Millisecond, 128),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +291,6 @@ func TestMultiCoordDifferentialTCP(t *testing.T) {
 	svc, err := walk.NewShardedLiveServiceOver(port, nil, plan, rbVerts0, walk.ShardedLiveConfig{
 		WalkLength: 16,
 		Seed:       0xFEED,
-		Rebalance:  rbRebalanceOptions(250*time.Millisecond, 64),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,11 +437,11 @@ func TestReaderCrashIsolation(t *testing.T) {
 }
 
 // TestPlanEpochBroadcastInvalidation pins the migration-vs-reader-cache
-// story: a reader caches hub views, a migration commits while it holds
-// them, and the plan-epoch broadcast must flip the reader's plan and
+// story: a reader caches hub views, a scripted migration commits while it
+// holds them, and the plan-epoch broadcast must flip the reader's plan and
 // drop every cached view — after which its serving reflects the moved
-// ownership. Write-side heat (queries, no feed) drives the migration so
-// the watermark-advance pruning path cannot mask the epoch-flip drop.
+// ownership. Nothing is fed after the warm-up, so the watermark-advance
+// pruning path cannot mask the epoch-flip drop.
 func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 	tape := buildHubSkewTape(4000, 0xE90C)
 	plan := walk.NewShardPlan(rbVerts0, rbShards)
@@ -490,11 +450,6 @@ func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 		WalkersPerShard: 2,
 		WalkLength:      16,
 		Seed:            0xFEED,
-		// The per-cycle step floor sits between the paced phase-1
-		// warm-up (~120 steps per 15ms cycle) and phase 2's deliberate
-		// long-walk storm (thousands per cycle even under -race), so
-		// the migration fires only after the cached-view snapshot.
-		Rebalance: rbRebalanceOptions(15*time.Millisecond, 512),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -524,34 +479,18 @@ func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 		if _, err := rd.Query(rbHotVertex(r), 16); err != nil {
 			t.Fatalf("warm Query: %v", err)
 		}
-		// Pace the warm-up so its steps stay under the rebalancer's
-		// per-cycle floor — the migration must not fire before the
-		// cached-view snapshot below.
-		time.Sleep(2 * time.Millisecond)
 	}
 	// Drain in-flight view replies so the cached count is quiescent.
 	time.Sleep(100 * time.Millisecond)
 	cached0 := rd.Stats().CachedViews
 	epoch0 := rd.Stats().PlanEpoch
-	if mig := svc.Stats().Rebalance.Migrations; mig != 0 {
-		t.Fatalf("rebalancer fired during warm-up (%d migrations) — raise the cycle-step floor", mig)
-	}
 	if cached0 == 0 {
 		t.Fatal("cached views drained to zero before the migration")
 	}
 
-	// Phase 2: write-side queries alone heat the hot shard until a
-	// migration commits. No feed — the watermark vector is frozen, so
-	// only the epoch flip can clear the reader's cache.
-	deadline = time.Now().Add(60 * time.Second)
-	for svc.Stats().Rebalance.Migrations == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no migration fired under query heat: %+v, shard steps %v",
-				svc.Stats().Rebalance, svc.Stats().ShardSteps)
-		}
-		if _, err := svc.Query(rbHotVertex(r), 64); err != nil {
-			t.Fatalf("heat Query: %v", err)
-		}
+	// Phase 2: move the hot block 0 while the reader holds its views.
+	if err := svc.Migrate(rbMidMove); err != nil {
+		t.Fatalf("Migrate: %v", err)
 	}
 	livePlan := svc.LivePlan()
 	deadline = time.Now().Add(10 * time.Second)
