@@ -61,7 +61,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"table3":     "avg speedup vs Bingo",
 		"table4":     "from \\ to",
 		"fig9":       "Power-law",
-		"fig11":      "saving×",
+		"fig11":      "hdr regular",
 		"fig12":      "updates/s batched",
 		"fig13":      "rebuild(s)",
 		"fig14":      "float time(s)",

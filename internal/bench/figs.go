@@ -68,12 +68,17 @@ func runFig9(o *Options) error {
 
 // runFig11 compares the baseline all-regular representation (BS) with the
 // group-adaptive one (GA): overall memory per dataset, the per-kind
-// savings panels, and the group-kind ratio panel.
+// savings panels, and the group-kind ratio panel. A second table splits
+// each GA footprint by structure, in bytes per edge; its parts add up to
+// the GA total.
 func runFig11(o *Options) error {
 	t := newTable(o.Out)
 	t.row("dataset", "BS total(GB)", "GA total(GB)", "saving×",
 		"dense BS/GA(MB)", "one BS/GA(MB)", "sparse BS/GA(MB)",
 		"dense%", "regular%", "sparse%", "one%")
+	parts := newTable(o.Out)
+	parts.row("dataset", "B/edge", "vertex", "hdr dense", "hdr one", "hdr sparse", "hdr regular",
+		"slack", "members", "indices", "alias", "decimal", "adjacency")
 	for _, abbr := range o.Datasets {
 		_, g, err := o.dataset(abbr)
 		if err != nil {
@@ -112,8 +117,17 @@ func runFig11(o *Options) error {
 			fmt.Sprintf("%.1f", float64(bsTotal)/float64(gaTotal)),
 			pair(core.KindDense), pair(core.KindOne), pair(core.KindSparse),
 			pct(core.KindDense), pct(core.KindRegular), pct(core.KindSparse), pct(core.KindOne))
+		fb := ga.CollectFootprint()
+		perEdge := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/float64(ga.NumEdges())) }
+		parts.row(abbr, perEdge(fb.Total), perEdge(fb.VertexHdr),
+			perEdge(fb.Headers[core.KindDense]), perEdge(fb.Headers[core.KindOne]),
+			perEdge(fb.Headers[core.KindSparse]), perEdge(fb.Headers[core.KindRegular]),
+			perEdge(fb.Slack), perEdge(fb.Members), perEdge(fb.Indices),
+			perEdge(fb.Alias), perEdge(fb.Decimal), perEdge(fb.Adjacency))
 	}
 	t.flush()
+	fmt.Fprintln(o.Out)
+	parts.flush()
 	return nil
 }
 
