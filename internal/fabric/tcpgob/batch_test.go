@@ -1,6 +1,7 @@
 package tcpgob
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -75,6 +76,12 @@ func TestTransferBatching(t *testing.T) {
 		t.Fatalf("view request lost in the batched stream: ok=%v %+v", ok, m)
 	}
 
+	// The sender accounts a frame once its write returns, which can be
+	// after the receiver has already decoded it: wait for the count.
+	accounted := time.Now().Add(10 * time.Second)
+	for s0.transferWalkers.Load() < walkers && time.Now().Before(accounted) {
+		runtime.Gosched()
+	}
 	frames := s0.transferFrames.Load()
 	sent := s0.transferWalkers.Load()
 	if sent != walkers {

@@ -195,8 +195,24 @@ func TestShardedLiveDifferential(t *testing.T) {
 		}(0xFACE + uint64(q))
 	}
 	writers.Wait()
+	// Feed returns once a batch is routed, so the walkers' first queries
+	// may all land on a still-empty graph. Let the tape apply, then query
+	// until a walk has crossed shards (bounded by a count, not a clock):
+	// on the full graph a 16-step walk almost always does.
+	if err := svc.Sync(); err != nil {
+		t.Errorf("Sync after feed: %v", err)
+	}
+	r := xrand.New(0xC0FE)
+	for i := 0; i < 1024 && svc.Stats().Transfers == 0 && !t.Failed(); i++ {
+		if _, err := svc.Query(graph.VertexID(r.Intn(sdVertsMax)), 16); err != nil {
+			t.Errorf("Query: %v", err)
+		}
+	}
 	close(done)
 	walkers.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 	if err := svc.Sync(); err != nil {
 		t.Fatalf("Sync after feed: %v", err)
 	}
