@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build vet lint test race loc bench bench-smoke distserve-smoke fault-smoke corpus-smoke coord-smoke obs-smoke fuzz clean
+.PHONY: all build vet lint test race loc bench distserve-smoke fault-smoke corpus-smoke coord-smoke obs-smoke fuzz
 
 all: vet build test
 
@@ -33,17 +33,6 @@ loc:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) run ./cmd/bingobench -exp concurrent -scale 0.002 -json BENCH_concurrent.json
-
-# Tiny-scale pass over the JSON-emitting serving scenarios — the CI smoke
-# step. Verifies the runners execute end to end and the BENCH_*.json
-# reports appear; absolute numbers at this scale are meaningless.
-bench-smoke:
-	$(GO) run ./cmd/bingobench -exp concurrent,sharded,rebalance,backpressure,corpus,coordscale -datasets AM -scale 0.002 -walkers 500 -workers 2 \
-		-kernel-modes sparse,dense,auto -procs 1,4 \
-		-json BENCH_concurrent.json -json-sharded BENCH_sharded.json -json-rebalance BENCH_rebalance.json \
-		-json-backpressure BENCH_backpressure.json -json-corpus BENCH_corpus.json -json-coordscale BENCH_coordscale.json
-	test -s BENCH_concurrent.json && test -s BENCH_sharded.json && test -s BENCH_rebalance.json && test -s BENCH_backpressure.json && test -s BENCH_corpus.json && test -s BENCH_coordscale.json
 
 # Multi-process serving smoke: spawns shard daemons (real bingowalk
 # -shard-serve processes) on loopback, drives queries plus a
@@ -96,6 +85,3 @@ obs-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSamplerMutate -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/fabric/tcpgob/
-
-clean:
-	rm -f BENCH_concurrent.json BENCH_sharded.json BENCH_rebalance.json BENCH_backpressure.json BENCH_corpus.json BENCH_coordscale.json

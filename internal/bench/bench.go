@@ -1,6 +1,7 @@
 // Package bench is the experiment harness: one runner per table/figure of
 // the paper's evaluation (§6), each printing the same rows/series the paper
-// reports. cmd/bingobench is the CLI front end; bench_test.go at the module
+// reports, plus the rebalance and corpus serving scenarios.
+// cmd/bingobench is the CLI front end; bench_test.go at the module
 // root exposes testing.B entry points.
 //
 // Scaling: datasets are generated at Options.Scale of the paper's sizes
@@ -56,44 +57,13 @@ type Options struct {
 	Apps []string
 	// Out receives the report (required).
 	Out io.Writer
-	// JSONPath, when non-empty, is where the concurrent scenario writes
-	// its machine-readable BENCH_concurrent.json report.
-	JSONPath string
-	// ShardedJSONPath, when non-empty, is where the sharded scenario
-	// writes its machine-readable BENCH_sharded.json report.
-	ShardedJSONPath string
-	// RebalanceJSONPath, when non-empty, is where the rebalance scenario
-	// writes its machine-readable BENCH_rebalance.json report.
-	RebalanceJSONPath string
-	// BackpressureJSONPath, when non-empty, is where the backpressure
-	// scenario writes its machine-readable BENCH_backpressure.json
-	// report.
-	BackpressureJSONPath string
-	// CorpusJSONPath, when non-empty, is where the corpus scenario
-	// writes its machine-readable BENCH_corpus.json report.
-	CorpusJSONPath string
-	// CoordScaleJSONPath, when non-empty, is where the coordscale
-	// scenario writes its machine-readable BENCH_coordscale.json report.
-	CoordScaleJSONPath string
-	// Transports filters the sharded scenario's transport dimension:
-	// "inproc" (in-process fabric) and/or "tcp" (loopback tcpgob fabric).
-	// Nil means both.
+	// Transports filters the rebalance and corpus scenarios' transport
+	// dimension: "inproc" (in-process fabric) and/or "tcp" (loopback
+	// tcpgob fabric). Nil means both.
 	Transports []string
-	// CacheModes filters the sharded scenario's hub-cache dimension:
-	// "on" and/or "off". Nil means both.
-	CacheModes []string
-	// KernelModes filters the stepping-kernel dimension of the concurrent
-	// and sharded scenarios: "sparse", "dense", and/or "auto". Nil means
-	// all three.
-	KernelModes []string
-	// Procs sweeps GOMAXPROCS for the kernel dimension of the concurrent
-	// and sharded scenarios (default [1, 4]).
-	Procs []int
-	// MinWindow is the minimum measurement window per concurrent cell
-	// (default 1s; smoke tests shrink it). Sub-second windows on a shared
-	// vCPU swing ±35–50% run to run from scheduler interference alone —
-	// wider than the kernel effects the sweep exists to resolve — so
-	// committed artifacts must come from full-length windows.
+	// MinWindow is the rebalance scenario's measurement window per cell
+	// (default 2s, long enough for several heat cycles on either fabric;
+	// smoke tests shrink it). Clients keep walking until it elapses.
 	MinWindow time.Duration
 	// Verbose adds progress lines.
 	Verbose bool
@@ -140,7 +110,7 @@ func (o *Options) normalize() error {
 		o.Workers = 1
 	}
 	if o.MinWindow <= 0 {
-		o.MinWindow = time.Second
+		o.MinWindow = 2 * time.Second
 	}
 	if len(o.Datasets) == 0 {
 		for _, d := range gen.Datasets {
@@ -159,30 +129,6 @@ func (o *Options) normalize() error {
 	for _, tr := range o.Transports {
 		if tr != "inproc" && tr != "tcp" {
 			return fmt.Errorf("bench: unknown transport %q (want inproc or tcp)", tr)
-		}
-	}
-	if len(o.CacheModes) == 0 {
-		o.CacheModes = []string{"on", "off"}
-	}
-	for _, m := range o.CacheModes {
-		if m != "on" && m != "off" {
-			return fmt.Errorf("bench: unknown cache mode %q (want on or off)", m)
-		}
-	}
-	if len(o.KernelModes) == 0 {
-		o.KernelModes = []string{"sparse", "dense", "auto"}
-	}
-	for _, m := range o.KernelModes {
-		if _, err := walk.ParseKernelMode(m); err != nil {
-			return err
-		}
-	}
-	if len(o.Procs) == 0 {
-		o.Procs = []int{1, 4}
-	}
-	for _, p := range o.Procs {
-		if p < 1 {
-			return fmt.Errorf("bench: GOMAXPROCS sweep value %d < 1", p)
 		}
 	}
 	if o.graphCache == nil {
@@ -389,12 +335,8 @@ var registry = []runner{
 	{"fig15c", "bias distribution impact on time and memory", runFig15c},
 	{"fig16", "piecewise breakdown: updates and sampling vs FlowWalker", runFig16},
 	{"ablation", "design ablations: radix base, α/β thresholds, lookup index", runAblation},
-	{"concurrent", "walk-while-ingest throughput at 0/10/50% update load (BENCH_concurrent.json)", runConcurrent},
-	{"sharded", "sharded live serving: walks/s and transfer ratio at 0/10/50% load × 1/2/4/8 shards × inproc/tcp transports (BENCH_sharded.json)", runSharded},
-	{"rebalance", "heat-aware rebalancing: hottest shard's step share under hub-skewed growth, rebalance on/off × inproc/tcp (BENCH_rebalance.json)", runRebalance},
-	{"backpressure", "credited ingest: feed latency vs routed-but-unapplied backlog against a slow shard, credit window off/1k/4k/16k (BENCH_backpressure.json)", runBackpressure},
-	{"corpus", "standing walk corpus: resample amplification, refresh lag, and serving split under hub-churn, inproc/tcp at 4 shards (BENCH_corpus.json)", runCorpus},
-	{"coordscale", "query-tier scale-out: aggregate walks/s at 1/2/4 read-coordinators over one 4-shard set, inproc/tcp (BENCH_coordscale.json)", runCoordScale},
+	{"rebalance", "heat-aware rebalancing: hottest shard's step share under hub-skewed growth, rebalance on/off × inproc/tcp", runRebalance},
+	{"corpus", "standing walk corpus: resample amplification, refresh lag, and serving split under hub-churn, inproc/tcp at 4 shards", runCorpus},
 }
 
 // Experiments lists available experiment names with descriptions.

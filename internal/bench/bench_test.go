@@ -2,9 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -56,21 +53,22 @@ func TestExperimentsList(t *testing.T) {
 // the output contains the expected headers.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantHeader := map[string]string{
-		"table1":     "ns/sample",
-		"table2":     "avgDeg",
-		"table3":     "avg speedup vs Bingo",
-		"table4":     "from \\ to",
-		"fig9":       "Power-law",
-		"fig11":      "hdr regular",
-		"fig12":      "updates/s batched",
-		"fig13":      "rebuild(s)",
-		"fig14":      "float time(s)",
-		"fig15a":     "RebuildITS time(s)",
-		"fig15b":     "walk length",
-		"fig15c":     "dense-group %",
-		"fig16":      "FlowWalker_R(s)",
-		"ablation":   "groups/vertex",
-		"concurrent": "walks/s",
+		"table1":    "ns/sample",
+		"table2":    "avgDeg",
+		"table3":    "avg speedup vs Bingo",
+		"table4":    "from \\ to",
+		"fig9":      "Power-law",
+		"fig11":     "hdr regular",
+		"fig12":     "updates/s batched",
+		"fig13":     "rebuild(s)",
+		"fig14":     "float time(s)",
+		"fig15a":    "RebuildITS time(s)",
+		"fig15b":    "walk length",
+		"fig15c":    "dense-group %",
+		"fig16":     "FlowWalker_R(s)",
+		"ablation":  "groups/vertex",
+		"rebalance": "hottest share",
+		"corpus":    "amplification",
 	}
 	for _, r := range registry {
 		r := r
@@ -132,39 +130,5 @@ func TestWalkersCapAndCoverage(t *testing.T) {
 	small := o.walkers(50)
 	if len(small) != 50 {
 		t.Errorf("small-graph walkers %d, want 50", len(small))
-	}
-}
-
-func TestConcurrentScenarioWritesJSON(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Datasets = []string{"AM"}
-	// Shrink the kernel × procs grid to keep the smoke run fast; the
-	// full default grid is exercised by the committed artifacts.
-	o.KernelModes = []string{"sparse", "dense"}
-	o.Procs = []int{1}
-	o.JSONPath = filepath.Join(t.TempDir(), "BENCH_concurrent.json")
-	if err := Run("concurrent", o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.JSONPath)
-	if err != nil {
-		t.Fatalf("JSON report not written: %v", err)
-	}
-	var rep ConcurrentReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("JSON report unparseable: %v", err)
-	}
-	wantSeries := len(o.KernelModes) * len(o.Procs) * (len(concurrentLoads) + len(concurrentHubLoads))
-	if rep.Scenario != "ConcurrentThroughput" || len(rep.Series) != wantSeries {
-		t.Fatalf("report %+v: want scenario ConcurrentThroughput with %d series", rep, wantSeries)
-	}
-	for i, ser := range rep.Series {
-		if ser.Walks <= 0 || ser.StepsPerSec <= 0 {
-			t.Errorf("series %d has no walk throughput: %+v", i, ser)
-		}
-	}
-	if rep.Series[0].Updates != 0 {
-		t.Errorf("0%% load applied %d updates", rep.Series[0].Updates)
 	}
 }

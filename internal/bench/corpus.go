@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,43 +22,21 @@ import (
 // per step a full per-update recompute of every affected walk would
 // have sampled — the <1 headroom is the scenario's point), refresh lag
 // (touch-to-repair latency ceiling), and the serving split under the
-// bounded-staleness contract. Emits BENCH_corpus.json for diffing
-// runs.
+// bounded-staleness contract.
 
 // CorpusSeries is one measured (transport, load) grid cell.
 type CorpusSeries struct {
-	Transport         string  `json:"transport"`
-	Shards            int     `json:"shards"`
-	ChurnEvents       int64   `json:"churn_events"`
-	Refreshes         int64   `json:"refreshes"`
-	Resamples         int64   `json:"resamples"`
-	ResampledSteps    int64   `json:"resampled_steps"`
-	FullWalkSteps     int64   `json:"full_walk_equivalent_steps"`
-	Amplification     float64 `json:"amplification"` // resampled/full-walk-equivalent
-	Speedup           float64 `json:"speedup_vs_full_recompute"`
-	MaxRefreshLagMs   int64   `json:"max_refresh_lag_ms"`
-	Queries           int64   `json:"queries"`
-	CorpusServed      int64   `json:"corpus_served"`
-	StaleServed       int64   `json:"stale_served"`
-	Fallbacks         int64   `json:"fallbacks"`
-	ElapsedSec        float64 `json:"elapsed_sec"`
-	QueriesPerSec     float64 `json:"queries_per_sec"`
-	ChurnPerSec       float64 `json:"churn_per_sec"`
-	ResampStepsPerSec float64 `json:"resampled_steps_per_sec"`
-}
-
-// CorpusReport is the BENCH_corpus.json document.
-type CorpusReport struct {
-	Scenario       string         `json:"scenario"`
-	Dataset        string         `json:"dataset"`
-	Vertices       int            `json:"vertices"`
-	Edges          int64          `json:"edges"`
-	Shards         int            `json:"shards"`
-	WalksPerVertex int            `json:"walks_per_vertex"`
-	WalkLength     int            `json:"walk_length"`
-	Clients        int            `json:"clients"`
-	GOMAXPROCS     int            `json:"gomaxprocs"`
-	Series         []CorpusSeries `json:"series"`
+	Transport       string
+	Shards          int
+	ChurnEvents     int64
+	Resamples       int64
+	ResampledSteps  int64
+	FullWalkSteps   int64
+	Amplification   float64 // resampled/full-walk-equivalent
+	Speedup         float64
+	MaxRefreshLagMs int64
+	Fallbacks       int64
+	QueriesPerSec   float64
 }
 
 // corpusShards is the scenario's fixed shard count (the acceptance
@@ -71,6 +46,10 @@ const corpusShards = 4
 
 // corpusWalksPerVertex is K for the measured corpus.
 const corpusWalksPerVertex = 2
+
+// corpusMinWindow is the minimum measurement window: clients keep
+// drawing corpus slices past the end of the churn tape until it elapses.
+const corpusMinWindow = 250 * time.Millisecond
 
 // hubChurnTape builds a delete/reinsert churn stream over the hub
 // vertices' existing out-edges: event 2i deletes a hub edge, event 2i+1
@@ -109,18 +88,6 @@ func runCorpus(o *Options) error {
 	tape := hubChurnTape(g, hubs, events, o.Seed)
 
 	clients := o.Workers
-	rep := CorpusReport{
-		Scenario:       "CorpusMaintenance",
-		Dataset:        abbr,
-		Vertices:       g.NumVertices(),
-		Edges:          g.NumEdges(),
-		Shards:         corpusShards,
-		WalksPerVertex: corpusWalksPerVertex,
-		WalkLength:     o.WalkLength,
-		Clients:        clients,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-	}
-
 	tbl := newTable(o.Out)
 	tbl.row("transport", "shards", "churn", "resamples", "resampled steps", "full-walk steps", "amplification", "speedup", "max lag ms", "queries/s", "fallbacks")
 	for _, transport := range o.Transports {
@@ -128,7 +95,6 @@ func runCorpus(o *Options) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", transport, err)
 		}
-		rep.Series = append(rep.Series, ser)
 		tbl.row(
 			ser.Transport,
 			fmt.Sprintf("%d", ser.Shards),
@@ -144,17 +110,6 @@ func runCorpus(o *Options) error {
 		)
 	}
 	tbl.flush()
-
-	if o.CorpusJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.CorpusJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.CorpusJSONPath)
-	}
 	return nil
 }
 
@@ -168,7 +123,7 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 	}
 	cache := fabric.CacheSpec{}
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache, Kernel: walk.KernelAuto}
-	svc, err := newShardedServiceWithConfig(o, g, transport, cache, corpusShards, crew, cfg)
+	svc, err := newShardedService(o, g, transport, cache, corpusShards, crew, cfg)
 	if err != nil {
 		return CorpusSeries{}, err
 	}
@@ -214,7 +169,7 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 			for {
 				select {
 				case <-done:
-					if time.Since(start) >= shardedMinWindow {
+					if time.Since(start) >= corpusMinWindow {
 						return
 					}
 				default:
@@ -252,23 +207,16 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 		speedup = float64(cs.FullWalkSteps) / float64(cs.ResampledSteps)
 	}
 	return CorpusSeries{
-		Transport:         transport,
-		Shards:            corpusShards,
-		ChurnEvents:       int64(len(tape)),
-		Refreshes:         cs.Refreshes,
-		Resamples:         cs.Resamples,
-		ResampledSteps:    cs.ResampledSteps,
-		FullWalkSteps:     cs.FullWalkSteps,
-		Amplification:     amp,
-		Speedup:           speedup,
-		MaxRefreshLagMs:   cs.RefreshLagMs,
-		Queries:           cs.Queries,
-		CorpusServed:      cs.CorpusServed,
-		StaleServed:       cs.StaleServed,
-		Fallbacks:         cs.Fallbacks,
-		ElapsedSec:        elapsed.Seconds(),
-		QueriesPerSec:     float64(cs.Queries) / elapsed.Seconds(),
-		ChurnPerSec:       float64(len(tape)) / elapsed.Seconds(),
-		ResampStepsPerSec: float64(cs.ResampledSteps) / elapsed.Seconds(),
+		Transport:       transport,
+		Shards:          corpusShards,
+		ChurnEvents:     int64(len(tape)),
+		Resamples:       cs.Resamples,
+		ResampledSteps:  cs.ResampledSteps,
+		FullWalkSteps:   cs.FullWalkSteps,
+		Amplification:   amp,
+		Speedup:         speedup,
+		MaxRefreshLagMs: cs.RefreshLagMs,
+		Fallbacks:       cs.Fallbacks,
+		QueriesPerSec:   float64(cs.Queries) / elapsed.Seconds(),
 	}, nil
 }

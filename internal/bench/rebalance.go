@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,51 +23,26 @@ import (
 // every step is served by the one shard that owns the hot blocks; with
 // it on, the coordinator's heat cycles migrate those blocks toward idle
 // shards live, and the hottest shard's step share shrinks toward the
-// fair share 1/N. The grid sweeps rebalance off/on × inproc/tcp. Emits
-// BENCH_rebalance.json.
+// fair share 1/N. The grid sweeps rebalance off/on × inproc/tcp.
 
 // RebalanceSeries is one measured (transport, rebalance) cell.
 type RebalanceSeries struct {
-	Transport    string  `json:"transport"`
-	Rebalance    string  `json:"rebalance"` // on | off
-	Shards       int     `json:"shards"`
-	Walks        int64   `json:"walks"`
-	Steps        int64   `json:"steps"`
-	Updates      int64   `json:"updates"`
-	Transfers    int64   `json:"transfers"`
-	Migrations   int64   `json:"migrations"`
-	MovedEdges   int64   `json:"moved_edges"`
-	PlanEpoch    uint64  `json:"plan_epoch"`
-	ShardSteps   []int64 `json:"shard_steps"`
-	HottestShare float64 `json:"hottest_share"` // max(ShardSteps)/Steps
+	Transport    string
+	Rebalance    string // on | off
+	Migrations   int64
+	HottestShare float64 // busiest shard's steps / all steps
 	// LateHottestShare is the hottest share over the window's second
 	// half only (steps after the midpoint snapshot): migrations need
 	// heat cycles to fire, so the session-cumulative share understates
 	// the rebalanced steady state.
-	LateHottestShare float64 `json:"late_hottest_share"`
-	FairShare        float64 `json:"fair_share"` // 1/shards
-	ElapsedSec       float64 `json:"elapsed_sec"`
-	WalksPerSec      float64 `json:"walks_per_sec"`
-	StepsPerSec      float64 `json:"steps_per_sec"`
-}
-
-// RebalanceReport is the BENCH_rebalance.json document.
-type RebalanceReport struct {
-	Scenario   string            `json:"scenario"`
-	Dataset    string            `json:"dataset"`
-	Vertices   int               `json:"vertices"`
-	Edges      int64             `json:"edges"`
-	Clients    int               `json:"clients"`
-	WalkLength int               `json:"walk_length"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Series     []RebalanceSeries `json:"series"`
+	LateHottestShare float64
+	FairShare        float64 // 1/shards
+	WalksPerSec      float64
+	StepsPerSec      float64
 }
 
 const (
 	rebalanceShards = 4
-	// rebalanceWindow is long enough for several heat cycles on either
-	// fabric; clients keep walking until it elapses.
-	rebalanceWindow = 2 * time.Second
 	rebalanceCycle  = 100 * time.Millisecond
 )
 
@@ -89,15 +61,6 @@ func runRebalance(o *Options) error {
 	tape := hubSkewGrowthTape(v0, basePlan, 60_000, o.Seed)
 	prefeed := len(tape) / 2
 	starts := hotStarts(tape[:prefeed], 1024)
-	rep := RebalanceReport{
-		Scenario:   "RebalanceSkew",
-		Dataset:    abbr,
-		Vertices:   v0,
-		Edges:      int64(prefeed),
-		Clients:    clients,
-		WalkLength: o.WalkLength,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 
 	tbl := newTable(o.Out)
 	tbl.row("transport", "rebalance", "walks/s", "steps/s", "migrations", "hottest share", "late share", "fair")
@@ -107,7 +70,6 @@ func runRebalance(o *Options) error {
 			if err != nil {
 				return fmt.Errorf("%s rebalance=%s: %w", transport, mode, err)
 			}
-			rep.Series = append(rep.Series, ser)
 			tbl.row(
 				ser.Transport,
 				ser.Rebalance,
@@ -121,17 +83,6 @@ func runRebalance(o *Options) error {
 		}
 	}
 	tbl.flush()
-
-	if o.RebalanceJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.RebalanceJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.RebalanceJSONPath)
-	}
 	return nil
 }
 
@@ -254,8 +205,8 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 		go func(seed uint64) {
 			defer wg.Done()
 			r := xrand.New(o.Seed ^ seed)
-			for time.Since(start) < rebalanceWindow {
-				if time.Since(start) > rebalanceWindow/2 {
+			for time.Since(start) < o.MinWindow {
+				if time.Since(start) > o.MinWindow/2 {
 					midOnce.Do(func() {
 						// Sync first: ShardSteps refresh only on barriers, and
 						// with the rebalancer off (no heat barriers) the
@@ -314,19 +265,10 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 	return RebalanceSeries{
 		Transport:        transport,
 		Rebalance:        mode,
-		Shards:           rebalanceShards,
-		Walks:            walks.Load(),
-		Steps:            st.Steps,
-		Updates:          st.Updates,
-		Transfers:        st.Transfers,
 		Migrations:       st.Rebalance.Migrations,
-		MovedEdges:       st.Rebalance.MovedEdges,
-		PlanEpoch:        st.Rebalance.PlanEpoch,
-		ShardSteps:       st.ShardSteps,
 		HottestShare:     share(st.ShardSteps),
 		LateHottestShare: share(late),
 		FairShare:        1.0 / float64(rebalanceShards),
-		ElapsedSec:       elapsed.Seconds(),
 		WalksPerSec:      float64(walks.Load()) / elapsed.Seconds(),
 		StepsPerSec:      float64(st.Steps) / elapsed.Seconds(),
 	}, nil
@@ -334,10 +276,9 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 
 // newRebalanceService builds an empty 4-shard serving runtime with the
 // given rebalancer policy on the chosen transport (see newShardedService
-// for the transport shapes; this adds the Rebalance config). The graph
-// arrives entirely through the feed.
+// for the transport shapes). The graph arrives entirely through the feed.
 func newRebalanceService(o *Options, v0 int, transport string, reb rebalance.Options, crew int) (*walk.ShardedLiveService, error) {
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Rebalance: reb}
 	empty := &graph.CSR{Offsets: make([]int64, v0+1)}
-	return newShardedServiceWithConfig(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
+	return newShardedService(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
 }

@@ -272,11 +272,7 @@ func TestMultiCoordDifferentialTCP(t *testing.T) {
 				return
 			}
 			e := concurrent.Wrap(s, concurrent.Config{})
-			nodePlan := walk.ShardPlan{
-				Shards: hello.Shards, RangeSize: hello.RangeSize,
-				Epoch: hello.PlanEpoch, Overlay: hello.Overlay,
-			}
-			if _, err := walk.RunShardNode(e, nodePlan, i, sc, 2, hello.Cache, walk.KernelAuto); err != nil {
+			if _, err := walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, 2, hello.Cache, walk.KernelAuto); err != nil {
 				t.Errorf("shard %d: %v", i, err)
 			}
 		}(i)

@@ -167,7 +167,7 @@ func TestHelloOverlayGobRoundTrip(t *testing.T) {
 	if got.PlanEpoch != plan.Epoch || len(got.Overlay) != len(plan.Overlay) {
 		t.Fatalf("overlay lost: %+v", got)
 	}
-	rebuilt := ShardPlan{Shards: got.Shards, RangeSize: got.RangeSize, Epoch: got.PlanEpoch, Overlay: got.Overlay}
+	rebuilt := PlanFromHello(got)
 	for b, want := range plan.Overlay {
 		if rebuilt.BlockOwner(b) != want {
 			t.Fatalf("block %d owner %d after round-trip, want %d", b, rebuilt.BlockOwner(b), want)

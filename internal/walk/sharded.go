@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 )
 
@@ -76,6 +77,17 @@ func NewShardPlan(numVertices, shards int) ShardPlan {
 		rangeSize = 1
 	}
 	return ShardPlan{Shards: shards, RangeSize: rangeSize}
+}
+
+// PlanFromHello is the plan a shard node serves a session under: the
+// geometry, ownership overlay, replication factor and liveness mask the
+// coordinator's Hello carries.
+func PlanFromHello(h fabric.Hello) ShardPlan {
+	return ShardPlan{
+		Shards: h.Shards, RangeSize: h.RangeSize,
+		Epoch: h.PlanEpoch, Overlay: h.Overlay,
+		Replicas: h.Replicas, DeadMask: h.DeadMask,
+	}
 }
 
 // Owner returns the shard owning vertex v. It is defined for every

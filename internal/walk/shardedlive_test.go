@@ -83,8 +83,7 @@ func serveTransport(t *testing.T, transport string, g *graph.CSR, shards int, cf
 				sc.Close()
 				return
 			}
-			nodePlan := walk.ShardPlan{Shards: hello.Shards, RangeSize: hello.RangeSize}
-			walk.RunShardNode(e, nodePlan, i, sc, cfg.WalkersPerShard, hello.Cache, walk.KernelAuto)
+			walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, cfg.WalkersPerShard, hello.Cache, walk.KernelAuto)
 		}(i, l)
 	}
 	plan := walk.NewShardPlan(n, shards)
@@ -485,8 +484,7 @@ func TestShardedServiceSessionDeath(t *testing.T) {
 			return
 		}
 		e := concurrent.Wrap(s, concurrent.Config{})
-		plan := walk.ShardPlan{Shards: hello.Shards, RangeSize: hello.RangeSize}
-		walk.RunShardNode(e, plan, 1, sc, 1, fabric.CacheSpec{}, walk.KernelAuto)
+		walk.RunShardNode(e, walk.PlanFromHello(hello), 1, sc, 1, fabric.CacheSpec{}, walk.KernelAuto)
 	}()
 	go func() {
 		sc, _, err := listeners[0].Accept()

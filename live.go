@@ -863,18 +863,13 @@ func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o
 	if walkers <= 0 {
 		walkers = runtime.GOMAXPROCS(0)
 	}
-	plan := walk.ShardPlan{
-		Shards: hello.Shards, RangeSize: hello.RangeSize,
-		Epoch: hello.PlanEpoch, Overlay: hello.Overlay,
-		Replicas: hello.Replicas, DeadMask: hello.DeadMask,
-	}
 	kernel, kerr := walk.ParseKernelMode(hello.Kernel)
 	if kerr != nil {
 		// An unknown mode from a newer coordinator falls back to auto
 		// rather than tearing down the session.
 		kernel = walk.KernelAuto
 	}
-	st, err := walk.RunShardNode(eng, plan, shard, sc, walkers, hello.Cache, kernel)
+	st, err := walk.RunShardNode(eng, walk.PlanFromHello(hello), shard, sc, walkers, hello.Cache, kernel)
 	return ShardServeStats{
 		Steps: st.Steps, Transfers: st.Transfers, Local: st.Local,
 		Updates: st.Updates, Dropped: st.Dropped,
