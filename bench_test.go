@@ -7,6 +7,7 @@ package bingo
 // cmd/bingobench; see EXPERIMENTS.md for recorded results.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -167,22 +168,39 @@ func BenchmarkEngineSampleComparison(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepWalk80 measures bulk DeepWalk (L = 80) over core.Sampler
+// on a graph that does not fit in cache (LJ×0.03: 144k vertices, 2.06M
+// edges, about 270 MB of engine), from every fourth vertex. The auto arm
+// takes the staged frontier draw, the sparse arm steps the same frontier
+// slot by slot; both walk identical paths, so steps/s compares the two
+// directly.
 func BenchmarkDeepWalk80(b *testing.B) {
-	g := benchGraph(b, 20000, 200000)
+	ds, err := gen.DatasetByAbbr("LJ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := ds.Generate(0.03, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s, err := core.NewFromCSR(g, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	starts := make([]graph.VertexID, 1000)
-	for i := range starts {
-		starts[i] = graph.VertexID(i * 20)
+	starts := make([]graph.VertexID, 0, g.NumVertices()/4)
+	for v := 0; v < g.NumVertices(); v += 4 {
+		starts = append(starts, graph.VertexID(v))
 	}
-	cfg := walk.Config{Length: 80, Starts: starts, Seed: 5}
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		res := walk.DeepWalk(s, cfg)
-		steps += res.Steps
+	for _, workers := range []int{1, 2} {
+		for _, mode := range []walk.KernelMode{walk.KernelAuto, walk.KernelSparse} {
+			b.Run(fmt.Sprintf("workers=%d/kernel=%s", workers, mode), func(b *testing.B) {
+				cfg := walk.Config{Length: 80, Starts: starts, Seed: 5, Workers: workers, Kernel: mode}
+				var steps int64
+				for i := 0; i < b.N; i++ {
+					steps += walk.DeepWalk(s, cfg).Steps
+				}
+				b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+			})
+		}
 	}
-	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }

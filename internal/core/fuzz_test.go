@@ -84,5 +84,17 @@ func FuzzSamplerMutate(f *testing.F) {
 		if ii, ff := intS.NumEdges(), fltS.NumEdges(); ii != ff {
 			t.Fatalf("edge counts diverged: int %d, float %d", ii, ff)
 		}
+		// The staged frontier draw must still match per-slot Sample over
+		// every vertex, each twice, and the first ID past the vertex space.
+		cur := make([]graph.VertexID, 0, 2*(nV+1))
+		for u := 0; u <= nV; u++ {
+			cur = append(cur, graph.VertexID(u), graph.VertexID(nV-u))
+		}
+		if msg := sampleFrontierMismatch(intS, cur, uint64(len(tape))); msg != "" {
+			t.Fatalf("int frontier: %s", msg)
+		}
+		if msg := sampleFrontierMismatch(fltS, cur, uint64(len(tape))); msg != "" {
+			t.Fatalf("float frontier: %s", msg)
+		}
 	})
 }

@@ -658,6 +658,56 @@ func (s *Sampler) Sample(u graph.VertexID, r *xrand.RNG) (graph.VertexID, bool) 
 	return s.adjs.Dst(u, idx), true
 }
 
+// SampleFrontier draws next[i], ok[i] = Sample(cur[i], rs[i]) for every
+// slot i of a walker frontier, staged: instead of one slot's whole chain
+// of dependent loads at a time, it makes one pass per link across all
+// slots — vertex record and bucket pick, then group header and member
+// draw, then the adjacency destination — so the cache misses of
+// different slots overlap. next carries the picked group, then the
+// adjacency slot, between passes. Each slot consumes rs[i] exactly as
+// Sample would, so the draws are identical as long as no two slots share
+// a stream. rs, next and ok must be at least as long as cur.
+func (s *Sampler) SampleFrontier(cur []graph.VertexID, rs []*xrand.RNG, next []graph.VertexID, ok []bool) {
+	rs, next, ok = rs[:len(cur)], next[:len(cur)], ok[:len(cur)]
+	for i, u := range cur {
+		ok[i] = false
+		if int(u) >= len(s.vx) {
+			continue
+		}
+		vx := &s.vx[u]
+		if vx.dirty {
+			panic("core: Sample during unfinished batch update")
+		}
+		if len(vx.buckets) > 0 {
+			next[i] = graph.VertexID(vx.pick(rs[i]))
+			ok[i] = true
+		}
+	}
+	for i, u := range cur {
+		if !ok[i] {
+			continue
+		}
+		vx := &s.vx[u]
+		var idx int32
+		if gi := int(next[i]); gi < len(vx.groups) {
+			g := &vx.groups[gi]
+			var biasRow []uint64 // only rejection over a dense group reads it
+			if g.kind == KindDense {
+				biasRow = s.adjs.BiasRow(u)
+			}
+			idx = g.sample(rs[i], biasRow, s.cfg.RadixBits)
+		} else {
+			idx = vx.dec.sample(rs[i], s.adjs.RemRow(u))
+		}
+		next[i] = graph.VertexID(idx)
+	}
+	for i, u := range cur {
+		if ok[i] {
+			next[i] = s.adjs.Dst(u, int32(next[i]))
+		}
+	}
+}
+
 // SampleSlot is Sample returning the adjacency slot instead of the
 // destination, for engines that need the edge's attributes.
 func (s *Sampler) SampleSlot(u graph.VertexID, r *xrand.RNG) (int32, bool) {

@@ -21,6 +21,12 @@ const benchHubs = 32
 // re-concentrates on the hubs every hop and never dead-ends.
 func benchHubEngine(tb testing.TB, verts int) *concurrent.Engine {
 	tb.Helper()
+	return concurrent.Wrap(benchHubSampler(tb, verts), concurrent.Config{})
+}
+
+// benchHubSampler is benchHubEngine's graph as a bare core.Sampler.
+func benchHubSampler(tb testing.TB, verts int) *core.Sampler {
+	tb.Helper()
 	r := xrand.New(0xbe7c4)
 	edges := make([]graph.Edge, 0, verts*8)
 	for v := 0; v < verts; v++ {
@@ -40,7 +46,7 @@ func benchHubEngine(tb testing.TB, verts int) *concurrent.Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return concurrent.Wrap(s, concurrent.Config{})
+	return s
 }
 
 // benchFrontier seats a full hub-parked frontier with per-slot streams.
@@ -98,8 +104,9 @@ func BenchmarkKernelStep(b *testing.B) {
 }
 
 // kernelObsAddsPerRound is the metrics layer's budget on one stepping
-// round of kernelBatch steps: one round-latency observation (two atomic
-// adds: bucket and sum) plus the rounds and steps counters (one each).
+// round: one round-latency observation (two atomic adds: bucket and sum;
+// rounds of denseMinBatch slots or more only) plus the rounds and steps
+// counters (one each).
 const kernelObsAddsPerRound = 4
 
 // TestKernelObsOverheadBudget pins the metrics layer's cost on the
@@ -109,7 +116,10 @@ const kernelObsAddsPerRound = 4
 // nothing; with metrics on it records at most kernelObsAddsPerRound atomic
 // adds, counted from the registry — two per histogram observation, one per
 // round for each counter that moved — and only into the kernel's own
-// series, so an instrument added to the round shows up here.
+// series, so an instrument added to the round shows up here. A full
+// kernelBatch frontier and a one-slot frontier (a single-start DeepWalk's
+// shape, which must not read the clock: no latency observation) are both
+// checked, with the rounds and steps counters exact.
 func TestKernelObsOverheadBudget(t *testing.T) {
 	e := benchHubEngine(t, 2048)
 	defer obs.SetEnabled(true)
@@ -123,12 +133,13 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 	// measure runs the rounds and returns allocations and atomic adds per
 	// round, the registry deltas by series, and the series outside the
 	// kernel's own that moved.
-	measure := func(on bool) (allocs, adds float64, delta map[string]int64, foreign []string) {
+	measure := func(on bool, slots int) (allocs, adds float64, delta map[string]int64, foreign []string) {
 		obs.SetEnabled(on)
 		k := newStepKernel(e, KernelAuto, fabric.CacheSpec{})
 		f := getFrontier(kernelBatch)
 		defer putFrontier(f)
 		benchFrontier(f)
+		f.n = slots
 		for w := 0; w < 64; w++ {
 			stepAndAdvance(k, f)
 		}
@@ -164,35 +175,42 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 		return allocs, float64(total) / float64(calls), delta, foreign
 	}
 
-	// A series moved by a goroutine another test left behind is not the
-	// kernel's doing: retry a few times, a genuine regression fails all.
-	var fails []string
-	for attempt := 0; attempt < 3; attempt++ {
-		fails = fails[:0]
-		allocsOff, addsOff, _, foreignOff := measure(false)
-		allocsOn, addsOn, delta, foreignOn := measure(true)
-		if allocsOff != 0 || allocsOn != 0 {
-			fails = append(fails, fmt.Sprintf("allocs per round: %.2f metrics off, %.2f on, want 0", allocsOff, allocsOn))
+	for _, slots := range []int{kernelBatch, 1} {
+		observed := calls // round-latency observations
+		if slots < denseMinBatch {
+			observed = 0
 		}
-		if addsOff != 0 || len(foreignOff) > 0 {
-			fails = append(fails, fmt.Sprintf("metrics off recorded %.1f atomic adds per round (%v)", addsOff, foreignOff))
+		// A series moved by a goroutine another test left behind is not
+		// the kernel's doing: retry a few times, a genuine regression
+		// fails all.
+		var fails []string
+		for attempt := 0; attempt < 3; attempt++ {
+			fails = fails[:0]
+			allocsOff, addsOff, _, foreignOff := measure(false, slots)
+			allocsOn, addsOn, delta, foreignOn := measure(true, slots)
+			if allocsOff != 0 || allocsOn != 0 {
+				fails = append(fails, fmt.Sprintf("allocs per round: %.2f metrics off, %.2f on, want 0", allocsOff, allocsOn))
+			}
+			if addsOff != 0 || len(foreignOff) > 0 {
+				fails = append(fails, fmt.Sprintf("metrics off recorded %.1f atomic adds per round (%v)", addsOff, foreignOff))
+			}
+			if addsOn > kernelObsAddsPerRound || len(foreignOn) > 0 {
+				fails = append(fails, fmt.Sprintf("metrics on: %.1f atomic adds per round, budget %d; series outside the kernel's moved: %v",
+					addsOn, kernelObsAddsPerRound, foreignOn))
+			}
+			if delta["bingo_kernel_rounds_total"] != calls || delta["bingo_kernel_round_seconds"] != observed ||
+				delta["bingo_kernel_steps_total"] != calls*int64(slots) {
+				fails = append(fails, fmt.Sprintf("kernel series moved %v over %d rounds of %d steps", delta, calls, slots))
+			}
+			if len(fails) == 0 {
+				t.Logf("%d slots, attempt %d: 0 allocs per round; %.1f atomic adds per round on (budget %d), %.1f off",
+					slots, attempt, addsOn, kernelObsAddsPerRound, addsOff)
+				break
+			}
 		}
-		if addsOn > kernelObsAddsPerRound || len(foreignOn) > 0 {
-			fails = append(fails, fmt.Sprintf("metrics on: %.1f atomic adds per round, budget %d; series outside the kernel's moved: %v",
-				addsOn, kernelObsAddsPerRound, foreignOn))
+		for _, f := range fails {
+			t.Errorf("%d slots: %s", slots, f)
 		}
-		if delta["bingo_kernel_rounds_total"] != calls || delta["bingo_kernel_round_seconds"] != calls ||
-			delta["bingo_kernel_steps_total"] != calls*kernelBatch {
-			fails = append(fails, fmt.Sprintf("kernel series moved %v over %d rounds of %d steps", delta, calls, kernelBatch))
-		}
-		if len(fails) == 0 {
-			t.Logf("attempt %d: 0 allocs per round; %.1f atomic adds per round on (budget %d), %.1f off",
-				attempt, addsOn, kernelObsAddsPerRound, addsOff)
-			return
-		}
-	}
-	for _, f := range fails {
-		t.Error(f)
 	}
 }
 

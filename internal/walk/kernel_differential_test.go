@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/stats"
@@ -47,55 +48,72 @@ func kdAdvance(f *frontier) {
 
 // TestKernelModesLockstep steps sparse, dense, and auto kernels (caches
 // off) over one shared engine from identical frontier states, with update
-// batches landing between rounds, and requires bit-identical walks.
+// batches landing between rounds, and requires bit-identical walks. It
+// runs over concurrent.Engine, whose dense rounds batch per vertex, and
+// over a bare core.Sampler, whose dense and auto rounds take the staged
+// frontier draw.
 func TestKernelModesLockstep(t *testing.T) {
-	e := benchHubEngine(t, 2048)
-	modes := []KernelMode{KernelSparse, KernelDense, KernelAuto}
-	kernels := make([]*stepKernel, len(modes))
-	fronts := make([]*frontier, len(modes))
-	for m, mode := range modes {
-		kernels[m] = newStepKernel(e, mode, fabric.CacheSpec{Off: true})
-		f := getFrontier(kernelBatch)
-		defer putFrontier(f)
-		benchFrontier(f) // same seeds in every frontier
-		fronts[m] = f
-	}
+	for _, tc := range []struct {
+		name string
+		e    interface {
+			Engine
+			ApplyBatch([]graph.Update) (core.BatchResult, error)
+		}
+	}{
+		{"concurrent", benchHubEngine(t, 2048)},
+		{"core", benchHubSampler(t, 2048)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			modes := []KernelMode{KernelSparse, KernelDense, KernelAuto}
+			kernels := make([]*stepKernel, len(modes))
+			fronts := make([]*frontier, len(modes))
+			for m, mode := range modes {
+				kernels[m] = newStepKernel(e, mode, fabric.CacheSpec{Off: true})
+				f := getFrontier(kernelBatch)
+				defer putFrontier(f)
+				benchFrontier(f) // same seeds in every frontier
+				fronts[m] = f
+			}
 
-	upd := xrand.New(0x10c5)
-	for round := 0; round < 200; round++ {
-		if round%20 == 10 {
-			// Rewrite some hub rows mid-walk: both modes read the same
-			// post-batch state, so lockstep must survive mutation.
-			batch := make([]graph.Update, 0, 32)
-			for i := 0; i < 32; i++ {
-				batch = append(batch, graph.Update{
-					Op:   graph.OpInsert,
-					Src:  graph.VertexID(upd.Intn(benchHubs)),
-					Dst:  graph.VertexID(2048 + upd.Intn(64)),
-					Bias: uint64(1 + upd.Intn(1000)),
-				})
-			}
-			if _, err := e.ApplyBatch(batch); err != nil {
-				t.Fatalf("round %d: ApplyBatch: %v", round, err)
-			}
-		}
-		for m := range kernels {
-			kernels[m].stepBatch(fronts[m])
-		}
-		base := fronts[0]
-		for m := 1; m < len(kernels); m++ {
-			f := fronts[m]
-			for i := 0; i < kernelBatch; i++ {
-				// next is unspecified when ok is false (dead end).
-				if f.ok[i] != base.ok[i] || (f.ok[i] && f.next[i] != base.next[i]) {
-					t.Fatalf("round %d slot %d: %s drew (%d,%v), sparse drew (%d,%v) from %d",
-						round, i, modes[m], f.next[i], f.ok[i], base.next[i], base.ok[i], base.cur[i])
+			upd := xrand.New(0x10c5)
+			for round := 0; round < 200; round++ {
+				if round%20 == 10 {
+					// Rewrite some hub rows mid-walk: every mode reads the
+					// same post-batch state, so lockstep must survive
+					// mutation.
+					batch := make([]graph.Update, 0, 32)
+					for i := 0; i < 32; i++ {
+						batch = append(batch, graph.Update{
+							Op:   graph.OpInsert,
+							Src:  graph.VertexID(upd.Intn(benchHubs)),
+							Dst:  graph.VertexID(2048 + upd.Intn(64)),
+							Bias: uint64(1 + upd.Intn(1000)),
+						})
+					}
+					if _, err := e.ApplyBatch(batch); err != nil {
+						t.Fatalf("round %d: ApplyBatch: %v", round, err)
+					}
+				}
+				for m := range kernels {
+					kernels[m].stepBatch(fronts[m])
+				}
+				base := fronts[0]
+				for m := 1; m < len(kernels); m++ {
+					f := fronts[m]
+					for i := 0; i < kernelBatch; i++ {
+						// next is unspecified when ok is false (dead end).
+						if f.ok[i] != base.ok[i] || (f.ok[i] && f.next[i] != base.next[i]) {
+							t.Fatalf("round %d slot %d: %s drew (%d,%v), sparse drew (%d,%v) from %d",
+								round, i, modes[m], f.next[i], f.ok[i], base.next[i], base.ok[i], base.cur[i])
+						}
+					}
+				}
+				for m := range fronts {
+					kdAdvance(fronts[m])
 				}
 			}
-		}
-		for m := range fronts {
-			kdAdvance(fronts[m])
-		}
+		})
 	}
 }
 

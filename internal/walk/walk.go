@@ -1,9 +1,11 @@
 // Package walk implements the random-walk engine and the paper's four
 // application kernels (§6): biased DeepWalk, node2vec, personalized
-// PageRank (PPR), and simple sampling. Walks run step by step — each step
-// samples the next vertex from the underlying engine — and are parallelized
-// across walkers with one deterministic RNG stream per walker, the CPU
-// analogue of the paper's massively parallel GPU walkers.
+// PageRank (PPR), and simple sampling. Every walker draws from its own
+// deterministic RNG stream, and walkers are spread over workers. DeepWalk
+// keeps a frontier of up to 1024 walkers in flight per worker and
+// advances them one hop per round, so the memory stalls of different
+// walkers overlap — the CPU analogue of the paper's massively parallel GPU
+// walkers. The other kernels walk one walker at a time.
 //
 // The package is engine-agnostic: Bingo (internal/core) and all baselines
 // (internal/baseline) implement the same Engine/Dynamic interfaces, which
@@ -57,8 +59,8 @@ type Config struct {
 	// Starts are the start vertices; nil means every vertex (the paper
 	// initializes "the vertex count number of random walkers").
 	Starts []graph.VertexID
-	// Workers bounds parallelism (0 = GOMAXPROCS via the caller's
-	// runtime; we treat 0 as 1 worker per 4096 walkers capped at 16).
+	// Workers is the number of goroutines walkers are split over
+	// (<= 0 means 1).
 	Workers int
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -71,9 +73,10 @@ type Config struct {
 	// frequency queries; costs one atomic add per step).
 	CountVisits bool
 	// Kernel selects the stepping mode for kernels with a frontier
-	// implementation (currently DeepWalk): sparse per-walker stepping,
-	// dense per-vertex batch draws, or auto density switching (the zero
-	// value). Engines without batch draws always step sparse.
+	// implementation (currently DeepWalk): sparse slot-by-slot stepping,
+	// dense batch draws, or auto density switching (the zero value).
+	// Engines with neither per-vertex batch draws nor a staged frontier
+	// draw always step slot by slot.
 	Kernel KernelMode
 	// Cache optionally enables the frontier kernel's hub-view LRU with
 	// fabric.CacheSpec semantics (nil = no cache). It is nil by default
@@ -126,52 +129,52 @@ func startsOf(e Engine, cfg Config) []graph.VertexID {
 	return all
 }
 
-// runParallel fans walkers out over workers. Each walker gets stream
-// master.Split(walkerIndex), so results are independent of worker count.
+// runParallel runs one walk closure per walker, fanned out over workers.
+// Each walker gets stream master.Split(walkerIndex), so results are
+// independent of worker count.
 func runParallel(e Engine, cfg Config, walk func(start graph.VertexID, r *xrand.RNG, visits []int64) int64) Result {
 	cfg = cfg.withDefaults(e.NumVertices())
 	starts := startsOf(e, cfg)
-	var visits []int64
-	if cfg.CountVisits {
-		visits = make([]int64, e.NumVertices())
-	}
-	master := xrand.New(cfg.Seed)
-	res := Result{Walkers: len(starts), Visits: visits}
-
-	if cfg.Workers <= 1 || len(starts) < 2*cfg.Workers {
+	res, master := newRun(e, cfg, starts)
+	res.Steps = fanOut(len(starts), cfg.Workers, func(lo, hi int) int64 {
 		var steps int64
-		for i, s := range starts {
-			steps += walk(s, master.Split(uint64(i)), visits)
+		for i := lo; i < hi; i++ {
+			steps += walk(starts[i], master.Split(uint64(i)), res.Visits)
 		}
-		res.Steps = steps
-		return res
-	}
+		return steps
+	})
+	return res
+}
 
+// newRun returns the result shell of a run over starts (visit tally
+// allocated when counting) and the master stream walkers split from.
+func newRun(e Engine, cfg Config, starts []graph.VertexID) (Result, *xrand.RNG) {
+	res := Result{Walkers: len(starts)}
+	if cfg.CountVisits {
+		res.Visits = make([]int64, e.NumVertices())
+	}
+	return res, xrand.New(cfg.Seed)
+}
+
+// fanOut splits walkers [0, n) into one contiguous range per worker, runs
+// them concurrently, and returns the summed steps. Too few walkers to
+// share run inline.
+func fanOut(n, workers int, run func(lo, hi int) int64) int64 {
+	if workers <= 1 || n < 2*workers {
+		return run(0, n)
+	}
 	var wg sync.WaitGroup
 	var steps atomic.Int64
-	chunk := (len(starts) + cfg.Workers - 1) / cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		lo := w * chunk
-		if lo >= len(starts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(starts) {
-			hi = len(starts)
-		}
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var local int64
-			for i := lo; i < hi; i++ {
-				local += walk(starts[i], master.Split(uint64(i)), visits)
-			}
-			steps.Add(local)
-		}(lo, hi)
+			steps.Add(run(lo, hi))
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
-	res.Steps = steps.Load()
-	return res
+	return steps.Load()
 }
 
 func bump(visits []int64, v graph.VertexID) {
@@ -181,78 +184,29 @@ func bump(visits []int64, v graph.VertexID) {
 }
 
 // DeepWalk runs first-order biased random walks of fixed length from every
-// start (paper §2.2: "walkers stop when they reach the given path length").
-// Over engines with batch draws it runs on the frontier stepping kernel —
-// walkers advance in lockstep and co-located walkers draw in per-vertex
-// batches — unless Config.Kernel forces sparse. Per-walker RNG streams are
-// preserved in every mode, so results are bit-identical across modes as
-// long as no hub-view cache is configured.
+// start (paper §2.2: "walkers stop when they reach the given path length")
+// on the frontier stepping kernel. Each worker owns a contiguous walker
+// range and steps it as one frontier, refilling retired slots from the
+// range so the frontier stays full; walker i draws from stream
+// master.Split(i), so results are independent of the worker count.
+// Engines with batch draws step co-located walkers in per-vertex batches,
+// engines with a staged frontier draw (core.Sampler) step the whole
+// frontier one dependent load at a time, and everything else steps slot
+// by slot. Config.Kernel = KernelSparse forces slot-by-slot stepping.
+// Per-walker streams are consumed identically in every mode, so results
+// are bit-identical across modes as long as no hub-view cache is
+// configured.
 func DeepWalk(e Engine, cfg Config) Result {
 	cfg = cfg.withDefaults(e.NumVertices())
-	if cfg.Kernel != KernelSparse {
-		if _, ok := e.(BatchSampler); ok {
-			return deepWalkFrontier(e, cfg)
-		}
-	}
-	return runParallel(e, cfg, func(start graph.VertexID, r *xrand.RNG, visits []int64) int64 {
-		cur := start
-		bump(visits, cur)
-		var steps int64
-		for hop := 0; hop < cfg.Length; hop++ {
-			next, ok := e.Sample(cur, r)
-			if !ok {
-				break
-			}
-			steps++
-			cur = next
-			bump(visits, cur)
-		}
-		return steps
-	})
-}
-
-// deepWalkFrontier is DeepWalk on the frontier kernel. Each worker owns a
-// contiguous walker range and steps it as one frontier, refilling retired
-// slots from the range so the frontier stays dense; walker i draws from
-// stream master.Split(i) exactly as the sparse runner assigns them.
-func deepWalkFrontier(e Engine, cfg Config) Result {
 	starts := startsOf(e, cfg)
-	var visits []int64
-	if cfg.CountVisits {
-		visits = make([]int64, e.NumVertices())
-	}
-	master := xrand.New(cfg.Seed)
-	res := Result{Walkers: len(starts), Visits: visits}
+	res, master := newRun(e, cfg, starts)
 	spec := fabric.CacheSpec{Off: true}
 	if cfg.Cache != nil {
 		spec = *cfg.Cache
 	}
-
-	workers := cfg.Workers
-	if workers <= 1 || len(starts) < 2*workers {
-		res.Steps = deepWalkChunk(e, cfg, spec, starts, 0, len(starts), master, visits)
-		return res
-	}
-	var wg sync.WaitGroup
-	var steps atomic.Int64
-	chunk := (len(starts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(starts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(starts) {
-			hi = len(starts)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			steps.Add(deepWalkChunk(e, cfg, spec, starts, lo, hi, master, visits))
-		}(lo, hi)
-	}
-	wg.Wait()
-	res.Steps = steps.Load()
+	res.Steps = fanOut(len(starts), cfg.Workers, func(lo, hi int) int64 {
+		return deepWalkChunk(e, cfg, spec, starts, lo, hi, master, res.Visits)
+	})
 	return res
 }
 
@@ -420,9 +374,9 @@ func SimpleSampling(e Engine, cfg Config) Result {
 // DeepWalkPaths runs DeepWalk and streams every completed path to emit.
 // The slice passed to emit is reused between calls; copy it to retain.
 // Paths are what DeepWalk feeds to SkipGram training (paper §2.2: "the
-// paths are treated as sentences"). Emission is sequential even when
-// sampling is parallel would complicate ordering guarantees, so this
-// kernel runs single-threaded; use DeepWalk for throughput measurements.
+// paths are treated as sentences"). Paths are emitted in start order, one
+// walker at a time on the calling goroutine, so Config.Workers is ignored;
+// use DeepWalk for throughput measurements.
 func DeepWalkPaths(e Engine, cfg Config, emit func(path []graph.VertexID)) Result {
 	cfg = cfg.withDefaults(e.NumVertices())
 	starts := startsOf(e, cfg)

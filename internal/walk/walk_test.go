@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"github.com/bingo-rw/bingo/internal/baseline"
+	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/gen"
 	"github.com/bingo-rw/bingo/internal/graph"
+	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // buildEngine makes a Bingo engine over a small random graph.
@@ -84,6 +87,90 @@ func TestDeepWalkDeterministicAcrossWorkers(t *testing.T) {
 	for v := range r1.Visits {
 		if r1.Visits[v] != r4.Visits[v] {
 			t.Fatalf("visits[%d] %d vs %d", v, r1.Visits[v], r4.Visits[v])
+		}
+	}
+}
+
+// serialDeepWalk is the reference DeepWalk: walker i on stream
+// master.Split(i), one Sample per hop, one walker at a time.
+func serialDeepWalk(e Engine, starts []graph.VertexID, length int, seed uint64) (int64, []int64) {
+	master := xrand.New(seed)
+	visits := make([]int64, e.NumVertices())
+	var steps int64
+	for i, cur := range starts {
+		r := master.Split(uint64(i))
+		visits[cur]++
+		for hop := 0; hop < length; hop++ {
+			next, ok := e.Sample(cur, r)
+			if !ok {
+				break
+			}
+			steps++
+			cur = next
+			visits[cur]++
+		}
+	}
+	return steps, visits
+}
+
+// TestDeepWalkMatchesSerialReference requires DeepWalk's Steps and Visits
+// to equal the serial reference on every engine kind — core.Sampler
+// (staged frontier draw, integer and float), a baseline (slot by slot),
+// concurrent.Engine (per-vertex batches) — at 1, 2 and 4 workers and in
+// auto and sparse mode. The start set repeats vertices and exceeds a
+// frontier per worker, so slots retire at dead ends and refill.
+func TestDeepWalkMatchesSerialReference(t *testing.T) {
+	const n = 1500
+	edges := gen.RMAT(n, 12000, gen.DefaultRMAT, 11)
+	gen.AssignBiases(edges, n, gen.BiasConfig{Kind: gen.BiasPowerLaw, Max: 4096, Float: true, Seed: 3})
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intS, err := core.NewFromCSR(g, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := core.DefaultConfig()
+	fcfg.FloatBias = true
+	fltS, err := core.NewFromCSR(g, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := core.NewFromCSR(g, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := make([]graph.VertexID, 0, 3*n)
+	for i := 0; i < 3*n; i++ {
+		starts = append(starts, graph.VertexID(i*7%n))
+	}
+	for _, tc := range []struct {
+		name string
+		e    Engine
+	}{
+		{"core-int", intS},
+		{"core-float", fltS},
+		{"RebuildITS", baseline.NewRebuildITS(g)},
+		{"concurrent", concurrent.Wrap(wrapped, concurrent.Config{})},
+	} {
+		wantSteps, wantVisits := serialDeepWalk(tc.e, starts, 40, 17)
+		for _, workers := range []int{1, 2, 4} {
+			for _, mode := range []KernelMode{KernelAuto, KernelSparse} {
+				res := DeepWalk(tc.e, Config{Length: 40, Starts: starts, Seed: 17, Workers: workers, Kernel: mode, CountVisits: true})
+				if res.Steps != wantSteps {
+					t.Fatalf("%s workers=%d %s: %d steps, reference %d", tc.name, workers, mode, res.Steps, wantSteps)
+				}
+				for v := range wantVisits {
+					if res.Visits[v] != wantVisits[v] {
+						t.Fatalf("%s workers=%d %s: visits[%d] = %d, reference %d",
+							tc.name, workers, mode, v, res.Visits[v], wantVisits[v])
+					}
+				}
+			}
+		}
+		if wantSteps >= int64(len(starts))*40 {
+			t.Fatalf("%s: no walk dead-ended", tc.name)
 		}
 	}
 }
