@@ -170,10 +170,10 @@ func BenchmarkEngineSampleComparison(b *testing.B) {
 
 // BenchmarkDeepWalk80 measures bulk DeepWalk (L = 80) over core.Sampler
 // on a graph that does not fit in cache (LJ×0.03: 144k vertices, 2.06M
-// edges, about 270 MB of engine), from every fourth vertex. The auto arm
-// takes the staged frontier draw, the sparse arm steps the same frontier
-// slot by slot; both walk identical paths, so steps/s compares the two
-// directly.
+// edges, about 270 MB of engine), from every fourth vertex. The kernel
+// arm takes the staged frontier draw; the per-slot arm hides the
+// sampler's optional capabilities, so the same frontier steps slot by
+// slot. Both walk identical paths, so steps/s compares the two directly.
 func BenchmarkDeepWalk80(b *testing.B) {
 	ds, err := gen.DatasetByAbbr("LJ")
 	if err != nil {
@@ -192,12 +192,15 @@ func BenchmarkDeepWalk80(b *testing.B) {
 		starts = append(starts, graph.VertexID(v))
 	}
 	for _, workers := range []int{1, 2} {
-		for _, mode := range []walk.KernelMode{walk.KernelAuto, walk.KernelSparse} {
-			b.Run(fmt.Sprintf("workers=%d/kernel=%s", workers, mode), func(b *testing.B) {
-				cfg := walk.Config{Length: 80, Starts: starts, Seed: 5, Workers: workers, Kernel: mode}
+		for _, arm := range []struct {
+			name string
+			e    walk.Engine
+		}{{"kernel", s}, {"perslot", struct{ walk.Engine }{s}}} {
+			b.Run(fmt.Sprintf("workers=%d/%s", workers, arm.name), func(b *testing.B) {
+				cfg := walk.Config{Length: 80, Starts: starts, Seed: 5, Workers: workers}
 				var steps int64
 				for i := 0; i < b.N; i++ {
-					steps += walk.DeepWalk(s, cfg).Steps
+					steps += walk.DeepWalk(arm.e, cfg).Steps
 				}
 				b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 			})

@@ -95,7 +95,6 @@ func main() {
 		rebMoves  = flag.Int("rebalance-max-moves", 0, "block migrations per heat check (0 = default 4)")
 		replicas  = flag.Int("replicas", 1, "block ownership replication factor in the sharded serving modes (R consecutive shards hold each block; survives shard deaths by replica promotion; mutually exclusive with -rebalance)")
 		creditWin = flag.Int("credit-window", 0, "per-shard ingest credit window: max routed-but-unapplied update events before Feed blocks (0 = default 16384, negative disables)")
-		kernelF   = flag.String("kernel", "auto", "stepping-kernel mode in the serving modes: sparse|dense|auto")
 		corpusF   = flag.Bool("corpus", false, "serve -live queries from a standing walk corpus with incremental suffix resampling")
 		corpusK   = flag.Int("corpus-walks", 0, "standing walks maintained per vertex in -corpus mode (0 = default 2)")
 		corpusSB  = flag.Int("corpus-stale", 0, "staleness bound in -corpus mode: max feed events a corpus answer may trail by before falling back to a fresh walk (0 = default 4096, negative disables the fallback)")
@@ -120,11 +119,6 @@ func main() {
 		fmt.Printf("debug: serving /metrics, /statusz, /eventz, /debug/pprof on http://%s/\n", dbg.Addr())
 	}
 
-	kernel, err := walk.ParseKernelMode(*kernelF)
-	if err != nil {
-		fail(err)
-	}
-
 	hubCache := bingo.HubCacheOptions{Off: *cacheOff, MinDegree: *hubDeg}
 	rebOpts := rebalance.Options{On: *reb, Interval: *rebEvery, Imbalance: *rebImbal, MaxMovesPerCycle: *rebMoves}
 	if *shardSrv {
@@ -144,7 +138,7 @@ func main() {
 	}
 	if *live {
 		co := corpusOpts{on: *corpusF, walks: *corpusK, stale: *corpusSB, stats: *statsF}
-		if err := runLive(*graphPath, *dataset, *scale, *seed, *length, *liveUps, *liveQ, *liveBatch, *workers, *shards, *connect, *replicas, *creditWin, kernel, hubCache, rebOpts, co); err != nil {
+		if err := runLive(*graphPath, *dataset, *scale, *seed, *length, *liveUps, *liveQ, *liveBatch, *workers, *shards, *connect, *replicas, *creditWin, hubCache, rebOpts, co); err != nil {
 			fail(err)
 		}
 		return
@@ -444,7 +438,7 @@ func printCorpus(c *walk.CorpusService, d time.Duration, withStats bool) {
 // the graph is 1-D partitioned across N engines and walks cross shard
 // boundaries by walker transfer (supplement §9.1); with -connect the
 // shards are separate daemon processes behind the TCP fabric.
-func runLive(graphPath, dataset string, scale float64, seed uint64, length, updates, queries, batchSize, workers, shards int, connect string, replicas, creditWin int, kernel walk.KernelMode, hubCache bingo.HubCacheOptions, rebOpts rebalance.Options, co corpusOpts) error {
+func runLive(graphPath, dataset string, scale float64, seed uint64, length, updates, queries, batchSize, workers, shards int, connect string, replicas, creditWin int, hubCache bingo.HubCacheOptions, rebOpts rebalance.Options, co corpusOpts) error {
 	g, err := loadGraph(graphPath, dataset, scale, seed)
 	if err != nil {
 		return err
@@ -473,7 +467,6 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		StalenessBound: int64(co.stale),
 		CreditWindow:   creditWin,
 		Cache:          cacheSpec,
-		Kernel:         kernel,
 	}
 	var svc liveServer
 	var single *concurrent.Engine
@@ -482,7 +475,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	var shardEngines []*concurrent.Engine // in-process shards only
 	scfg := walk.ShardedLiveConfig{
 		WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: cacheSpec,
-		Rebalance: rebOpts, CreditWindow: creditWin, Kernel: kernel,
+		Rebalance: rebOpts, CreditWindow: creditWin,
 	}
 	if connect != "" {
 		addrs := strings.Split(connect, ",")
@@ -495,7 +488,6 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 			NumVertices: w.Initial.NumVertices(),
 			Cache:       cacheSpec,
 			Replicas:    plan.Replicas,
-			Kernel:      kernel.String(),
 		}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
 		if err != nil {
 			return err
@@ -542,7 +534,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 			}
 			svc = corpus
 		} else {
-			svc = walk.NewLiveService(single, walk.LiveConfig{Walkers: workers, WalkLength: length, Seed: seed, Cache: cacheSpec, Kernel: kernel})
+			svc = walk.NewLiveService(single, walk.LiveConfig{Walkers: workers, WalkLength: length, Seed: seed, Cache: cacheSpec})
 		}
 		fmt.Printf("live: %d pool walkers, %d lock stripes, feeding %d updates in batches of %d\n",
 			workers, single.Stripes(), len(w.Updates), batchSize)

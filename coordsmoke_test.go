@@ -43,6 +43,7 @@ func TestCoordScaleRealProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns shard-daemon processes and attaches read-coordinators over TCP")
 	}
+	t.Parallel()
 	bin := buildDaemonBinary(t)
 	addrs := make([]string, csShards)
 	waits := make([]func(), csShards)

@@ -48,9 +48,6 @@ type CorpusOptions struct {
 	// HubCache tunes the hub-view caches of the backend (sharded) or the
 	// regrow kernel (unsharded).
 	HubCache HubCacheOptions
-	// Kernel selects the stepping-kernel mode: "sparse", "dense", or ""
-	// (the corpus default — dense; a regrow batch is a bulk frontier).
-	Kernel string
 	// Concurrency tunes the per-shard concurrency wrappers (zero value =
 	// defaults).
 	Concurrency ConcurrentConfig
@@ -105,10 +102,6 @@ type CorpusWalker struct {
 // loop. The original Engine remains usable but further mutations to it
 // are not reflected — feed them through the returned walker.
 func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error) {
-	kernel, err := walk.ParseKernelMode(o.Kernel)
-	if err != nil {
-		return nil, err
-	}
 	cfg := walk.CorpusConfig{
 		WalksPerVertex:  o.Walks,
 		WalkLength:      o.WalkLength,
@@ -118,7 +111,6 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		RefreshWorkers:  o.RefreshWorkers,
 		CreditWindow:    o.CreditWindow,
 		Cache:           o.HubCache.spec(),
-		Kernel:          kernel,
 	}
 	floatMode := e.s.Config().FloatBias
 	g := e.s.Snapshot()
@@ -138,7 +130,6 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
 		Cache:           o.HubCache.spec(),
-		Kernel:          kernel,
 	})
 	if err != nil {
 		return nil, err

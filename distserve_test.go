@@ -41,16 +41,44 @@ const (
 	dsSamples = 120000 // ≥ 1e5 chi-square draws through ServeRemote
 )
 
-// buildDaemonBinary compiles cmd/bingowalk once into a temp dir.
+// daemonBin is the bingowalk binary the process-spawning tests share. It
+// lives in a package-level temp dir (a test's TempDir dies with that
+// test) that TestMain removes after the run.
+var daemonBin struct {
+	once      sync.Once
+	dir, path string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if daemonBin.dir != "" {
+		os.RemoveAll(daemonBin.dir)
+	}
+	os.Exit(code)
+}
+
+// buildDaemonBinary compiles cmd/bingowalk once per test process; every
+// caller gets the same binary, or the same build error.
 func buildDaemonBinary(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "bingowalk")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/bingowalk")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("building bingowalk: %v\n%s", err, out)
+	daemonBin.once.Do(func() {
+		dir, err := os.MkdirTemp("", "bingowalk-test-")
+		if err != nil {
+			daemonBin.err = err
+			return
+		}
+		daemonBin.dir = dir
+		daemonBin.path = filepath.Join(dir, "bingowalk")
+		out, err := exec.Command("go", "build", "-o", daemonBin.path, "./cmd/bingowalk").CombinedOutput()
+		if err != nil {
+			daemonBin.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if daemonBin.err != nil {
+		t.Fatalf("building bingowalk: %v", daemonBin.err)
 	}
-	return bin
+	return daemonBin.path
 }
 
 // spawnShardDaemon starts one `bingowalk -shard-serve` process on a
@@ -191,6 +219,7 @@ func TestDistServeLoopbackDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns shard-daemon processes and draws 120k samples over TCP")
 	}
+	t.Parallel()
 	bin := buildDaemonBinary(t)
 	addrs := make([]string, dsShards)
 	waits := make([]func(), dsShards)

@@ -92,6 +92,7 @@ func TestFaultKillDaemonMidTape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and SIGKILLs shard-daemon processes, draws 120k samples over TCP")
 	}
+	t.Parallel()
 	bin := buildDaemonBinary(t)
 	addrs := make([]string, ftShards)
 	daemons := make([]*shardDaemon, ftShards)

@@ -122,7 +122,7 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 		crew = 1
 	}
 	cache := fabric.CacheSpec{}
-	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache, Kernel: walk.KernelAuto}
+	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache}
 	svc, err := newShardedService(o, g, transport, cache, corpusShards, crew, cfg)
 	if err != nil {
 		return CorpusSeries{}, err

@@ -76,8 +76,7 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 					sc.Close()
 					return
 				}
-				kern, _ := walk.ParseKernelMode(hello.Kernel)
-				walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, crew, hello.Cache, kern)
+				walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, crew, hello.Cache)
 			}(i)
 		}
 		port, err := tcpgob.Dial(addrs, fabric.Hello{
@@ -85,7 +84,6 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 			NumVertices: g.NumVertices(),
 			FloatBias:   o.bingoConfig().FloatBias,
 			Cache:       cache,
-			Kernel:      cfg.Kernel.String(),
 		})
 		if err != nil {
 			return nil, err

@@ -679,11 +679,6 @@ type Hello struct {
 	// Cache configures the daemons' hub caches (zero value = defaults,
 	// cache on).
 	Cache CacheSpec
-	// Kernel selects the daemons' stepping-kernel mode: "sparse"
-	// (per-walker), "dense" (per-vertex frontier batches), or "auto"
-	// (density-based switching). Empty means auto; the walk layer parses
-	// it (string on the wire keeps the fabric free of walk enums).
-	Kernel string
 	// Replicas is the block replication factor (0 or 1 = no replication):
 	// each ownership block is held by Replicas consecutive shards and
 	// survives Replicas-1 deaths.

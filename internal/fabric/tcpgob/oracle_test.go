@@ -163,10 +163,10 @@ func oracleFrames() []oracleCase {
 		{"hello_coord", frame{kind: kHelloCoord, hello: &fabric.Hello{
 			Role: fabric.RoleRead, Shards: 4, Shard: 2, RangeSize: 1009, PlanEpoch: 3, Overlay: overlay,
 			NumVertices: 4_000_000_001, FloatBias: true,
-			Peers:   []string{"127.0.0.1:1", "127.0.0.1:2", "", "[::1]:4"},
-			Session: 0xDEADBEEFCAFE,
-			Cache:   fabric.CacheSpec{Off: true, Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
-			Kernel:  "dense", Replicas: 2, DeadMask: 1 << 63,
+			Peers:    []string{"127.0.0.1:1", "127.0.0.1:2", "", "[::1]:4"},
+			Session:  0xDEADBEEFCAFE,
+			Cache:    fabric.CacheSpec{Off: true, Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
+			Replicas: 2, DeadMask: 1 << 63,
 		}}},
 		{"hello_coord_zero", frame{kind: kHelloCoord, hello: &fabric.Hello{}}},
 		{"hello_peer", frame{kind: kHelloPeer, from: 3, session: 0xFFFF_FFFF_FFFF_FFFF}},
@@ -334,7 +334,7 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{fabric.MigrateDone{}, 6},
 		{fabric.Credit{}, 2},
 		{fabric.Broadcast{}, 9},
-		{fabric.Hello{}, 14},
+		{fabric.Hello{}, 13},
 		{fabric.CacheSpec{}, 5},
 		{graph.Update{}, 5},
 		{graph.Edge{}, 4},

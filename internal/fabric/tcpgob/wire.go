@@ -41,7 +41,7 @@ import (
 // first payload byte and a daemon refuses any other value: the layout has
 // no self-description, so two builds that disagree on it must not talk.
 // Bump it on every change to any message layout.
-const wireVersion = 1
+const wireVersion = 2
 
 var le = binary.LittleEndian
 
@@ -1077,7 +1077,6 @@ func appendHello(b []byte, h *fabric.Hello) []byte {
 	b = appendInt(b, h.Cache.MinDegree)
 	b = appendInt(b, h.Cache.RemoteSize)
 	b = appendInt(b, h.Cache.RequestAfter)
-	b = appendString(b, h.Kernel)
 	b = appendInt(b, h.Replicas)
 	return le.AppendUint64(b, h.DeadMask)
 }
@@ -1099,7 +1098,6 @@ func (c *cursor) hello(h *fabric.Hello) {
 	h.Session = c.u64()
 	h.Cache.Size, h.Cache.MinDegree = c.int(), c.int()
 	h.Cache.RemoteSize, h.Cache.RequestAfter = c.int(), c.int()
-	h.Kernel = c.str()
 	h.Replicas = c.int()
 	h.DeadMask = c.u64()
 }

@@ -36,7 +36,7 @@ func TestCreditWindowBoundsSlowShard(t *testing.T) {
 	nodeDone := make(chan struct{})
 	go func() {
 		defer close(nodeDone)
-		walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), plan, 0, fab.ShardPort(0), 1, fabric.CacheSpec{}, walk.KernelAuto)
+		walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), plan, 0, fab.ShardPort(0), 1, fabric.CacheSpec{})
 	}()
 	svc, err := walk.NewShardedLiveServiceOver(fab.CoordPort(), nil, plan, verts, walk.ShardedLiveConfig{
 		WalkLength:   4,

@@ -44,7 +44,7 @@ var (
 //   - A refresh loop drains the touch map: resolve touches through the
 //     index to each dirty walk's *earliest* stale position, truncate
 //     there, and regrow every suffix together — one bulk frontier
-//     through the dense stepping kernel (unsharded), or a fan-out of
+//     through the stepping kernel (unsharded), or a fan-out of
 //     walker queries through the sharded runtime, whose crews batch
 //     frontiers themselves.
 //   - Queries carry a bounded-staleness guarantee: the corpus watermark
@@ -91,11 +91,6 @@ type CorpusConfig struct {
 	// Cache configures the unsharded regrow kernel's hub-view cache
 	// (fabric semantics: zero value = on with defaults, Off disables).
 	Cache fabric.CacheSpec
-	// Kernel selects the unsharded regrow kernel's stepping mode. The
-	// zero value selects *dense* — a regrow batch is a bulk frontier,
-	// exactly what dense stepping amortizes — not auto; set sparse only
-	// for differential baselines.
-	Kernel KernelMode
 }
 
 func (c CorpusConfig) withDefaults() CorpusConfig {
@@ -116,9 +111,6 @@ func (c CorpusConfig) withDefaults() CorpusConfig {
 	}
 	if c.CreditWindow == 0 {
 		c.CreditWindow = DefaultCreditWindow
-	}
-	if c.Kernel == KernelAuto {
-		c.Kernel = KernelDense
 	}
 	return c
 }
@@ -181,7 +173,7 @@ type CorpusService struct {
 	numV int
 
 	// Exactly one backend is set: local+kern for the unsharded service
-	// (the corpus owns ingestion and regrows on its own dense frontier),
+	// (the corpus owns ingestion and regrows on its own frontier),
 	// svc for the sharded one (feed, regrow queries, and the
 	// applied-stamp evidence all go through the sharded runtime).
 	local LiveEngine
@@ -241,7 +233,7 @@ func NewCorpusService(e LiveEngine, cfg CorpusConfig) (*CorpusService, error) {
 		return nil, err
 	}
 	c.local = e
-	c.kern = newStepKernel(e, c.cfg.Kernel, c.cfg.Cache)
+	c.kern = newStepKernel(e, c.cfg.Cache)
 	if err := c.build(); err != nil {
 		return nil, err
 	}
@@ -459,7 +451,7 @@ func (c *CorpusService) freshWalk(start graph.VertexID, length int) ([]graph.Ver
 		return c.svc.Query(start, length)
 	}
 	r := xrand.New(c.cfg.Seed).Split(^c.qseq.Add(1))
-	return walkPath(c.local, start, length, r, nil), nil
+	return walkPath(c.local.Sample, start, length, r, nil), nil
 }
 
 // Sync forces a refresh cycle — drain the touch queue, barrier the
@@ -624,7 +616,7 @@ func (c *CorpusService) resampleTouched(t map[graph.VertexID]int64) error {
 	return err
 }
 
-// regrow samples every job's suffix: through the dense frontier kernel
+// regrow samples every job's suffix: through the frontier kernel
 // on the local engine, or as concurrent walker queries through the
 // sharded backend (whose shard crews batch frontiers themselves). A
 // failed sharded query leaves its suffix empty — the walk stays
@@ -670,7 +662,7 @@ func (c *CorpusService) regrow(jobs []corpusJob) ([][]graph.VertexID, error) {
 }
 
 // regrowLocal drives all suffixes as one batched frontier through the
-// stepping kernel (dense by default): refill free slots from the job
+// stepping kernel: refill free slots from the job
 // list, step the whole frontier one hop, append the drawn hops to their
 // suffixes, and swap-compact retired walks — the deepWalkChunk loop
 // shape, with suffix buffers as the per-slot payload.

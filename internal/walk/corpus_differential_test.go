@@ -46,6 +46,7 @@ func TestCorpusDifferentialInproc(t *testing.T) { testCorpusDifferential(t, "inp
 func TestCorpusDifferentialTCP(t *testing.T)    { testCorpusDifferential(t, "tcpgob") }
 
 func testCorpusDifferential(t *testing.T, transport string) {
+	t.Parallel()
 	build, churn := buildHubTape(0xBE7A, cdChurn)
 	tape := append(append([]graph.Update(nil), build...), churn...)
 	hubs := hcHubIDs()

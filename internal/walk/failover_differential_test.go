@@ -46,7 +46,7 @@ func runChaosNode(t *testing.T, plan walk.ShardPlan, shard int, port fabric.Shar
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := walk.RunShardNode(e, plan, shard, port, 2, fabric.CacheSpec{}, walk.KernelAuto); err != nil {
+		if _, err := walk.RunShardNode(e, plan, shard, port, 2, fabric.CacheSpec{}); err != nil {
 			t.Logf("shard %d node exited: %v", shard, err)
 		}
 	}()

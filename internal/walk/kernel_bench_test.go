@@ -16,7 +16,7 @@ import (
 // frontier parks kernelBatch/benchHubs walkers per hub every round.
 const benchHubs = 32
 
-// benchHubEngine builds the hub-dominated engine the dense mode targets:
+// benchHubEngine builds the hub-dominated engine batched draws target:
 // every vertex has eight out-edges, seven into the hub set, so a frontier
 // re-concentrates on the hubs every hop and never dead-ends.
 func benchHubEngine(tb testing.TB, verts int) *concurrent.Engine {
@@ -72,33 +72,49 @@ func stepAndAdvance(k *stepKernel, f *frontier) {
 	}
 }
 
+// kernelArm is one stepping setup the kernel benchmarks and budgets
+// compare: the kernel over the engine with hub caches off or on, and the
+// per-slot reference — the same engine with its optional capabilities
+// hidden, so every round steps slot by slot.
+type kernelArm struct {
+	name  string
+	e     Engine
+	cache fabric.CacheSpec
+}
+
+func kernelArms(e Engine) []kernelArm {
+	return []kernelArm{
+		{"kernel/cache=off", e, fabric.CacheSpec{Off: true}},
+		{"kernel/cache=on", e, fabric.CacheSpec{}},
+		{"perslot", struct{ Engine }{e}, fabric.CacheSpec{Off: true}},
+	}
+}
+
 // BenchmarkKernelStep measures the steady-state cost of one frontier
-// round (kernelBatch steps) per kernel mode × cache setting on the
-// hub-concentrated frontier. allocs/op is the satellite budget the alloc
-// test pins: steady-state stepping must not allocate.
+// round (kernelBatch steps) per kernel arm on the hub-concentrated
+// frontier. allocs/op is the budget the alloc test pins: steady-state
+// stepping must not allocate.
 func BenchmarkKernelStep(b *testing.B) {
 	e := benchHubEngine(b, 4096)
 	defer obs.SetEnabled(true)
-	for _, mode := range []KernelMode{KernelSparse, KernelDense, KernelAuto} {
-		for _, cache := range []string{"off", "on"} {
-			for _, obsS := range []string{"on", "off"} {
-				b.Run(fmt.Sprintf("mode=%s/cache=%s/obs=%s", mode, cache, obsS), func(b *testing.B) {
-					obs.SetEnabled(obsS == "on")
-					k := newStepKernel(e, mode, fabric.CacheSpec{Off: cache == "off"})
-					f := getFrontier(kernelBatch)
-					defer putFrontier(f)
-					benchFrontier(f)
-					for w := 0; w < 64; w++ {
-						stepAndAdvance(k, f)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						stepAndAdvance(k, f)
-					}
-					b.ReportMetric(float64(b.N)*kernelBatch/b.Elapsed().Seconds(), "steps/s")
-				})
-			}
+	for _, arm := range kernelArms(e) {
+		for _, obsS := range []string{"on", "off"} {
+			b.Run(fmt.Sprintf("%s/obs=%s", arm.name, obsS), func(b *testing.B) {
+				obs.SetEnabled(obsS == "on")
+				k := newStepKernel(arm.e, arm.cache)
+				f := getFrontier(kernelBatch)
+				defer putFrontier(f)
+				benchFrontier(f)
+				for w := 0; w < 64; w++ {
+					stepAndAdvance(k, f)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					stepAndAdvance(k, f)
+				}
+				b.ReportMetric(float64(b.N)*kernelBatch/b.Elapsed().Seconds(), "steps/s")
+			})
 		}
 	}
 }
@@ -135,7 +151,7 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 	// kernel's own that moved.
 	measure := func(on bool, slots int) (allocs, adds float64, delta map[string]int64, foreign []string) {
 		obs.SetEnabled(on)
-		k := newStepKernel(e, KernelAuto, fabric.CacheSpec{})
+		k := newStepKernel(e, fabric.CacheSpec{})
 		f := getFrontier(kernelBatch)
 		defer putFrontier(f)
 		benchFrontier(f)
@@ -216,8 +232,8 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 
 // TestKernelStepAllocBudget pins the satellite's allocs-per-step budget:
 // after warmup (caches filled, scratch grown), a stepping round over the
-// resident hot set allocates nothing in any mode — the budget of 0.5
-// allocs per 256-step round tolerates only stray background noise, not
+// resident hot set allocates nothing on any arm — the budget of 0.5
+// allocs per round tolerates only stray background noise, not
 // per-step or per-run allocation regressions. The frontier re-parks on
 // the hubs each round: a wandering frontier pays amortized O(degree)
 // view extraction when it lands on cold hub-sized vertices, which is
@@ -225,25 +241,22 @@ func TestKernelObsOverheadBudget(t *testing.T) {
 func TestKernelStepAllocBudget(t *testing.T) {
 	obs.SetEnabled(true) // the budget must hold with the metrics layer recording
 	e := benchHubEngine(t, 2048)
-	for _, mode := range []KernelMode{KernelSparse, KernelDense, KernelAuto} {
-		for _, off := range []bool{true, false} {
-			k := newStepKernel(e, mode, fabric.CacheSpec{Off: off})
-			f := getFrontier(kernelBatch)
-			benchFrontier(f)
-			for w := 0; w < 64; w++ {
-				stepAndAdvance(k, f)
-			}
-			avg := testing.AllocsPerRun(200, func() {
-				for i := 0; i < f.n; i++ {
-					f.cur[i] = graph.VertexID(i % benchHubs)
-				}
-				k.stepBatch(f)
-			})
-			if avg > 0.5 {
-				t.Errorf("mode=%s cache-off=%v: %.2f allocs per %d-step round, want 0",
-					mode, off, avg, kernelBatch)
-			}
-			putFrontier(f)
+	for _, arm := range kernelArms(e) {
+		k := newStepKernel(arm.e, arm.cache)
+		f := getFrontier(kernelBatch)
+		benchFrontier(f)
+		for w := 0; w < 64; w++ {
+			stepAndAdvance(k, f)
 		}
+		avg := testing.AllocsPerRun(200, func() {
+			for i := 0; i < f.n; i++ {
+				f.cur[i] = graph.VertexID(i % benchHubs)
+			}
+			k.stepBatch(f)
+		})
+		if avg > 0.5 {
+			t.Errorf("%s: %.2f allocs per %d-step round, want 0", arm.name, avg, kernelBatch)
+		}
+		putFrontier(f)
 	}
 }

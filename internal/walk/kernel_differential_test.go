@@ -4,12 +4,13 @@ package walk
 // harnesses (sharded, hub-churn, rebalance, failover):
 //
 //  1. Lockstep: with hub caches off, every draw goes through the engine
-//     lock and consumes its slot's stream exactly as a per-walker locked
-//     sample would, so sparse, dense, and auto stepping must produce
-//     *identical* walks — edge for edge, across interleaved update
-//     batches. This is the "sparse draw-for-draw identical" contract.
+//     and consumes its slot's stream exactly as a per-walker locked
+//     sample would, so the kernel must produce *identical* walks to the
+//     per-slot reference (the same engine with its optional capabilities
+//     hidden) — edge for edge, across interleaved update batches, on
+//     every draw path the kernel picks.
 //
-//  2. Distribution: with hub caches on, dense runs draw from
+//  2. Distribution: with hub caches on, batched runs draw from
 //     epoch-validated views outside the lock, consuming streams
 //     differently — the contract weakens to distributional exactness,
 //     and a ≥120k-draw chi-square against the view's own exact
@@ -25,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
@@ -35,7 +37,7 @@ import (
 const kdSamples = 120000 // ≥ 1.2e5 chi-square draws
 
 // kdAdvance moves the frontier to its drawn next hops, re-parking
-// dead-ended slots on their home hub (deterministic, mode-independent).
+// dead-ended slots on their home hub (deterministic, path-independent).
 func kdAdvance(f *frontier) {
 	for i := 0; i < f.n; i++ {
 		if f.ok[i] {
@@ -46,72 +48,132 @@ func kdAdvance(f *frontier) {
 	}
 }
 
-// TestKernelModesLockstep steps sparse, dense, and auto kernels (caches
-// off) over one shared engine from identical frontier states, with update
-// batches landing between rounds, and requires bit-identical walks. It
-// runs over concurrent.Engine, whose dense rounds batch per vertex, and
-// over a bare core.Sampler, whose dense and auto rounds take the staged
+// countingBatch is concurrent.Engine with its per-slot and per-run draws
+// counted, so a test can see which draw path a kernel round took.
+type countingBatch struct {
+	*concurrent.Engine
+	slots, runs int
+}
+
+func (c *countingBatch) Sample(u graph.VertexID, r *xrand.RNG) (graph.VertexID, bool) {
+	c.slots++
+	return c.Engine.Sample(u, r)
+}
+
+func (c *countingBatch) SampleBatch(u graph.VertexID, rs []*xrand.RNG, dst []graph.VertexID) bool {
+	c.runs++
+	return c.Engine.SampleBatch(u, rs, dst)
+}
+
+// countingStaged is core.Sampler with its staged frontier draws counted.
+type countingStaged struct {
+	*core.Sampler
+	staged int
+}
+
+func (c *countingStaged) SampleFrontier(cur []graph.VertexID, rs []*xrand.RNG, next []graph.VertexID, ok []bool) {
+	c.staged++
+	c.Sampler.SampleFrontier(cur, rs, next, ok)
+}
+
+// TestKernelLockstepPerSlot steps the kernel (caches off) and the
+// per-slot reference over one shared engine from identical frontier
+// states, with update batches landing between rounds, and requires
+// bit-identical walks. The frontier shapes put every branch of
+// stepBatchImpl in play, and each shape's first round asserts the branch
+// it took: over concurrent.Engine a frontier below denseMinBatch and one
+// of runs shorter than denseMinRun step slot by slot, a hub-parked one
+// batches per vertex; over a bare core.Sampler every round is one staged
 // frontier draw.
-func TestKernelModesLockstep(t *testing.T) {
-	for _, tc := range []struct {
+func TestKernelLockstepPerSlot(t *testing.T) {
+	shapes := []struct {
 		name string
-		e    interface {
-			Engine
-			ApplyBatch([]graph.Update) (core.BatchResult, error)
-		}
+		n    int
+		at   func(i int) graph.VertexID
 	}{
-		{"concurrent", benchHubEngine(t, 2048)},
-		{"core", benchHubSampler(t, 2048)},
+		// One run long enough to batch, in a frontier too small to group.
+		{"below-min-batch", denseMinBatch - 1, func(int) graph.VertexID { return 0 }},
+		{"short-runs", kernelBatch, func(i int) graph.VertexID { return graph.VertexID(benchHubs + i/(denseMinRun-1)) }},
+		{"long-runs", kernelBatch, func(i int) graph.VertexID { return graph.VertexID(i % benchHubs) }},
+	}
+	conc := &countingBatch{Engine: benchHubEngine(t, 2048)}
+	staged := &countingStaged{Sampler: benchHubSampler(t, 2048)}
+	for _, tc := range []struct {
+		name  string
+		e     Engine
+		apply func([]graph.Update) (core.BatchResult, error)
+		// taken checks the draw path of a shape's first round from the
+		// counters' movement over it.
+		taken func(t *testing.T, shape string, n int)
+	}{
+		{"concurrent", conc, conc.ApplyBatch, func(t *testing.T, shape string, n int) {
+			want := map[string][2]int{ // {per-slot draws, per-run draws}
+				"below-min-batch": {n, 0},
+				"short-runs":      {n, 0},
+				"long-runs":       {0, benchHubs},
+			}[shape]
+			if got := [2]int{conc.slots, conc.runs}; got != want {
+				t.Errorf("%s: first round drew %d per slot and %d per run, want %v", shape, got[0], got[1], want)
+			}
+		}},
+		{"core", staged, staged.ApplyBatch, func(t *testing.T, shape string, n int) {
+			if staged.staged != 1 {
+				t.Errorf("%s: first round made %d staged draws, want 1", shape, staged.staged)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.e
-			modes := []KernelMode{KernelSparse, KernelDense, KernelAuto}
-			kernels := make([]*stepKernel, len(modes))
-			fronts := make([]*frontier, len(modes))
-			for m, mode := range modes {
-				kernels[m] = newStepKernel(e, mode, fabric.CacheSpec{Off: true})
-				f := getFrontier(kernelBatch)
-				defer putFrontier(f)
-				benchFrontier(f) // same seeds in every frontier
-				fronts[m] = f
-			}
-
-			upd := xrand.New(0x10c5)
-			for round := 0; round < 200; round++ {
-				if round%20 == 10 {
-					// Rewrite some hub rows mid-walk: every mode reads the
-					// same post-batch state, so lockstep must survive
-					// mutation.
-					batch := make([]graph.Update, 0, 32)
-					for i := 0; i < 32; i++ {
-						batch = append(batch, graph.Update{
-							Op:   graph.OpInsert,
-							Src:  graph.VertexID(upd.Intn(benchHubs)),
-							Dst:  graph.VertexID(2048 + upd.Intn(64)),
-							Bias: uint64(1 + upd.Intn(1000)),
-						})
-					}
-					if _, err := e.ApplyBatch(batch); err != nil {
-						t.Fatalf("round %d: ApplyBatch: %v", round, err)
-					}
-				}
-				for m := range kernels {
-					kernels[m].stepBatch(fronts[m])
-				}
-				base := fronts[0]
-				for m := 1; m < len(kernels); m++ {
-					f := fronts[m]
-					for i := 0; i < kernelBatch; i++ {
-						// next is unspecified when ok is false (dead end).
-						if f.ok[i] != base.ok[i] || (f.ok[i] && f.next[i] != base.next[i]) {
-							t.Fatalf("round %d slot %d: %s drew (%d,%v), sparse drew (%d,%v) from %d",
-								round, i, modes[m], f.next[i], f.ok[i], base.next[i], base.ok[i], base.cur[i])
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					k := newStepKernel(tc.e, fabric.CacheSpec{Off: true})
+					ref := newStepKernel(struct{ Engine }{tc.e}, fabric.CacheSpec{Off: true})
+					kf, rf := getFrontier(sh.n), getFrontier(sh.n)
+					defer putFrontier(kf)
+					defer putFrontier(rf)
+					for _, f := range []*frontier{kf, rf} {
+						for i := 0; i < sh.n; i++ {
+							f.cur[i] = sh.at(i)
+							f.rng[i] = xrand.New(uint64(i) + 1) // same seeds in both
 						}
+						f.n = sh.n
 					}
-				}
-				for m := range fronts {
-					kdAdvance(fronts[m])
-				}
+
+					upd := xrand.New(0x10c5)
+					for round := 0; round < 60; round++ {
+						if round%20 == 10 {
+							// Rewrite some hub rows mid-walk: both kernels read
+							// the same post-batch state, so lockstep must
+							// survive mutation.
+							batch := make([]graph.Update, 0, 32)
+							for i := 0; i < 32; i++ {
+								batch = append(batch, graph.Update{
+									Op:   graph.OpInsert,
+									Src:  graph.VertexID(upd.Intn(benchHubs)),
+									Dst:  graph.VertexID(2048 + upd.Intn(64)),
+									Bias: uint64(1 + upd.Intn(1000)),
+								})
+							}
+							if _, err := tc.apply(batch); err != nil {
+								t.Fatalf("round %d: ApplyBatch: %v", round, err)
+							}
+						}
+						conc.slots, conc.runs, staged.staged = 0, 0, 0
+						k.stepBatch(kf)
+						if round == 0 {
+							tc.taken(t, sh.name, sh.n)
+						}
+						ref.stepBatch(rf)
+						for i := 0; i < sh.n; i++ {
+							// next is unspecified when ok is false (dead end).
+							if kf.ok[i] != rf.ok[i] || (kf.ok[i] && kf.next[i] != rf.next[i]) {
+								t.Fatalf("round %d slot %d: kernel drew (%d,%v), per-slot reference drew (%d,%v) from %d",
+									round, i, kf.next[i], kf.ok[i], rf.next[i], rf.ok[i], rf.cur[i])
+							}
+						}
+						kdAdvance(kf)
+						kdAdvance(rf)
+					}
+				})
 			}
 		})
 	}
@@ -159,16 +221,17 @@ func kdChiSquare(t *testing.T, e interface {
 		t.Fatalf("hub %d: chi-square: %v", u, err)
 	}
 	if p < 1e-4 {
-		t.Errorf("hub %d: chi-square stat %.2f p=%.2e — dense view draws diverge from the exact distribution", u, stat, p)
+		t.Errorf("hub %d: chi-square stat %.2f p=%.2e — batched view draws diverge from the exact distribution", u, stat, p)
 	}
 }
 
-// TestKernelDenseViewChiSquare gates the dense-with-views path on a quiet
-// graph: every draw at the hub is served by the cached view after the
-// first round, and 120k draws must match the view's exact probabilities.
-func TestKernelDenseViewChiSquare(t *testing.T) {
+// TestKernelViewChiSquare gates the batched-with-views path on a quiet
+// graph: the whole frontier parks on the hub, so every round is one run
+// the cached view serves after the first round, and 120k draws must match
+// the view's exact probabilities.
+func TestKernelViewChiSquare(t *testing.T) {
 	e := benchHubEngine(t, 2048)
-	k := newStepKernel(e, KernelDense, fabric.CacheSpec{})
+	k := newStepKernel(e, fabric.CacheSpec{})
 	f := getFrontier(kernelBatch)
 	defer putFrontier(f)
 	benchFrontier(f)
@@ -180,15 +243,16 @@ func TestKernelDenseViewChiSquare(t *testing.T) {
 	}
 }
 
-// TestKernelDenseHubChurnMidBatch runs the dense kernel against a writer
-// that keeps rewriting the hub rows, so cached views go stale between and
-// during rounds (run with -race: concurrent extraction, validation, and
+// TestKernelHubChurnMidBatch runs the kernel against a writer that keeps
+// rewriting the hub rows, so cached views go stale between and during
+// rounds. The hub-parked frontier seats ~32 walkers per hub, so every
+// round batches through the view path (run with -race: concurrent extraction, validation, and
 // invalidation is the thing under test). After the churn stops, the
 // refreshed views must still pass the 120k-draw chi-square gate.
-func TestKernelDenseHubChurnMidBatch(t *testing.T) {
+func TestKernelHubChurnMidBatch(t *testing.T) {
 	const verts = 2048
 	e := benchHubEngine(t, verts)
-	k := newStepKernel(e, KernelDense, fabric.CacheSpec{})
+	k := newStepKernel(e, fabric.CacheSpec{})
 	f := getFrontier(kernelBatch)
 	defer putFrontier(f)
 	benchFrontier(f)

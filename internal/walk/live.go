@@ -53,11 +53,6 @@ type LiveConfig struct {
 	// the unsharded service). Takes effect only when the engine supports
 	// versioned views (concurrent.Engine does).
 	Cache fabric.CacheSpec
-	// Kernel selects the stepping-kernel mode (zero value = auto).
-	// Queries are single independent walks, so the pool always steps
-	// them sparse; the mode is forwarded to bulk kernels run through
-	// Bulk, where dense frontiers apply.
-	Kernel KernelMode
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
@@ -163,10 +158,10 @@ func NewLiveService(e LiveEngine, cfg LiveConfig) *LiveService {
 // path as the fallback (and the only path for engines without views).
 func (ls *LiveService) walkLoop(r *xrand.RNG) {
 	defer ls.walkers.Done()
-	k := newStepKernel(ls.e, ls.cfg.Kernel, ls.cfg.Cache)
+	k := newStepKernel(ls.e, ls.cfg.Cache)
 	var buf []graph.VertexID
 	for req := range ls.reqs {
-		buf = k.walkOne(req.start, req.length, r, buf)
+		buf = walkPath(k.step, req.start, req.length, r, buf)
 		path := make([]graph.VertexID, len(buf))
 		copy(path, buf)
 		ls.queries.Add(1)
@@ -246,12 +241,8 @@ func (ls *LiveService) Feed(ups []graph.Update) error {
 
 // Bulk runs a whole walk kernel over the live engine through the standard
 // parallel runner — a full DeepWalk/PPR/node2vec computation proceeding
-// concurrently with the feed. The service's kernel mode applies unless
-// the bulk config names its own.
+// concurrently with the feed.
 func (ls *LiveService) Bulk(app App, cfg Config) Result {
-	if cfg.Kernel == KernelAuto {
-		cfg.Kernel = ls.cfg.Kernel
-	}
 	return Run(app, ls.e, cfg)
 }
 

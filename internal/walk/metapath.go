@@ -30,7 +30,7 @@ func MetaPath(e Engine, labels Labeling, pattern []uint8, cfg Config) Result {
 	if len(pattern) == 0 {
 		panic("walk: empty metapath pattern")
 	}
-	cfg = cfg.withDefaults(e.NumVertices())
+	cfg = cfg.withDefaults()
 	return runParallel(e, cfg, func(start graph.VertexID, r *xrand.RNG, visits []int64) int64 {
 		if labels(start) != pattern[0] {
 			return 0

@@ -272,7 +272,7 @@ func TestMultiCoordDifferentialTCP(t *testing.T) {
 				return
 			}
 			e := concurrent.Wrap(s, concurrent.Config{})
-			if _, err := walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, 2, hello.Cache, walk.KernelAuto); err != nil {
+			if _, err := walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, 2, hello.Cache); err != nil {
 				t.Errorf("shard %d: %v", i, err)
 			}
 		}(i)

@@ -101,7 +101,7 @@ func TestJournalFailoverOrdering(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := RunShardNode(concurrent.Wrap(s, concurrent.Config{}), plan, i, port, 1, fabric.CacheSpec{}, KernelAuto); err != nil {
+			if _, err := RunShardNode(concurrent.Wrap(s, concurrent.Config{}), plan, i, port, 1, fabric.CacheSpec{}); err != nil {
 				t.Logf("shard %d node exited: %v", i, err)
 			}
 		}()

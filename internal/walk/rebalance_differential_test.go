@@ -392,6 +392,7 @@ func TestRebalanceLiveDifferentialTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback daemons in -short mode")
 	}
+	t.Parallel()
 	tape := buildHubSkewTape(rbTapeLen, 0x5EED)
 	plan := walk.NewShardPlan(rbVerts0, rbShards)
 
@@ -421,7 +422,7 @@ func TestRebalanceLiveDifferentialTCP(t *testing.T) {
 				return
 			}
 			e := concurrent.Wrap(s, concurrent.Config{})
-			if _, err := walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, 2, hello.Cache, walk.KernelAuto); err != nil {
+			if _, err := walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, 2, hello.Cache); err != nil {
 				t.Errorf("shard %d: %v", i, err)
 			}
 		}(i)

@@ -81,10 +81,6 @@ type ShardedLiveConfig struct {
 	// effect only when the shard engines support versioned views
 	// (concurrent.Engine does).
 	Cache fabric.CacheSpec
-	// Kernel selects the shard crews' stepping-kernel mode (zero value =
-	// auto): sparse per-walker stepping, dense batch draws, or the
-	// density-adaptive switch.
-	Kernel KernelMode
 	// Rebalance configures the heat-aware shard rebalancer (off unless
 	// Rebalance.On). It requires engines with row extraction
 	// (concurrent.Engine); the in-process service validates this at
@@ -251,7 +247,7 @@ func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLive
 	fab := inproc.New(plan.Shards, cfg.QueueDepth)
 	nodes := make([]*shardNode, plan.Shards)
 	for i := range engines {
-		nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, cfg.Kernel, false)
+		nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, false)
 	}
 	attach := func() (fabric.ReadPort, error) { return fab.AttachReader(), nil }
 	s := newShardedLiveService(fab.CoordPort(), attach, plan, verts, cfg)

@@ -83,7 +83,7 @@ func serveTransport(t *testing.T, transport string, g *graph.CSR, shards int, cf
 				sc.Close()
 				return
 			}
-			walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, cfg.WalkersPerShard, hello.Cache, walk.KernelAuto)
+			walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, cfg.WalkersPerShard, hello.Cache)
 		}(i, l)
 	}
 	plan := walk.NewShardPlan(n, shards)
@@ -484,7 +484,7 @@ func TestShardedServiceSessionDeath(t *testing.T) {
 			return
 		}
 		e := concurrent.Wrap(s, concurrent.Config{})
-		walk.RunShardNode(e, walk.PlanFromHello(hello), 1, sc, 1, fabric.CacheSpec{}, walk.KernelAuto)
+		walk.RunShardNode(e, walk.PlanFromHello(hello), 1, sc, 1, fabric.CacheSpec{})
 	}()
 	go func() {
 		sc, _, err := listeners[0].Accept()

@@ -54,10 +54,9 @@ type shardNode struct {
 
 	// ve is the engine's view capability; nil disables both cache
 	// layers (plain locked sampling, the pre-cache behavior).
-	ve     ViewSampler
-	cache  fabric.CacheSpec
-	kernel KernelMode
-	rv     *remoteViews // nil when caching is off
+	ve    ViewSampler
+	cache fabric.CacheSpec
+	rv    *remoteViews // nil when caching is off
 
 	loops sync.WaitGroup // crews + ingester + view loop
 	done  sync.WaitGroup // loops + the port-close watcher
@@ -168,11 +167,11 @@ type EdgeDumper interface {
 // all have exited (the coordinator closed the session and the queues
 // drained), the node closes its port — the shard-done signal the
 // coordinator's event stream waits for.
-func startShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPort, crew int, cache fabric.CacheSpec, kernel KernelMode, procWide bool) *shardNode {
+func startShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPort, crew int, cache fabric.CacheSpec, procWide bool) *shardNode {
 	if crew < 1 {
 		crew = 1
 	}
-	n := &shardNode{e: e, shard: shard, port: port, cache: cache, kernel: kernel, procWide: procWide, blockSteps: map[uint64]int64{}, stash: map[blockKey]*fabric.MigrateBlock{}}
+	n := &shardNode{e: e, shard: shard, port: port, cache: cache, procWide: procWide, blockSteps: map[uint64]int64{}, stash: map[blockKey]*fabric.MigrateBlock{}}
 	n.setPlan(plan)
 	if !cache.Off {
 		if ve, ok := e.(ViewSampler); ok {
@@ -242,7 +241,7 @@ func (n *shardNode) cacheTallies() fabric.CacheTallies {
 // stream continues draw-for-draw wherever the walker lands next.
 func (n *shardNode) crewLoop() {
 	defer n.loops.Done()
-	k := newStepKernel(n.e, n.kernel, n.cache)
+	k := newStepKernel(n.e, n.cache)
 	f := getFrontier(kernelBatch)
 	defer putFrontier(f)
 	wks := make([]*fabric.Walker, kernelBatch)
@@ -971,13 +970,12 @@ type ShardNodeStats struct {
 // fabric port: crew walker goroutines plus one ingester and one view
 // server, exactly the node half of ShardedLiveService. The cache spec
 // configures the hub-view caches (zero value = defaults, on; it only
-// takes effect when e implements ViewSampler); kernel selects the crews'
-// stepping mode (zero value = auto). It blocks until the coordinator
-// ends the session (or the fabric fails), then reports the node's
-// tallies and the first ingest error. This is the body of
+// takes effect when e implements ViewSampler). It blocks until the
+// coordinator ends the session (or the fabric fails), then reports the
+// node's tallies and the first ingest error. This is the body of
 // `bingowalk -shard-serve`.
-func RunShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPort, crew int, cache fabric.CacheSpec, kernel KernelMode) (ShardNodeStats, error) {
-	n := startShardNode(e, plan, shard, port, crew, cache, kernel, true)
+func RunShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPort, crew int, cache fabric.CacheSpec) (ShardNodeStats, error) {
+	n := startShardNode(e, plan, shard, port, crew, cache, true)
 	n.wait()
 	st := ShardNodeStats{
 		Steps:         n.steps.Load(),

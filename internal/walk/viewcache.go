@@ -308,30 +308,23 @@ func (c *viewCache) hitView(ve ViewSampler, u graph.VertexID, draws int) *core.V
 	return nil
 }
 
-// fillBatch is the dense-mode miss path: one draw per slot for a whole
-// run of walkers parked on u through the engine's batch cache-fill
-// entry, under churn-aware admission, exactly mirroring the sparse
-// path's policy. A nil receiver (cache disabled, or engine without
-// views) is the plain locked batch, which consumes per-slot streams —
-// that is the lockstep path. Callers probe hitView first: a cached
-// valid view serves the entire run lock-free from the run's lead stream
-// (view draws are distributional by contract, and one stream keeps the
-// generator state resident across the run instead of fetching a
+// fillBatch is the batched miss path: one draw per slot for a whole run
+// of walkers parked on u through the engine's batch cache-fill entry,
+// under churn-aware admission. A nil receiver (cache disabled, or engine
+// without views) is the plain locked batch, which consumes per-slot
+// streams — that is the lockstep path. Callers probe hitView first: a
+// cached valid view serves the entire run lock-free from the run's lead
+// stream (view draws are distributional by contract, and one stream keeps
+// the generator state resident across the run instead of fetching a
 // scattered state line per slot — it also spares the miss path's RNG
-// gather entirely).
+// gather entirely). Only runs of at least denseMinRun walkers batch, and
+// such a run is itself the revisit evidence the ghost filter exists to
+// find, so it extracts on first touch.
 func (c *viewCache) fillBatch(ve ViewSampler, be BatchSampler, u graph.VertexID, rs []*xrand.RNG, dst []graph.VertexID) bool {
 	if c == nil || ve == nil {
 		return be.SampleBatch(u, rs, dst)
 	}
-	// A run of co-located walkers is itself the revisit evidence the
-	// ghost filter exists to find, so batchable runs extract on first
-	// touch; singleton runs go through the second-touch window like the
-	// sparse path.
-	md := 0
-	if len(rs) >= denseMinRun || c.secondTouch(u) {
-		md = c.minDeg
-	}
-	ok, vw := be.SampleBatchOrView(u, md, rs, dst)
+	ok, vw := be.SampleBatchOrView(u, c.minDeg, rs, dst)
 	if vw != nil && c.admit(u) {
 		c.put(u, vw)
 	}

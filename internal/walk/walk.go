@@ -72,22 +72,9 @@ type Config struct {
 	// CountVisits enables per-vertex visit counting (needed by PPR-style
 	// frequency queries; costs one atomic add per step).
 	CountVisits bool
-	// Kernel selects the stepping mode for kernels with a frontier
-	// implementation (currently DeepWalk): sparse slot-by-slot stepping,
-	// dense batch draws, or auto density switching (the zero value).
-	// Engines with neither per-vertex batch draws nor a staged frontier
-	// draw always step slot by slot.
-	Kernel KernelMode
-	// Cache optionally enables the frontier kernel's hub-view LRU with
-	// fabric.CacheSpec semantics (nil = no cache). It is nil by default
-	// on purpose: without views, dense stepping consumes each walker's
-	// RNG stream exactly as sparse stepping does, so bulk results stay
-	// bit-identical across kernel modes; hub views trade that for
-	// lock-free hub hops (distributionally exact, not path-identical).
-	Cache *fabric.CacheSpec
 }
 
-func (c Config) withDefaults(numVertices int) Config {
+func (c Config) withDefaults() Config {
 	if c.Length <= 0 {
 		c.Length = 80
 	}
@@ -117,12 +104,13 @@ type Result struct {
 	Visits []int64
 }
 
-// starts materializes the configured start set.
-func startsOf(e Engine, cfg Config) []graph.VertexID {
+// startsOf materializes the configured start set over a vertex space of
+// numVertices (nil Starts = every vertex).
+func startsOf(cfg Config, numVertices int) []graph.VertexID {
 	if cfg.Starts != nil {
 		return cfg.Starts
 	}
-	all := make([]graph.VertexID, e.NumVertices())
+	all := make([]graph.VertexID, numVertices)
 	for i := range all {
 		all[i] = graph.VertexID(i)
 	}
@@ -133,8 +121,8 @@ func startsOf(e Engine, cfg Config) []graph.VertexID {
 // Each walker gets stream master.Split(walkerIndex), so results are
 // independent of worker count.
 func runParallel(e Engine, cfg Config, walk func(start graph.VertexID, r *xrand.RNG, visits []int64) int64) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
-	starts := startsOf(e, cfg)
+	cfg = cfg.withDefaults()
+	starts := startsOf(cfg, e.NumVertices())
 	res, master := newRun(e, cfg, starts)
 	res.Steps = fanOut(len(starts), cfg.Workers, func(lo, hi int) int64 {
 		var steps int64
@@ -192,27 +180,22 @@ func bump(visits []int64, v graph.VertexID) {
 // Engines with batch draws step co-located walkers in per-vertex batches,
 // engines with a staged frontier draw (core.Sampler) step the whole
 // frontier one dependent load at a time, and everything else steps slot
-// by slot. Config.Kernel = KernelSparse forces slot-by-slot stepping.
-// Per-walker streams are consumed identically in every mode, so results
-// are bit-identical across modes as long as no hub-view cache is
-// configured.
+// by slot. Bulk runs keep hub-view caches off, so every path consumes
+// each walker's stream exactly as a per-walker loop would and results are
+// bit-identical to slot-by-slot stepping.
 func DeepWalk(e Engine, cfg Config) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
-	starts := startsOf(e, cfg)
+	cfg = cfg.withDefaults()
+	starts := startsOf(cfg, e.NumVertices())
 	res, master := newRun(e, cfg, starts)
-	spec := fabric.CacheSpec{Off: true}
-	if cfg.Cache != nil {
-		spec = *cfg.Cache
-	}
 	res.Steps = fanOut(len(starts), cfg.Workers, func(lo, hi int) int64 {
-		return deepWalkChunk(e, cfg, spec, starts, lo, hi, master, res.Visits)
+		return deepWalkChunk(e, cfg, starts, lo, hi, master, res.Visits)
 	})
 	return res
 }
 
 // deepWalkChunk steps walkers [lo, hi) of starts through one frontier.
-func deepWalkChunk(e Engine, cfg Config, spec fabric.CacheSpec, starts []graph.VertexID, lo, hi int, master *xrand.RNG, visits []int64) int64 {
-	k := newStepKernel(e, cfg.Kernel, spec)
+func deepWalkChunk(e Engine, cfg Config, starts []graph.VertexID, lo, hi int, master *xrand.RNG, visits []int64) int64 {
+	k := newStepKernel(e, fabric.CacheSpec{Off: true})
 	capacity := hi - lo
 	if capacity > kernelBatch {
 		capacity = kernelBatch
@@ -266,7 +249,7 @@ const node2vecRejectionCap = 256
 // adopts (§7.3): sample a candidate from the static distribution, then
 // accept with probability f(prev, v)/max(f), where f is Equation 1.
 func Node2Vec(e Engine, cfg Config) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
+	cfg = cfg.withDefaults()
 	invP, invQ := 1/cfg.P, 1/cfg.Q
 	maxF := invP
 	if 1 > maxF {
@@ -330,7 +313,7 @@ func Node2Vec(e Engine, cfg Config) Result {
 // the visit frequencies estimate PPR values (paper §1). Length caps the
 // walk as a safety bound at 64× the expected length.
 func PPR(e Engine, cfg Config) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
+	cfg = cfg.withDefaults()
 	maxLen := cfg.Length * 64
 	return runParallel(e, cfg, func(start graph.VertexID, r *xrand.RNG, visits []int64) int64 {
 		cur := start
@@ -356,7 +339,7 @@ func PPR(e Engine, cfg Config) Result {
 // independent one-hop samples from each start. It isolates raw sampling
 // throughput (Figure 16(b)).
 func SimpleSampling(e Engine, cfg Config) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
+	cfg = cfg.withDefaults()
 	return runParallel(e, cfg, func(start graph.VertexID, r *xrand.RNG, visits []int64) int64 {
 		var steps int64
 		for i := 0; i < cfg.Length; i++ {
@@ -378,13 +361,13 @@ func SimpleSampling(e Engine, cfg Config) Result {
 // walker at a time on the calling goroutine, so Config.Workers is ignored;
 // use DeepWalk for throughput measurements.
 func DeepWalkPaths(e Engine, cfg Config, emit func(path []graph.VertexID)) Result {
-	cfg = cfg.withDefaults(e.NumVertices())
-	starts := startsOf(e, cfg)
+	cfg = cfg.withDefaults()
+	starts := startsOf(cfg, e.NumVertices())
 	master := xrand.New(cfg.Seed)
 	res := Result{Walkers: len(starts)}
 	buf := make([]graph.VertexID, 0, cfg.Length+1)
 	for i, start := range starts {
-		buf = walkPath(e, start, cfg.Length, master.Split(uint64(i)), buf)
+		buf = walkPath(e.Sample, start, cfg.Length, master.Split(uint64(i)), buf)
 		res.Steps += int64(len(buf) - 1)
 		emit(buf)
 	}

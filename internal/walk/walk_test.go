@@ -116,9 +116,9 @@ func serialDeepWalk(e Engine, starts []graph.VertexID, length int, seed uint64) 
 // TestDeepWalkMatchesSerialReference requires DeepWalk's Steps and Visits
 // to equal the serial reference on every engine kind — core.Sampler
 // (staged frontier draw, integer and float), a baseline (slot by slot),
-// concurrent.Engine (per-vertex batches) — at 1, 2 and 4 workers and in
-// auto and sparse mode. The start set repeats vertices and exceeds a
-// frontier per worker, so slots retire at dead ends and refill.
+// concurrent.Engine (per-vertex batches) — at 1, 2 and 4 workers. The
+// start set repeats vertices and exceeds a frontier per worker, so slots
+// retire at dead ends and refill.
 func TestDeepWalkMatchesSerialReference(t *testing.T) {
 	const n = 1500
 	edges := gen.RMAT(n, 12000, gen.DefaultRMAT, 11)
@@ -156,16 +156,14 @@ func TestDeepWalkMatchesSerialReference(t *testing.T) {
 	} {
 		wantSteps, wantVisits := serialDeepWalk(tc.e, starts, 40, 17)
 		for _, workers := range []int{1, 2, 4} {
-			for _, mode := range []KernelMode{KernelAuto, KernelSparse} {
-				res := DeepWalk(tc.e, Config{Length: 40, Starts: starts, Seed: 17, Workers: workers, Kernel: mode, CountVisits: true})
-				if res.Steps != wantSteps {
-					t.Fatalf("%s workers=%d %s: %d steps, reference %d", tc.name, workers, mode, res.Steps, wantSteps)
-				}
-				for v := range wantVisits {
-					if res.Visits[v] != wantVisits[v] {
-						t.Fatalf("%s workers=%d %s: visits[%d] = %d, reference %d",
-							tc.name, workers, mode, v, res.Visits[v], wantVisits[v])
-					}
+			res := DeepWalk(tc.e, Config{Length: 40, Starts: starts, Seed: 17, Workers: workers, CountVisits: true})
+			if res.Steps != wantSteps {
+				t.Fatalf("%s workers=%d: %d steps, reference %d", tc.name, workers, res.Steps, wantSteps)
+			}
+			for v := range wantVisits {
+				if res.Visits[v] != wantVisits[v] {
+					t.Fatalf("%s workers=%d: visits[%d] = %d, reference %d",
+						tc.name, workers, v, res.Visits[v], wantVisits[v])
 				}
 			}
 		}
@@ -285,7 +283,7 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults(10)
+	c := Config{}.withDefaults()
 	if c.Length != 80 || c.TermProb != 1.0/80 || c.P != 0.5 || c.Q != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}

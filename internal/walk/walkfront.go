@@ -354,14 +354,8 @@ func (f *walkFront) failPending() {
 // transient path memory across in-flight walkers — bound the start set
 // for visit-counting runs over very large graphs.
 func (f *walkFront) DeepWalk(cfg Config, numVertices int) (Result, TransferStats, error) {
-	cfg = cfg.withDefaults(numVertices)
-	starts := cfg.Starts
-	if starts == nil {
-		starts = make([]graph.VertexID, numVertices)
-		for i := range starts {
-			starts[i] = graph.VertexID(i)
-		}
-	}
+	cfg = cfg.withDefaults()
+	starts := startsOf(cfg, numVertices)
 	run := &bulkRun{}
 	if cfg.CountVisits {
 		run.visits = newVisitCounter(numVertices)

@@ -251,10 +251,6 @@ type LiveOptions struct {
 	Seed uint64
 	// HubCache tunes the pool walkers' hub-view caches.
 	HubCache HubCacheOptions
-	// Kernel selects the stepping-kernel mode for bulk walks run through
-	// the service: "sparse", "dense", or "auto" (default; unknown values
-	// fall back to auto).
-	Kernel string
 }
 
 // LiveStats snapshots a LiveWalker's counters.
@@ -281,14 +277,12 @@ type LiveWalker struct {
 
 // Serve starts a walker pool plus ingest loop over the engine.
 func (c *ConcurrentEngine) Serve(o LiveOptions) *LiveWalker {
-	kernel, _ := walk.ParseKernelMode(o.Kernel)
 	svc := walk.NewLiveService(c.ce, walk.LiveConfig{
 		Walkers:    o.Walkers,
 		QueueDepth: o.QueueDepth,
 		WalkLength: o.WalkLength,
 		Seed:       o.Seed,
 		Cache:      o.HubCache.spec(),
-		Kernel:     kernel,
 	})
 	return &LiveWalker{svc: svc, floatMode: c.floatMode}
 }
@@ -356,9 +350,6 @@ type ShardedOptions struct {
 	// update events; a full window blocks Feed (0 = default 16384,
 	// negative disables).
 	CreditWindow int
-	// Kernel selects the shard crews' stepping-kernel mode: "sparse",
-	// "dense", or "auto" (default).
-	Kernel string
 }
 
 // HubCacheStats report the hub-view cache layers of a sharded runtime:
@@ -453,10 +444,6 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	if shards < 1 {
 		shards = 1
 	}
-	kernel, err := walk.ParseKernelMode(o.Kernel)
-	if err != nil {
-		return nil, err
-	}
 	g := e.s.Snapshot()
 	svc, err := walk.ServeSharded(g, shards, o.Replicas, e.shardEngines(g.NumVertices(), o.Concurrency), walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
@@ -464,7 +451,6 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
 		Cache:           o.HubCache.spec(),
-		Kernel:          kernel,
 		Rebalance:       o.Rebalance.opts(),
 		CreditWindow:    o.CreditWindow,
 	})
@@ -587,10 +573,6 @@ type RemoteOptions struct {
 	// update events; a full window blocks Feed instead of growing daemon
 	// memory (0 = default 16384, negative disables).
 	CreditWindow int
-	// Kernel selects the daemons' stepping-kernel mode: "sparse",
-	// "dense", or "auto" (default). The session Hello carries it, so the
-	// coordinator decides the kernel policy for the whole session.
-	Kernel string
 }
 
 // RemoteWalker is the ShardedLiveWalker ServeRemote returns: the shards
@@ -615,9 +597,6 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if o.Replication > 1 {
 		plan.Replicas = o.Replication
 	}
-	if _, err := walk.ParseKernelMode(o.Kernel); err != nil {
-		return nil, err
-	}
 	floatMode := e.s.Config().FloatBias
 	port, err := tcpgob.DialWith(addrs, fabric.Hello{
 		RangeSize:   plan.RangeSize,
@@ -625,7 +604,6 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 		FloatBias:   floatMode,
 		Cache:       o.HubCache.spec(),
 		Replicas:    plan.Replicas,
-		Kernel:      o.Kernel,
 	}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
 	if err != nil {
 		return nil, err
@@ -863,13 +841,7 @@ func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o
 	if walkers <= 0 {
 		walkers = runtime.GOMAXPROCS(0)
 	}
-	kernel, kerr := walk.ParseKernelMode(hello.Kernel)
-	if kerr != nil {
-		// An unknown mode from a newer coordinator falls back to auto
-		// rather than tearing down the session.
-		kernel = walk.KernelAuto
-	}
-	st, err := walk.RunShardNode(eng, walk.PlanFromHello(hello), shard, sc, walkers, hello.Cache, kernel)
+	st, err := walk.RunShardNode(eng, walk.PlanFromHello(hello), shard, sc, walkers, hello.Cache)
 	return ShardServeStats{
 		Steps: st.Steps, Transfers: st.Transfers, Local: st.Local,
 		Updates: st.Updates, Dropped: st.Dropped,

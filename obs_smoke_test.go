@@ -107,6 +107,7 @@ func TestObsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns shard-daemon processes")
 	}
+	t.Parallel()
 	const (
 		shards  = 2
 		ringN   = 200
