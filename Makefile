@@ -61,7 +61,7 @@ corpus-smoke:
 	$(GO) test -race -count 1 -timeout 20m -run 'TestCorpusDifferential|TestCorpusIndexMatchesBruteForce|TestCorpusCoalescingCredit' -v ./internal/walk/
 
 # Multi-coordinator smoke: the reader-tier differentials — two read-
-# coordinators querying through a rebalance migration mid-tape
+# coordinators querying through a scripted migration mid-tape
 # (in-process fabric AND loopback tcpgob, chi-square + edge-for-edge),
 # reader crash isolation, plan-epoch broadcast invalidation — plus the
 # real-process variant: bingowalk -shard-serve daemons, a ServeRemote

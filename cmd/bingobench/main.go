@@ -34,16 +34,12 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated dataset abbrs (default all: AM,GO,CT,LJ,TW)")
 		systems  = flag.String("systems", "", "comma-separated systems for table3 (default Bingo,KnightKing,RebuildITS,FlowWalker)")
 		apps     = flag.String("apps", "", "comma-separated apps for table3 (default DeepWalk,node2vec,PPR)")
-		transp   = flag.String("transports", "", "comma-separated rebalance/corpus-scenario transports (default inproc,tcp)")
+		transp   = flag.String("transports", "", "comma-separated corpus-scenario transports (default inproc,tcp)")
 		verbose  = flag.Bool("v", false, "progress output")
 		debugA   = flag.String("debug-addr", "", "expose the observability plane (/metrics, /statusz, /eventz, /debug/pprof) while experiments run")
-		pprofA   = flag.String("pprof", "", "alias for -debug-addr (kept for compatibility)")
 	)
 	flag.Parse()
 
-	if *debugA == "" {
-		*debugA = *pprofA
-	}
 	if *debugA != "" {
 		dbg, err := obs.Serve(*debugA, nil, nil)
 		if err != nil {

@@ -26,12 +26,12 @@
 //
 //	bingowalk -attach 127.0.0.1:7431,127.0.0.1:7432 -live-queries 100000
 //
-// Every mode accepts -debug-addr <addr> (alias: -pprof) to expose the
-// observability plane: /metrics (Prometheus text), /statusz (JSON
-// snapshot of every service's stats), /eventz (the structured event
-// journal), and /debug/pprof (e.g. -debug-addr 127.0.0.1:6060). On a
-// coordinator the /metrics page is fleet-wide: every shard daemon's
-// tallies ride back on barrier acks and re-export under a shard label.
+// Every mode accepts -debug-addr <addr> to expose the observability
+// plane: /metrics (Prometheus text), /statusz (JSON snapshot of every
+// service's stats), /eventz (the structured event journal), and
+// /debug/pprof (e.g. -debug-addr 127.0.0.1:6060). On a coordinator the
+// /metrics page is fleet-wide: every shard daemon's tallies ride back on
+// barrier acks and re-export under a shard label.
 //
 // Any -live rung can additionally serve from a standing walk corpus
 // (-corpus): K maintained walks per vertex answer queries as slices
@@ -51,9 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-rw/bingo/internal/obs"
-	"github.com/bingo-rw/bingo/internal/rebalance"
-
 	bingo "github.com/bingo-rw/bingo"
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
@@ -61,6 +58,7 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/gen"
 	"github.com/bingo-rw/bingo/internal/graph"
+	"github.com/bingo-rw/bingo/internal/obs"
 	"github.com/bingo-rw/bingo/internal/walk"
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
@@ -89,11 +87,7 @@ func main() {
 		sessions  = flag.Int("sessions", 0, "coordinator sessions a -shard-serve daemon serves before exiting (0 = loop forever)")
 		cacheOff  = flag.Bool("hub-cache-off", false, "disable the hub-vertex view caches in the serving modes")
 		hubDeg    = flag.Int("hub-degree", 0, "hub-cache admission degree threshold (0 = default)")
-		reb       = flag.Bool("rebalance", false, "enable the heat-aware shard rebalancer in the sharded serving modes")
-		rebEvery  = flag.Duration("rebalance-interval", 0, "rebalancer heat-check period (0 = default 500ms)")
-		rebImbal  = flag.Float64("rebalance-imbalance", 0, "rebalancer trigger: hottest shard's step share over this multiple of 1/shards (0 = default 1.3)")
-		rebMoves  = flag.Int("rebalance-max-moves", 0, "block migrations per heat check (0 = default 4)")
-		replicas  = flag.Int("replicas", 1, "block ownership replication factor in the sharded serving modes (R consecutive shards hold each block; survives shard deaths by replica promotion; mutually exclusive with -rebalance)")
+		replicas  = flag.Int("replicas", 1, "block ownership replication factor in the sharded serving modes (R consecutive shards hold each block; survives shard deaths by replica promotion)")
 		creditWin = flag.Int("credit-window", 0, "per-shard ingest credit window: max routed-but-unapplied update events before Feed blocks (0 = default 16384, negative disables)")
 		corpusF   = flag.Bool("corpus", false, "serve -live queries from a standing walk corpus with incremental suffix resampling")
 		corpusK   = flag.Int("corpus-walks", 0, "standing walks maintained per vertex in -corpus mode (0 = default 2)")
@@ -101,13 +95,9 @@ func main() {
 		statsF    = flag.Bool("stats", false, "periodically print a serving summary from the metrics registry; in -corpus mode also print maintenance tallies at the end")
 		attach    = flag.String("attach", "", "comma-separated shard-daemon addresses: join a running serving session as a read-coordinator (requires a live -connect write session)")
 		debugAddr = flag.String("debug-addr", "", "expose the observability plane (/metrics, /statusz, /eventz, /debug/pprof) on this address (all modes)")
-		pprofAddr = flag.String("pprof", "", "alias for -debug-addr (kept for compatibility)")
 	)
 	flag.Parse()
 
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 	if *debugAddr != "" {
 		// Synchronous bind: a taken port or a bad address fails the run at
 		// startup instead of vanishing into a background goroutine's stderr.
@@ -120,7 +110,6 @@ func main() {
 	}
 
 	hubCache := bingo.HubCacheOptions{Off: *cacheOff, MinDegree: *hubDeg}
-	rebOpts := rebalance.Options{On: *reb, Interval: *rebEvery, Imbalance: *rebImbal, MaxMovesPerCycle: *rebMoves}
 	if *shardSrv {
 		if err := runShardServe(*addr, *shardSpec, *workers, *sessions); err != nil {
 			fail(err)
@@ -138,7 +127,7 @@ func main() {
 	}
 	if *live {
 		co := corpusOpts{on: *corpusF, walks: *corpusK, stale: *corpusSB, stats: *statsF}
-		if err := runLive(*graphPath, *dataset, *scale, *seed, *length, *liveUps, *liveQ, *liveBatch, *workers, *shards, *connect, *replicas, *creditWin, hubCache, rebOpts, co); err != nil {
+		if err := runLive(*graphPath, *dataset, *scale, *seed, *length, *liveUps, *liveQ, *liveBatch, *workers, *shards, *connect, *replicas, *creditWin, hubCache, co); err != nil {
 			fail(err)
 		}
 		return
@@ -302,24 +291,6 @@ func runShardServe(addr, spec string, workers, sessions int) error {
 	return err
 }
 
-// printRebalance reports the rebalancer's session activity (silent when
-// it never ran).
-func printRebalance(ls walk.ShardedLiveStats) {
-	if ls.Rebalance.PlanEpoch == 0 && ls.Rebalance.Migrations == 0 {
-		return
-	}
-	shares := make([]string, len(ls.ShardSteps))
-	for i, s := range ls.ShardSteps {
-		share := 0.0
-		if ls.Steps > 0 {
-			share = float64(s) / float64(ls.Steps)
-		}
-		shares[i] = fmt.Sprintf("%.2f", share)
-	}
-	fmt.Printf("rebalance: %d block migrations (%d edges shipped, plan epoch %d), per-shard step share [%s]\n",
-		ls.Rebalance.Migrations, ls.Rebalance.MovedEdges, ls.Rebalance.PlanEpoch, strings.Join(shares, " "))
-}
-
 // printFabricHealth reports failover activity and ingest-credit pressure
 // when either had anything to say.
 func printFabricHealth(ls walk.ShardedLiveStats) {
@@ -344,7 +315,6 @@ func printServing(ls walk.ShardedLiveStats, d time.Duration) {
 		ls.Transfers, ls.Local, ls.TransferRatio())
 	fmt.Printf("hub cache: %d lock-free hops (%d stale), %d hand-offs absorbed by remote views (%d view requests)\n",
 		ls.Cache.LocalHits, ls.Cache.LocalStale, ls.Cache.RemoteHits, ls.Cache.ViewRequests)
-	printRebalance(ls)
 	printFabricHealth(ls)
 }
 
@@ -438,7 +408,7 @@ func printCorpus(c *walk.CorpusService, d time.Duration, withStats bool) {
 // the graph is 1-D partitioned across N engines and walks cross shard
 // boundaries by walker transfer (supplement §9.1); with -connect the
 // shards are separate daemon processes behind the TCP fabric.
-func runLive(graphPath, dataset string, scale float64, seed uint64, length, updates, queries, batchSize, workers, shards int, connect string, replicas, creditWin int, hubCache bingo.HubCacheOptions, rebOpts rebalance.Options, co corpusOpts) error {
+func runLive(graphPath, dataset string, scale float64, seed uint64, length, updates, queries, batchSize, workers, shards int, connect string, replicas, creditWin int, hubCache bingo.HubCacheOptions, co corpusOpts) error {
 	g, err := loadGraph(graphPath, dataset, scale, seed)
 	if err != nil {
 		return err
@@ -475,7 +445,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	var shardEngines []*concurrent.Engine // in-process shards only
 	scfg := walk.ShardedLiveConfig{
 		WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: cacheSpec,
-		Rebalance: rebOpts, CreditWindow: creditWin,
+		CreditWindow: creditWin,
 	}
 	if connect != "" {
 		addrs := strings.Split(connect, ",")

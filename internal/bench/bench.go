@@ -1,6 +1,6 @@
 // Package bench is the experiment harness: one runner per table/figure of
 // the paper's evaluation (§6), each printing the same rows/series the paper
-// reports, plus the rebalance and corpus serving scenarios.
+// reports, plus the corpus serving scenario.
 // cmd/bingobench is the CLI front end; bench_test.go at the module
 // root exposes testing.B entry points.
 //
@@ -57,14 +57,10 @@ type Options struct {
 	Apps []string
 	// Out receives the report (required).
 	Out io.Writer
-	// Transports filters the rebalance and corpus scenarios' transport
-	// dimension: "inproc" (in-process fabric) and/or "tcp" (loopback
-	// tcpgob fabric). Nil means both.
+	// Transports filters the corpus scenario's transport dimension:
+	// "inproc" (in-process fabric) and/or "tcp" (loopback tcpgob fabric).
+	// Nil means both.
 	Transports []string
-	// MinWindow is the rebalance scenario's measurement window per cell
-	// (default 2s, long enough for several heat cycles on either fabric;
-	// smoke tests shrink it). Clients keep walking until it elapses.
-	MinWindow time.Duration
 	// Verbose adds progress lines.
 	Verbose bool
 
@@ -108,9 +104,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 2 * time.Second
 	}
 	if len(o.Datasets) == 0 {
 		for _, d := range gen.Datasets {
@@ -335,7 +328,6 @@ var registry = []runner{
 	{"fig15c", "bias distribution impact on time and memory", runFig15c},
 	{"fig16", "piecewise breakdown: updates and sampling vs FlowWalker", runFig16},
 	{"ablation", "design ablations: radix base, α/β thresholds, lookup index", runAblation},
-	{"rebalance", "heat-aware rebalancing: hottest shard's step share under hub-skewed growth, rebalance on/off × inproc/tcp", runRebalance},
 	{"corpus", "standing walk corpus: resample amplification, refresh lag, and serving split under hub-churn, inproc/tcp at 4 shards", runCorpus},
 }
 

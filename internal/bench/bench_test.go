@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyOptions runs every experiment at smoke-test scale: two small
@@ -17,7 +16,6 @@ func tinyOptions(buf *bytes.Buffer) Options {
 	o.Rounds = 2
 	o.WalkLength = 10
 	o.MaxWalkers = 200
-	o.MinWindow = 20 * time.Millisecond
 	o.Datasets = []string{"AM", "GO"}
 	return o
 }
@@ -53,22 +51,21 @@ func TestExperimentsList(t *testing.T) {
 // the output contains the expected headers.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantHeader := map[string]string{
-		"table1":    "ns/sample",
-		"table2":    "avgDeg",
-		"table3":    "avg speedup vs Bingo",
-		"table4":    "from \\ to",
-		"fig9":      "Power-law",
-		"fig11":     "hdr regular",
-		"fig12":     "updates/s batched",
-		"fig13":     "rebuild(s)",
-		"fig14":     "float time(s)",
-		"fig15a":    "RebuildITS time(s)",
-		"fig15b":    "walk length",
-		"fig15c":    "dense-group %",
-		"fig16":     "FlowWalker_R(s)",
-		"ablation":  "groups/vertex",
-		"rebalance": "hottest share",
-		"corpus":    "amplification",
+		"table1":   "ns/sample",
+		"table2":   "avgDeg",
+		"table3":   "avg speedup vs Bingo",
+		"table4":   "from \\ to",
+		"fig9":     "Power-law",
+		"fig11":    "hdr regular",
+		"fig12":    "updates/s batched",
+		"fig13":    "rebuild(s)",
+		"fig14":    "float time(s)",
+		"fig15a":   "RebuildITS time(s)",
+		"fig15b":   "walk length",
+		"fig15c":   "dense-group %",
+		"fig16":    "FlowWalker_R(s)",
+		"ablation": "groups/vertex",
+		"corpus":   "amplification",
 	}
 	for _, r := range registry {
 		r := r

@@ -41,7 +41,7 @@ func dumpSorted(e *concurrent.Engine) []xEdge {
 // extracted range's rows, installed into a second engine, reproduce the
 // exact edge multiset — and the donor no longer holds any of them. This
 // is what makes donor + recipient dumps union to the pre-migration
-// multiset, the property the rebalancing differential harness asserts
+// multiset, the property the live-migration differential harness asserts
 // end to end.
 func TestExtractRangeRoundTrip(t *testing.T) {
 	for _, mode := range []string{"int", "float"} {

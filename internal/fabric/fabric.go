@@ -99,10 +99,6 @@ type Ingest struct {
 	// barrier's Ack — the coordinator's way to read back distributed
 	// state for verification.
 	Dump bool
-	// Heat asks the shard to attach its per-block heat report (walk
-	// steps served and degree mass per ownership block) to the barrier's
-	// Ack — the observability hook the rebalancer drives.
-	Heat bool
 	// Offer, when Offer.Epoch != 0, instructs the receiving shard — the
 	// current owner of Offer.Block — to extract that block's rows, stop
 	// serving it, and ship the rows to Offer.To as a MigrateBlock. Its
@@ -182,7 +178,7 @@ type Credit struct {
 }
 
 // ---------------------------------------------------------------------------
-// Ownership migration (the live-rebalancing protocol)
+// Ownership migration (the live block-migration protocol)
 //
 // A migration moves one ShardPlan block from a donor shard to a recipient
 // in three fabric messages, ordered by the per-shard FIFO ingest streams:
@@ -265,24 +261,9 @@ type MigrateDone struct {
 	// coordinator surfaces it through Err and fails the migration.
 	Err string
 	// Copy marks the completion of a copy install (replica priming), so
-	// the coordinator tallies it against the rejoin instead of a
-	// rebalancing migration.
+	// the coordinator tallies it against the rejoin instead of an
+	// ownership migration.
 	Copy bool
-}
-
-// BlockHeat is one ownership block's heat sample in a shard's report:
-// how many walk steps this node served at the block's vertices since the
-// session began (cumulative — the rebalancer differences successive
-// reports) and, on the block's current owner, the block's live degree
-// mass.
-type BlockHeat struct {
-	Block uint64
-	// Steps is the node's cumulative sampled hops at vertices of this
-	// block (local engine hops and cached remote-view hops alike).
-	Steps int64
-	// Edges is the block's live out-edge count on the reporting shard —
-	// nonzero only on the block's owner.
-	Edges int64
 }
 
 // Ack is a shard's acknowledgement of a barrier. Updates/Dropped are the
@@ -298,12 +279,9 @@ type Ack struct {
 	// (telemetry; shards grow independently under the feed).
 	Vertices int
 	// Steps is the node's cumulative sampled-hop count at the barrier
-	// point — the per-shard load share a remote coordinator (and the
-	// rebalancer) reads without touching the node.
+	// point — the per-shard load share a remote coordinator reads
+	// without touching the node.
 	Steps int64
-	// Heat is the shard's per-block heat report, attached only when the
-	// barrier carried Heat.
-	Heat []BlockHeat
 	// Edges is the shard's edge snapshot, attached only when the barrier
 	// carried Dump.
 	Edges []graph.Edge
@@ -630,7 +608,7 @@ type ReadPort interface {
 // so a Hello that never mentions roles opens a write session.
 const (
 	// RoleWrite is the session owner: exactly one per shard set, owning
-	// the ingest router, credit windows, plan epoch, and rebalancer.
+	// the ingest router, credit windows, plan epoch, and migrations.
 	RoleWrite = ""
 	// RoleRead attaches a read-coordinator to an already-running write
 	// session: it launches walkers and fetches hub views but never
@@ -659,7 +637,7 @@ type Hello struct {
 	RangeSize int
 	// PlanEpoch and Overlay carry the coordinator's current ownership
 	// overlay (block index → owner shard) so a session can start from a
-	// plan that prior rebalancing already reshaped. A fresh session has
+	// plan that prior migrations already reshaped. A fresh session has
 	// epoch 0 and a nil overlay (pure block-cyclic ownership).
 	PlanEpoch uint64
 	Overlay   map[uint64]int

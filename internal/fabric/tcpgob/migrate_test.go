@@ -1,4 +1,4 @@
-// Wire coverage for the rebalancer's migration protocol: the offer and
+// Wire coverage for the block-migration protocol: the offer and
 // commit riding the ingest stream, the extracted block on the peer
 // stream, and the completion report on the coordinator link must all
 // round-trip unchanged — with growth-path vertex IDs and float-mode
@@ -37,11 +37,11 @@ func TestMigrateIngestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("commit element: got %+v, want %+v", got.ingest, commit)
 	}
 
-	// A heat barrier stays a barrier and keeps its flag.
-	heat := fabric.Ingest{Barrier: 11, Heat: true, Watermarks: []int64{0, 0, 0}}
-	got = roundTrip(t, &frame{kind: kBarrier, ingest: &heat})
-	if !got.ingest.IsBarrier() || !got.ingest.Heat {
-		t.Fatalf("heat barrier lost its markers: %+v", got.ingest)
+	// A dump barrier stays a barrier and keeps its flag.
+	dump := fabric.Ingest{Barrier: 11, Dump: true, Watermarks: []int64{0, 0, 0}}
+	got = roundTrip(t, &frame{kind: kBarrier, ingest: &dump})
+	if !got.ingest.IsBarrier() || !got.ingest.Dump {
+		t.Fatalf("dump barrier lost its markers: %+v", got.ingest)
 	}
 }
 

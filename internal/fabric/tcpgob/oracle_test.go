@@ -179,8 +179,8 @@ func oracleFrames() []oracleCase {
 		{"updates_int_boot", frame{kind: kUpdates, ingest: &fabric.Ingest{
 			Ups: updateBatch(5, false), Boot: true, Watermarks: []int64{1},
 		}}},
-		{"barrier_dump_heat", frame{kind: kBarrier, ingest: &fabric.Ingest{
-			Barrier: 42, Dump: true, Heat: true, Watermarks: []int64{7, 9},
+		{"barrier_dump", frame{kind: kBarrier, ingest: &fabric.Ingest{
+			Barrier: 42, Dump: true, Watermarks: []int64{7, 9},
 		}}},
 		{"ingest_control", frame{kind: kUpdates, ingest: &fabric.Ingest{
 			Offer:      fabric.MigrateOffer{Block: 1 << 40, To: 3, Epoch: 7, Copy: true},
@@ -195,7 +195,6 @@ func oracleFrames() []oracleCase {
 		{"ack_full", frame{kind: kAck, ack: &fabric.Ack{
 			Shard: 3, Seq: 42, Updates: 10_000, Dropped: 2, Err: "walk: zero bias",
 			Vertices: 4_000_000_001, Steps: 123456,
-			Heat: []fabric.BlockHeat{{Block: 1 << 33, Steps: 9, Edges: 4}, {Block: 2, Steps: 1}},
 			Edges: []graph.Edge{
 				{Src: 1, Dst: 4_294_967_294, Bias: 9},
 				{Src: 2_500_000_000, Dst: 3, Bias: 1, FBias: 0.25},
@@ -316,13 +315,12 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{frame{}, 14},
 		{fabric.Walker{}, 13},
 		{xrand.State{}, 4},
-		{fabric.Ingest{}, 10},
+		{fabric.Ingest{}, 9},
 		{fabric.MigrateOffer{}, 4},
 		{fabric.MigrateCommit{}, 6},
 		{fabric.ShardDown{}, 3},
 		{fabric.PlanState{}, 3},
-		{fabric.Ack{}, 11},
-		{fabric.BlockHeat{}, 3},
+		{fabric.Ack{}, 10},
 		{fabric.CacheTallies{}, 6},
 		{obs.Sample{}, 1},
 		{obs.KV{}, 2},

@@ -41,7 +41,7 @@ import (
 // first payload byte and a daemon refuses any other value: the layout has
 // no self-description, so two builds that disagree on it must not talk.
 // Bump it on every change to any message layout.
-const wireVersion = 2
+const wireVersion = 3
 
 var le = binary.LittleEndian
 
@@ -747,7 +747,6 @@ func (c *cursor) overlay() map[uint64]int {
 
 const (
 	inDump = 1 << iota
-	inHeat
 	inBoot
 	inOffer
 	inCommit
@@ -760,9 +759,6 @@ func appendIngest(b []byte, in *fabric.Ingest) []byte {
 	var fl uint8
 	if in.Dump {
 		fl |= inDump
-	}
-	if in.Heat {
-		fl |= inHeat
 	}
 	if in.Boot {
 		fl |= inBoot
@@ -812,7 +808,7 @@ func appendIngest(b []byte, in *fabric.Ingest) []byte {
 
 func (c *cursor) ingest(in *fabric.Ingest) {
 	fl := c.flags(inKnown)
-	in.Dump, in.Heat, in.Boot = fl&inDump != 0, fl&inHeat != 0, fl&inBoot != 0
+	in.Dump, in.Boot = fl&inDump != 0, fl&inBoot != 0
 	in.Barrier = c.u64()
 	in.Watermarks = col64[int64](c)
 	in.Ups = c.updates()
@@ -844,7 +840,6 @@ func (c *cursor) ingest(in *fabric.Ingest) {
 
 const (
 	ackErr = 1 << iota
-	ackHeat
 	ackEdges
 	ackObs
 	ackKnown = ackObs<<1 - 1
@@ -867,9 +862,6 @@ func appendAck(b []byte, a *fabric.Ack) []byte {
 	if a.Err != "" {
 		fl |= ackErr
 	}
-	if len(a.Heat) > 0 {
-		fl |= ackHeat
-	}
 	if len(a.Edges) > 0 {
 		fl |= ackEdges
 	}
@@ -879,14 +871,6 @@ func appendAck(b []byte, a *fabric.Ack) []byte {
 	b = append(b, fl)
 	if fl&ackErr != 0 {
 		b = appendString(b, a.Err)
-	}
-	if fl&ackHeat != 0 {
-		b = le.AppendUint32(b, uint32(len(a.Heat)))
-		for i := range a.Heat {
-			b = le.AppendUint64(b, a.Heat[i].Block)
-			b = appendI64(b, a.Heat[i].Steps)
-			b = appendI64(b, a.Heat[i].Edges)
-		}
 	}
 	if fl&ackEdges != 0 {
 		b = appendEdges(b, a.Edges)
@@ -915,12 +899,6 @@ func (c *cursor) ack(a *fabric.Ack) {
 	fl := c.flags(ackKnown)
 	if fl&ackErr != 0 {
 		a.Err = string(c.take(c.present(1)))
-	}
-	if fl&ackHeat != 0 {
-		a.Heat = make([]fabric.BlockHeat, c.present(24))
-		for i := range a.Heat {
-			a.Heat[i] = fabric.BlockHeat{Block: c.u64(), Steps: c.i64(), Edges: c.i64()}
-		}
 	}
 	if fl&ackEdges != 0 {
 		if a.Edges = c.edges(); a.Edges == nil && c.err == nil {

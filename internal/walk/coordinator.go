@@ -12,7 +12,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/obs"
-	"github.com/bingo-rw/bingo/internal/rebalance"
 )
 
 // Coordinator instrumentation, resolved once at init. Query latency is
@@ -58,10 +57,9 @@ type coordinator struct {
 	walkFront
 	port fabric.CoordPort
 	// plan is the construction-time geometry (Shards and RangeSize never
-	// change); the front end's planv is the live ownership plan the
-	// rebalancer's committed migrations and the liveness flips re-point.
-	// Routing, walker launches, and the rebalancer all resolve owners
-	// through planNow.
+	// change); the front end's planv is the live ownership plan that
+	// committed migrations and the liveness flips re-point. Routing and
+	// walker launches resolve owners through planNow.
 	plan ShardPlan
 	cfg  ShardedLiveConfig
 
@@ -143,14 +141,6 @@ type coordinator struct {
 
 	deaths, rejoinsDone, copiedBlocks atomic.Int64
 
-	// rebStop/rebWg manage the rebalancer watch loop when cfg.Rebalance
-	// is on. Close stops the loop and waits for its in-flight migration
-	// *before* closing the port — the only migration source is quiescent
-	// by the time the block stream tears down, so a clean Close can never
-	// strand an extracted block in flight.
-	rebStop chan struct{}
-	rebWg   sync.WaitGroup
-
 	batches, migrations, movedEdges atomic.Int64
 
 	// obsKey names this session's shard-sample exporter in the obs
@@ -210,15 +200,12 @@ type migOp struct {
 type barrierWait struct {
 	seq       uint64
 	dump      bool
-	heat      bool
 	remaining int
 	published bool
 	sent      []bool
 	acked     []bool
 	err       error
-	edges     [][]graph.Edge       // per shard, dump barriers only
-	blocks    [][]fabric.BlockHeat // per shard, heat barriers only
-	steps     []int64              // per shard, heat barriers only
+	edges     [][]graph.Edge // per shard, dump barriers only
 	done      chan struct{}
 }
 
@@ -250,14 +237,6 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 	go c.routerLoop()
 	c.evloop.Add(1)
 	go c.eventLoop()
-	if cfg.Rebalance.On && plan.Shards > 1 {
-		c.rebStop = make(chan struct{})
-		c.rebWg.Add(1)
-		go func() {
-			defer c.rebWg.Done()
-			rebalance.Run(c, cfg.Rebalance, c.rebStop, nil)
-		}()
-	}
 	// Re-expose the newest ack-carried shard samples on this process's
 	// /metrics, one shard label per node — the coordinator's scrape is
 	// fleet-wide whether the shards are goroutines or remote daemons.
@@ -503,7 +482,7 @@ func (c *coordinator) publishBarrier(bw *barrierWait) {
 	}
 	all := n == c.plan.Shards
 	c.mu.Unlock()
-	tok := fabric.Ingest{Barrier: bw.seq, Dump: bw.dump, Heat: bw.heat, Watermarks: wms}
+	tok := fabric.Ingest{Barrier: bw.seq, Dump: bw.dump, Watermarks: wms}
 	if all {
 		if err := c.port.PublishBarrier(tok); err != nil {
 			c.setErr(err)
@@ -953,12 +932,10 @@ func (c *coordinator) onAck(a *fabric.Ack) {
 	c.mu.Lock()
 	if a.Shard >= 0 && a.Shard < len(c.acks) {
 		// Cache the scalar tallies only: a dump barrier's edge snapshot
-		// and a heat barrier's block report (already handed to their
-		// barrierWait below) must not stay live in the session-long
-		// table.
+		// (already handed to its barrierWait below) must not stay live
+		// in the session-long table.
 		cached := *a
 		cached.Edges = nil
-		cached.Heat = nil
 		c.acks[a.Shard] = cached
 	}
 	bw := c.syncs[a.Seq]
@@ -968,10 +945,6 @@ func (c *coordinator) onAck(a *fabric.Ack) {
 		}
 		if bw.edges != nil && a.Shard >= 0 && a.Shard < len(bw.edges) {
 			bw.edges[a.Shard] = a.Edges
-		}
-		if bw.blocks != nil && a.Shard >= 0 && a.Shard < len(bw.blocks) {
-			bw.blocks[a.Shard] = a.Heat
-			bw.steps[a.Shard] = a.Steps
 		}
 		counted := false
 		if bw.acked != nil && a.Shard >= 0 && a.Shard < len(bw.acked) {
@@ -1074,9 +1047,9 @@ func (c *coordinator) feedBoot(ups []graph.Update) error {
 	return nil
 }
 
-// barrier pushes a sync (optionally dump or heat) barrier through the
-// feed queue and blocks until every shard acknowledged it.
-func (c *coordinator) barrier(dump, heat bool) (*barrierWait, error) {
+// barrier pushes a sync (optionally dump) barrier through the feed queue
+// and blocks until every shard acknowledged it.
+func (c *coordinator) barrier(dump bool) (*barrierWait, error) {
 	c.sendMu.RLock()
 	if c.closed {
 		c.sendMu.RUnlock()
@@ -1085,16 +1058,11 @@ func (c *coordinator) barrier(dump, heat bool) (*barrierWait, error) {
 	bw := &barrierWait{
 		seq:       c.barSeq.Add(1),
 		dump:      dump,
-		heat:      heat,
 		remaining: c.plan.Shards,
 		done:      make(chan struct{}),
 	}
 	if dump {
 		bw.edges = make([][]graph.Edge, c.plan.Shards)
-	}
-	if heat {
-		bw.blocks = make([][]fabric.BlockHeat, c.plan.Shards)
-		bw.steps = make([]int64, c.plan.Shards)
 	}
 	c.mu.Lock()
 	if c.dead {
@@ -1121,7 +1089,7 @@ func (c *coordinator) barrier(dump, heat bool) (*barrierWait, error) {
 // applied (or dropped) on its shards, then reports the first ingest
 // error observed anywhere.
 func (c *coordinator) Sync() error {
-	bw, err := c.barrier(false, false)
+	bw, err := c.barrier(false)
 	if err != nil {
 		return err
 	}
@@ -1135,18 +1103,16 @@ func (c *coordinator) Sync() error {
 // multiset as of a point after all previously accepted feed batches
 // (the read-back path distributed verification is built on).
 func (c *coordinator) DumpEdges() ([][]graph.Edge, error) {
-	bw, err := c.barrier(true, false)
+	bw, err := c.barrier(true)
 	if err != nil {
 		return nil, err
 	}
 	return bw.edges, bw.err
 }
 
-// Close drains the feed (queued batches are routed and applied), stops
-// the rebalancer (waiting out its in-flight migration, so no extracted
-// block is ever stranded by the teardown), waits for every in-flight
-// walker to retire, ends the fabric session, and waits for the event
-// stream to wind down. Idempotent.
+// Close drains the feed (queued batches are routed and applied), waits
+// for every in-flight walker to retire, ends the fabric session, and
+// waits for the event stream to wind down. Idempotent.
 func (c *coordinator) Close() error {
 	c.sendMu.Lock()
 	first := !c.closed
@@ -1156,10 +1122,6 @@ func (c *coordinator) Close() error {
 	}
 	c.sendMu.Unlock()
 	if first {
-		if c.rebStop != nil {
-			close(c.rebStop)
-			c.rebWg.Wait() // in-flight migration completes via the event loop
-		}
 		c.routing.Wait() // every accepted batch published
 		c.pending.Wait() // every accepted walker retired
 		c.port.Close()
@@ -1187,63 +1149,36 @@ func (c *coordinator) failoverTallies() FailoverTallies {
 	}
 }
 
-// rebalanceTallies snapshots the rebalancer's activity counters.
-func (c *coordinator) rebalanceTallies() RebalanceTallies {
-	return RebalanceTallies{
+// migrationTallies snapshots the block-migration counters.
+func (c *coordinator) migrationTallies() MigrationTallies {
+	return MigrationTallies{
 		Migrations: c.migrations.Load(),
 		MovedEdges: c.movedEdges.Load(),
 		PlanEpoch:  c.planNow().Epoch,
 	}
 }
 
-// ---------------------------------------------------------------------------
-// rebalance.Controller — the mechanism half of the heat-aware rebalancer.
-
-// Shards returns the partition count.
-func (c *coordinator) Shards() int { return c.plan.Shards }
-
-// BlockOwner resolves a block's owner under the live plan.
-func (c *coordinator) BlockOwner(b uint64) int { return c.planNow().BlockOwner(b) }
-
-// Heat drives a heat barrier and returns every shard's report: the
-// node's cumulative step count plus its per-block step/degree samples,
-// consistent with all feed batches accepted before the call.
-func (c *coordinator) Heat() ([]rebalance.ShardHeat, error) {
-	bw, err := c.barrier(false, true)
-	if err != nil {
-		return nil, err
+// Migrate moves ownership block `block` to shard `to`, end to end: it
+// routes the offer/commit pair through the feed queue (ordering against
+// accepted batches) and blocks until the recipient reports the block
+// installed. Moving a block to its current owner is a no-op, and a
+// replicated plan refuses every move (its overlay stays nil). Callers
+// issue one migration at a time, which keeps the donor-waits-for-nobody
+// / recipient-waits-for-one-donor protocol trivially deadlock-free, and
+// let it return before calling Close: a migration still in flight when
+// the session ends fails with ErrFabricDown.
+func (c *coordinator) Migrate(block uint64, to int) error {
+	if c.plan.Replicas > 1 {
+		return errors.New("walk: block migration is not supported on replicated plans")
 	}
-	if bw.err != nil {
-		return nil, bw.err
-	}
-	out := make([]rebalance.ShardHeat, c.plan.Shards)
-	for i := range out {
-		out[i] = rebalance.ShardHeat{Shard: i, Steps: bw.steps[i]}
-		blocks := make([]rebalance.BlockSample, 0, len(bw.blocks[i]))
-		for _, b := range bw.blocks[i] {
-			blocks = append(blocks, rebalance.BlockSample{Block: b.Block, Steps: b.Steps, Edges: b.Edges})
-		}
-		out[i].Blocks = blocks
-	}
-	return out, nil
-}
-
-// Migrate executes one live block migration end to end: it routes the
-// offer/commit pair through the feed queue (ordering against accepted
-// batches) and blocks until the recipient reports the block installed.
-// Serialized by construction — the rebalancer watch loop is the only
-// caller, and it migrates one block at a time, which is what keeps the
-// donor-waits-for-nobody / recipient-waits-for-one-donor protocol
-// trivially deadlock-free.
-func (c *coordinator) Migrate(m rebalance.Move) error {
 	c.sendMu.RLock()
 	if c.closed {
 		c.sendMu.RUnlock()
 		return ErrLiveClosed
 	}
 	cur := c.planNow()
-	from := cur.BlockOwner(m.Block)
-	if from == m.To || m.To < 0 || m.To >= c.plan.Shards {
+	from := cur.BlockOwner(block)
+	if from == to || to < 0 || to >= c.plan.Shards {
 		c.sendMu.RUnlock()
 		return nil
 	}
@@ -1257,7 +1192,7 @@ func (c *coordinator) Migrate(m rebalance.Move) error {
 	}
 	c.migs[epoch] = ch
 	c.mu.Unlock()
-	c.feed <- coordMsg{mig: &migOp{block: m.Block, from: from, to: m.To, epoch: epoch}}
+	c.feed <- coordMsg{mig: &migOp{block: block, from: from, to: to, epoch: epoch}}
 	c.sendMu.RUnlock()
 	d := <-ch
 	if d == nil {

@@ -1,4 +1,4 @@
-// The multi-coordinator extension of the rebalance differential harness:
+// The multi-coordinator extension of the live-migration differential harness:
 // read-coordinators attach to the running shard set and serve queries
 // *while* the write-coordinator feeds a hub-skewed growth tape and
 // scripted migrations move the hot blocks live. Afterwards the
@@ -89,12 +89,12 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 	st := svc.Stats()
 	livePlan := svc.LivePlan()
 	t.Logf("replayed %d updates with %d readers attached; %d migrations (plan epoch %d), shard steps %v",
-		st.Updates, len(readers), st.Rebalance.Migrations, st.Rebalance.PlanEpoch, st.ShardSteps)
+		st.Updates, len(readers), st.Migration.Migrations, st.Migration.PlanEpoch, st.ShardSteps)
 	if st.Updates != int64(len(tape)) || st.Dropped != 0 {
 		t.Fatalf("ingest stats %+v, want %d updates, 0 dropped", st, len(tape))
 	}
-	if st.Rebalance.Migrations != 2 || len(livePlan.Overlay) != 2 {
-		t.Fatalf("want the 2 scripted migrations committed: %+v, overlay %v", st.Rebalance, livePlan.Overlay)
+	if st.Migration.Migrations != 2 || len(livePlan.Overlay) != 2 {
+		t.Fatalf("want the 2 scripted migrations committed: %+v, overlay %v", st.Migration, livePlan.Overlay)
 	}
 
 	// Bounded staleness: the write side's post-Sync stamp covers the
@@ -485,7 +485,7 @@ func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 	}
 
 	// Phase 2: move the hot block 0 while the reader holds its views.
-	if err := svc.Migrate(rbMidMove); err != nil {
+	if err := svc.Migrate(rbMidMove.block, rbMidMove.to); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	livePlan := svc.LivePlan()

@@ -3,7 +3,7 @@
 // rejoin) must be visible in the journal in exactly that order, since
 // the journal is what an operator reads to reconstruct an incident.
 // Internal package: the migration script drives the coordinator's
-// rebalance.Controller face directly.
+// Migrate directly.
 package walk
 
 import (
@@ -16,7 +16,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric/chaos"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/obs"
-	"github.com/bingo-rw/bingo/internal/rebalance"
 )
 
 // obsRingCSR builds the directed ring 0→1→…→n-1→0.
@@ -59,7 +58,7 @@ func TestJournalMigrationOrdering(t *testing.T) {
 	defer svc.Close()
 
 	seq0 := obs.Log.Seq()
-	if err := svc.coord.Migrate(rebalance.Move{Block: 0, From: 0, To: 2}); err != nil {
+	if err := svc.coord.Migrate(0, 2); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
 	evs := obs.Log.Since(seq0)

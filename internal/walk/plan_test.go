@@ -14,7 +14,7 @@ import (
 // stay total over the entire vertex-ID space under any overlay, exactly
 // as the base block-cyclic map is — the PR-2 "owner index past the shard
 // array" bug class must be unreachable no matter how blocks have been
-// rebalanced or how far the live feed has grown the space.
+// migrated or how far the live feed has grown the space.
 func TestShardPlanOverlayTotality(t *testing.T) {
 	plan := NewShardPlan(600, 4)
 	var err error
@@ -133,7 +133,7 @@ func TestVisitCounterGrowthWithOverlay(t *testing.T) {
 }
 
 // TestHelloOverlayGobRoundTrip pins the wire form of plan v2: a session
-// Hello carrying a rebalanced plan's overlay must gob round-trip intact
+// Hello carrying a migrated plan's overlay must gob round-trip intact
 // (the tcpgob fabric ships Hello as a frame, and a daemon reconstructs
 // its plan from it).
 func TestHelloOverlayGobRoundTrip(t *testing.T) {

@@ -58,7 +58,7 @@ func (c ReaderConfig) withDefaults() ReaderConfig {
 // the reader's own is the read side: that broadcast follower, the
 // applied-stamp wait, and the hub-view cache that serves a walk's first
 // hops before anything is launched. It never touches ingest: Feed, Sync,
-// rebalancing, and credit flow stay with the write session.
+// migrations, and credit flow stay with the write session.
 //
 // Scaling model: N readers share one shard set. Each serves walk hops
 // from its own hub-view cache when a valid cached view covers the

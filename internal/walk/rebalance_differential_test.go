@@ -1,4 +1,4 @@
-// The rebalancing extension of the sharded differential harness: a
+// The live-migration extension of the sharded differential harness: a
 // *hub-skewed* growth tape concentrates degree mass and walk traffic on
 // the blocks one shard owns, scripted migrations move two of those blocks
 // live — while writers feed, walkers cross shards, and the hub caches
@@ -27,7 +27,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/graph"
-	"github.com/bingo-rw/bingo/internal/rebalance"
 	"github.com/bingo-rw/bingo/internal/stats"
 	"github.com/bingo-rw/bingo/internal/walk"
 	"github.com/bingo-rw/bingo/internal/xrand"
@@ -107,14 +106,19 @@ func buildHubSkewTape(n int, seed uint64) []graph.Update {
 // The scripted migrations every differential in this file and in
 // multicoord_differential_test.go commits: block 0 moves while the tape is
 // half fed, block 4 (minted by growth) once it is fully fed, both while
-// queries run. Scripting them makes the flips certain and reproducible —
-// what these tests guard is exactness across a flip, not whether the
-// planner picks one under load (internal/rebalance's scripted heat tapes
-// cover that).
+// queries run. Scripting them makes the flips certain and reproducible:
+// what these tests guard is exactness across a flip.
 var (
-	rbMidMove  = rebalance.Move{Block: 0, To: 1}
-	rbLateMove = rebalance.Move{Block: 4, To: 2}
+	rbMidMove  = rbMove{block: 0, to: 1}
+	rbLateMove = rbMove{block: 4, to: 2}
 )
+
+// rbMove is one scripted migration: ownership block `block` moves to
+// shard `to`.
+type rbMove struct {
+	block uint64
+	to    int
+}
 
 // rbFeed feeds tape through rbWriters concurrent writers (writer w owns
 // the sources ≡ w mod rbWriters, so per-source order holds) and commits
@@ -161,9 +165,9 @@ func rbFeed(t *testing.T, svc *walk.ShardedLiveService, tape []graph.Update) {
 
 // rbMigrate commits one scripted migration, reporting failure with
 // t.Errorf so the caller can stop its query storm before failing.
-func rbMigrate(t *testing.T, svc *walk.ShardedLiveService, m rebalance.Move) {
+func rbMigrate(t *testing.T, svc *walk.ShardedLiveService, m rbMove) {
 	t.Helper()
-	if err := svc.Migrate(m); err != nil {
+	if err := svc.Migrate(m.block, m.to); err != nil {
 		t.Errorf("Migrate(%+v): %v", m, err)
 	}
 }
@@ -222,15 +226,15 @@ func runRebalanceDifferential(t *testing.T, svc *walk.ShardedLiveService, tape [
 	st := svc.Stats()
 	plan := svc.LivePlan()
 	t.Logf("replayed %d updates under %d writers / %d shards; %d migrations (%d edges shipped, plan epoch %d), shard steps %v, %d transfers",
-		st.Updates, rbWriters, rbShards, st.Rebalance.Migrations, st.Rebalance.MovedEdges, st.Rebalance.PlanEpoch, st.ShardSteps, st.Transfers)
+		st.Updates, rbWriters, rbShards, st.Migration.Migrations, st.Migration.MovedEdges, st.Migration.PlanEpoch, st.ShardSteps, st.Transfers)
 	if st.Updates != int64(len(tape)) || st.Dropped != 0 {
 		t.Fatalf("ingest stats %+v, want %d updates, 0 dropped", st, len(tape))
 	}
-	if st.Rebalance.Migrations != 2 || st.Rebalance.PlanEpoch != 2 {
-		t.Fatalf("want the 2 scripted migrations committed: %+v", st.Rebalance)
+	if st.Migration.Migrations != 2 || st.Migration.PlanEpoch != 2 {
+		t.Fatalf("want the 2 scripted migrations committed: %+v", st.Migration)
 	}
-	if plan.Epoch != st.Rebalance.PlanEpoch || len(plan.Overlay) != 2 {
-		t.Fatalf("live plan %+v does not reflect %d migrations", plan, st.Rebalance.Migrations)
+	if plan.Epoch != st.Migration.PlanEpoch || len(plan.Overlay) != 2 {
+		t.Fatalf("live plan %+v does not reflect %d migrations", plan, st.Migration.Migrations)
 	}
 	if st.Transfers == 0 {
 		t.Fatal("no cross-shard transfers — the partition topology was not exercised")
@@ -306,7 +310,7 @@ func runRebalanceDifferential(t *testing.T, svc *walk.ShardedLiveService, tape [
 			t.Fatalf("vertex %d: chi-square: %v", c.u, err)
 		}
 		if p < 1e-4 {
-			t.Errorf("vertex %d (degree %d): chi-square stat %.2f p=%.2e — rebalanced distribution diverges from sequential replay", c.u, c.d, stat, p)
+			t.Errorf("vertex %d (degree %d): chi-square stat %.2f p=%.2e — migrated distribution diverges from sequential replay", c.u, c.d, stat, p)
 		}
 	}
 	return svc.Stats()

@@ -25,7 +25,7 @@ import (
 // by at most the watermark propagation delay, the same freshness class
 // as a walker hand-off racing the feed.
 //
-// Two extra rules guard rebalancing: a reply is installed only when its
+// Two extra rules guard block migration: a reply is installed only when its
 // sender is the vertex's *current* owner (ownerOf — a straggler reply
 // from a block's old donor would otherwise install a view the new
 // owner's updates never invalidate), and dropBlock purges everything
@@ -181,7 +181,7 @@ func (rv *remoteViews) install(rp *fabric.ViewReply) bool {
 	defer rv.mu.Unlock()
 	delete(rv.inflight, rp.Vertex)
 	if rv.ownerOf != nil && rv.ownerOf(rp.Vertex) != rp.From {
-		// A straggler from a rebalanced block's previous owner — checked
+		// A straggler from a migrated block's previous owner — checked
 		// before the Hub branch on purpose: a post-extraction donor
 		// answers Hub=false (its rows are gone), and recording that in
 		// the negative cache would suppress requests toward the *new*

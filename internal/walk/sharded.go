@@ -25,8 +25,8 @@ import (
 // ever reassigning a vertex the plan already placed.
 //
 // Plan v2 layers a versioned *ownership overlay* on the block-cyclic
-// base: Overlay maps individual block indices to owners the rebalancer
-// chose, and Epoch counts the flips. The base map stays total over the
+// base: Overlay maps individual block indices to owners that committed
+// migrations chose, and Epoch counts the flips. The base map stays total over the
 // whole ID space — an overlay can only redirect a block to another
 // existing shard (WithOverlay enforces the range), never un-own one — so
 // totality survives any overlay combined with any amount of growth.
@@ -43,7 +43,7 @@ type ShardPlan struct {
 	// base plan, each committed migration increments it.
 	Epoch uint64
 	// Overlay maps block indices to owners that differ from the
-	// block-cyclic base (nil = no rebalancing has happened). Treated as
+	// block-cyclic base (nil = no block has migrated). Treated as
 	// immutable: never written after the plan value is constructed.
 	Overlay map[uint64]int
 	// Replicas is the block replication factor (plan v3). 0 and 1 both
@@ -52,9 +52,9 @@ type ShardPlan struct {
 	// group group(b) = {(b%Shards + k) % Shards : k < R} — and every
 	// routed update for b is published to every live group member, so
 	// followers replay the identical per-source stream the primary does.
-	// Replication composes with the dead-mask, not with the rebalancing
-	// overlay: a replicated plan keeps Overlay nil (the service layer
-	// enforces the exclusion).
+	// Replication composes with the dead-mask, not with the migration
+	// overlay: a replicated plan keeps Overlay nil (the coordinator's
+	// Migrate refuses replicated plans).
 	Replicas int
 	// DeadMask is the liveness bit-set (bit i = shard i presumed dead),
 	// versioned by Epoch like the overlay. Ownership chains through it:
@@ -129,9 +129,9 @@ func (p ShardPlan) Alive(s int) bool { return !p.dead(s) }
 
 // InGroup reports whether shard s is in block b's replica group — the
 // Replicas consecutive shards starting at the block's base owner. With
-// no replication the group is just the base owner. The rebalancing
-// overlay never applies to replicated plans (mutually exclusive), so the
-// group is computed on the block-cyclic base alone.
+// no replication the group is just the base owner. The migration
+// overlay never applies to replicated plans, so the group is computed on
+// the block-cyclic base alone.
 func (p ShardPlan) InGroup(b uint64, s int) bool {
 	r := p.Replicas
 	if r < 1 {

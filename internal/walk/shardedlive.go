@@ -9,7 +9,6 @@ import (
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/inproc"
 	"github.com/bingo-rw/bingo/internal/graph"
-	"github.com/bingo-rw/bingo/internal/rebalance"
 )
 
 // ShardedLiveService is the sharded serving runtime — the one service
@@ -81,11 +80,6 @@ type ShardedLiveConfig struct {
 	// effect only when the shard engines support versioned views
 	// (concurrent.Engine does).
 	Cache fabric.CacheSpec
-	// Rebalance configures the heat-aware shard rebalancer (off unless
-	// Rebalance.On). It requires engines with row extraction
-	// (concurrent.Engine); the in-process service validates this at
-	// construction.
-	Rebalance rebalance.Options
 	// CreditWindow bounds the per-shard in-flight (routed but not yet
 	// applied) update events. The router stalls — and Feed with it —
 	// while a shard's outstanding window is full, turning the daemons'
@@ -130,13 +124,13 @@ func (c ShardedLiveConfig) withDefaults(shards int) ShardedLiveConfig {
 // Coordinator-side counters are current as of the call: Queries, Steps,
 // Transfers, and Local fold in when a walker retires (a walk in flight
 // has contributed nothing yet), Batches when the router takes a batch,
-// and Rebalance, Failover, and Backpressure as their events happen.
+// and Migration, Failover, and Backpressure as their events happen.
 // Shard-side counters — Updates, Dropped, ShardSteps, Cache — are each
 // shard's cumulative tallies from its latest barrier ack, i.e. as of the
-// last Sync (the rebalancer's heat checks and DumpEdges refresh them
-// too). A caller that wants the two clocks to agree quiesces its own
-// walks and calls Sync first; then Steps == Local + Cache.RemoteHits and,
-// with no read-coordinators attached, the ShardSteps sum to Steps.
+// last Sync (DumpEdges refreshes them too). A caller that wants the two
+// clocks to agree quiesces its own walks and calls Sync first; then
+// Steps == Local + Cache.RemoteHits and, with no read-coordinators
+// attached, the ShardSteps sum to Steps.
 type ShardedLiveStats struct {
 	Queries, Steps            int64
 	Batches, Updates, Dropped int64
@@ -144,14 +138,14 @@ type ShardedLiveStats struct {
 	Cache                     fabric.CacheTallies
 	// ShardSteps is the per-shard split of the hops the shard set served
 	// (indexed by shard; read-coordinators' walks included) — the
-	// load-share view the rebalancer acts on.
+	// shard set's load share.
 	ShardSteps []int64
 	// Corpus tallies the standing-walk-corpus maintenance riding on this
 	// service, when one is attached (see CorpusService.ShardedStats; the
 	// raw service leaves it zero).
 	Corpus fabric.CorpusTallies
-	// Rebalance tallies the heat-aware rebalancer's activity.
-	Rebalance RebalanceTallies
+	// Migration tallies live block migrations.
+	Migration MigrationTallies
 	// Failover tallies replica-failover activity (replicated sessions).
 	Failover FailoverTallies
 	// Backpressure reports the credit window's activity.
@@ -181,13 +175,13 @@ type BackpressureTallies struct {
 	Stalled        time.Duration
 }
 
-// RebalanceTallies reports the rebalancer's cumulative activity.
-type RebalanceTallies struct {
+// MigrationTallies reports the session's cumulative block migrations.
+type MigrationTallies struct {
 	// Migrations counts completed block migrations; MovedEdges the edges
 	// they shipped.
 	Migrations, MovedEdges int64
-	// PlanEpoch is the live plan's overlay version (0 = never
-	// rebalanced).
+	// PlanEpoch is the live plan's overlay version (0 = no block ever
+	// migrated).
 	PlanEpoch uint64
 }
 
@@ -203,16 +197,11 @@ func (s ShardedLiveStats) TransferRatio() float64 {
 	return float64(s.Transfers) / float64(s.Steps)
 }
 
-// validateReplication rejects plan/config combinations replication
-// cannot support: the rebalancing overlay (its redundancy-erasure
-// conflicts with replica groups — the two are mutually exclusive) and
-// shard counts beyond the 64-bit dead-mask.
-func validateReplication(plan ShardPlan, cfg ShardedLiveConfig) error {
+// validateReplication rejects replicated plans with more shards than
+// the 64-bit dead-mask can track.
+func validateReplication(plan ShardPlan) error {
 	if plan.Replicas <= 1 {
 		return nil
-	}
-	if cfg.Rebalance.On {
-		return fmt.Errorf("walk: replication (factor %d) and heat rebalancing are mutually exclusive", plan.Replicas)
 	}
 	if plan.Shards > 64 {
 		return fmt.Errorf("walk: replication supports at most 64 shards (dead-mask width), got %d", plan.Shards)
@@ -233,15 +222,12 @@ func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLive
 	cfg = cfg.withDefaults(plan.Shards)
 	verts := 0
 	for i, e := range engines {
-		if _, ok := e.(RangeExtractor); cfg.Rebalance.On && !ok {
-			return nil, fmt.Errorf("walk: rebalancing needs row extraction, which shard %d's engine (%T) lacks", i, e)
-		}
 		if _, ok := e.(RangeSnapshotter); plan.Replicas > 1 && !ok {
 			return nil, fmt.Errorf("walk: replication needs row snapshots, which shard %d's engine (%T) lacks", i, e)
 		}
 		verts = max(verts, e.NumVertices())
 	}
-	if err := validateReplication(plan, cfg); err != nil {
+	if err := validateReplication(plan); err != nil {
 		return nil, err
 	}
 	fab := inproc.New(plan.Shards, cfg.QueueDepth)
@@ -265,7 +251,7 @@ func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLive
 // ServeShardedOver for the bootstrapped form.
 func NewShardedLiveServiceOver(port fabric.CoordPort, attach func() (fabric.ReadPort, error), plan ShardPlan, numVertices int, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
 	cfg = cfg.withDefaults(plan.Shards)
-	if err := validateReplication(plan, cfg); err != nil {
+	if err := validateReplication(plan); err != nil {
 		return nil, err
 	}
 	return newShardedLiveService(port, attach, plan, numVertices, cfg), nil
@@ -346,7 +332,7 @@ func (s *ShardedLiveService) Shards() int { return s.coord.plan.Shards }
 // Plan returns the construction-time partition geometry.
 func (s *ShardedLiveService) Plan() ShardPlan { return s.coord.plan }
 
-// LivePlan returns the live ownership plan (rebalancing overlay and
+// LivePlan returns the live ownership plan (migration overlay and
 // dead-mask included).
 func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
 
@@ -416,7 +402,7 @@ func (s *ShardedLiveService) Stats() ShardedLiveStats {
 		Transfers:  c.transfers.Load(),
 		Local:      c.local.Load(),
 		ShardSteps: make([]int64, c.plan.Shards),
-		Rebalance:  c.rebalanceTallies(),
+		Migration:  c.migrationTallies(),
 		Failover:   c.failoverTallies(),
 	}
 	c.mu.Lock()
@@ -441,7 +427,7 @@ func (s *ShardedLiveService) AppliedStamp() int64 { return s.coord.appliedStamp(
 // AttachReader attaches a read-coordinator to this service's shard set:
 // the returned ReaderService serves Query and DeepWalk against the same
 // shards while this service (the write session) keeps exclusive ownership
-// of ingest, credit flow, and rebalancing. Any number of readers may
+// of ingest, credit flow, and migrations. Any number of readers may
 // attach; each detaches independently with Close, and all fail over to
 // ErrFabricDown when the write session closes.
 func (s *ShardedLiveService) AttachReader(cfg ReaderConfig) (*ReaderService, error) {

@@ -3,7 +3,6 @@ package walk
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,15 +36,14 @@ import (
 //     stream. A hop at a cached non-owned hub is served locally instead
 //     of costing a walker hand-off.
 //
-// Ownership migration. The node is also one endpoint of the rebalancer's
-// migration protocol (see DESIGN.md, "Heat-aware rebalancing"): its
+// Ownership migration. The node is also one endpoint of the live
+// block-migration protocol (see DESIGN.md, "Live block migration"): its
 // ownership plan is an atomic pointer the ingester swaps on MigrateOffer
 // (donor: flip, then extract and ship the block) and MigrateCommit
 // (recipient: wait for the block, install, then flip; bystander: just
 // flip), while crews reload it every hop — a walker that lands on a moved
 // vertex is re-routed to whatever owner the node's current plan names,
-// never lost. Crews additionally tally sampled hops per ownership block,
-// and heat barriers read the tally back to the coordinator.
+// never lost.
 type shardNode struct {
 	e     LiveEngine
 	planv atomic.Pointer[ShardPlan]
@@ -106,12 +104,6 @@ type shardNode struct {
 	// early arrivals here. Ingester-only; no lock.
 	stash map[blockKey]*fabric.MigrateBlock
 
-	// heatMu guards blockSteps, the node's cumulative sampled-hop tally
-	// per ownership block (crews flush per-segment run counts into it;
-	// heat barriers read it back to the coordinator).
-	heatMu     sync.Mutex
-	blockSteps map[uint64]int64
-
 	errMu sync.Mutex
 	err   error
 }
@@ -122,20 +114,10 @@ func (n *shardNode) planNow() ShardPlan { return *n.planv.Load() }
 // setPlan installs a new ownership plan.
 func (n *shardNode) setPlan(p ShardPlan) { n.planv.Store(&p) }
 
-// bumpBlockSteps folds a crew's per-block hop run into the heat tally.
-func (n *shardNode) bumpBlockSteps(block uint64, steps int64) {
-	if steps == 0 {
-		return
-	}
-	n.heatMu.Lock()
-	n.blockSteps[block] += steps
-	n.heatMu.Unlock()
-}
-
-// RangeExtractor is the optional LiveEngine capability live rebalancing
+// RangeExtractor is the optional LiveEngine capability block migration
 // requires on donors: atomically remove a vertex range's rows and return
-// updates that reconstruct them (concurrent.Engine implements it). The
-// serving runtimes refuse to enable rebalancing over engines without it.
+// updates that reconstruct them (concurrent.Engine implements it). A donor
+// without it refuses the move (see handleOffer).
 type RangeExtractor interface {
 	// ExtractRange takes uint64 bounds: the top ownership block of the
 	// uint32 ID space ends at 2^32, which a graph.VertexID cannot hold.
@@ -171,7 +153,7 @@ func startShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPo
 	if crew < 1 {
 		crew = 1
 	}
-	n := &shardNode{e: e, shard: shard, port: port, cache: cache, procWide: procWide, blockSteps: map[uint64]int64{}, stash: map[blockKey]*fabric.MigrateBlock{}}
+	n := &shardNode{e: e, shard: shard, port: port, cache: cache, procWide: procWide, stash: map[blockKey]*fabric.MigrateBlock{}}
 	n.setPlan(plan)
 	if !cache.Off {
 		if ve, ok := e.(ViewSampler); ok {
@@ -248,7 +230,6 @@ func (n *shardNode) crewLoop() {
 	drop := make([]bool, kernelBatch)
 	in := make([]*fabric.Walker, 0, kernelBatch)
 	retire := make([]*fabric.Walker, 0, kernelBatch)
-	heat := map[uint64]int64{}
 	for {
 		batch, ok := n.port.NextWalkers(in[:0], kernelBatch)
 		if !ok {
@@ -310,7 +291,6 @@ func (n *shardNode) crewLoop() {
 				}
 				seg.local++
 				wk.Local++
-				heat[plan.BlockOf(wk.Cur)]++
 				seg.steps++
 				wk.Steps++
 				wk.Left--
@@ -341,7 +321,6 @@ func (n *shardNode) crewLoop() {
 					}
 					seg.remote++
 					wk.Remote++
-					heat[plan.BlockOf(wk.Cur)]++
 					seg.steps++
 					wk.Steps++
 					wk.Left--
@@ -395,10 +374,6 @@ func (n *shardNode) crewLoop() {
 			// Flush the round's tallies before retiring its walkers: a
 			// retired walker's steps must already be visible in the node
 			// counters when the coordinator observes the retirement.
-			for b, s := range heat {
-				n.bumpBlockSteps(b, s)
-				delete(heat, b)
-			}
 			n.steps.Add(seg.steps)
 			n.transfers.Add(seg.transfers)
 			n.local.Add(seg.local)
@@ -542,9 +517,6 @@ func (n *shardNode) ingestLoop() {
 					}
 				}
 			}
-			if in.Heat {
-				a.Heat = n.heatReport()
-			}
 			if err := n.port.Ack(a); err != nil {
 				n.setErr(err)
 			}
@@ -650,10 +622,10 @@ func (n *shardNode) handleOffer(of *fabric.MigrateOffer) {
 	}
 	ex, ok := n.e.(RangeExtractor)
 	if !ok {
-		// The serving runtimes refuse to start a rebalancer over engines
-		// without extraction, so this is a protocol violation; keep the
-		// rows (no flip) but complete the handshake so the recipient's
-		// ingest stream is not wedged waiting for a block.
+		// Nothing checks for extraction before a migration is scripted,
+		// so this refusal is the guard: keep the rows (no flip) and
+		// report the error, but complete the handshake so the
+		// recipient's ingest stream is not wedged waiting for a block.
 		n.setErr(fmt.Errorf("walk: shard %d engine cannot extract rows; migration of block %d refused", n.shard, of.Block))
 		n.sendBlock(of, n.consumed.Load(), nil)
 		return
@@ -799,7 +771,7 @@ func (n *shardNode) installBlock(cm *fabric.MigrateCommit) {
 }
 
 // takeBlock returns the block payload matching (block, epoch), blocking
-// on the block mailbox until it arrives. Rebalancing ships one block at
+// on the block mailbox until it arrives. A migration ships one block at
 // a time per recipient, but replica priming copies from *several* donors
 // whose peer streams interleave arbitrarily — payloads for commits the
 // ingester has not reached yet are parked in the stash, and a commit
@@ -870,39 +842,6 @@ func (n *shardNode) installCopy(cm *fabric.MigrateCommit) {
 	if err := n.port.Migrated(done); err != nil {
 		n.setErr(err)
 	}
-}
-
-// heatReport snapshots the node's per-block heat: cumulative sampled
-// hops from the crews' tallies, plus the live degree mass of every block
-// whose rows this engine holds (an O(V) degree scan — heat barriers are
-// rebalancer-paced, not per-request). Blocks with neither steps nor
-// edges are omitted.
-func (n *shardNode) heatReport() []fabric.BlockHeat {
-	plan := n.planNow()
-	agg := map[uint64]fabric.BlockHeat{}
-	n.heatMu.Lock()
-	for b, s := range n.blockSteps {
-		agg[b] = fabric.BlockHeat{Block: b, Steps: s}
-	}
-	n.heatMu.Unlock()
-	nv := n.e.NumVertices()
-	for v := 0; v < nv; v++ {
-		d := n.e.Degree(graph.VertexID(v))
-		if d == 0 {
-			continue
-		}
-		b := plan.BlockOf(graph.VertexID(v))
-		e := agg[b]
-		e.Block = b
-		e.Edges += int64(d)
-		agg[b] = e
-	}
-	out := make([]fabric.BlockHeat, 0, len(agg))
-	for _, e := range agg {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
-	return out
 }
 
 // viewLoop drains the node's view stream: it answers peers' requests

@@ -9,13 +9,11 @@ package bingo
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
-	"github.com/bingo-rw/bingo/internal/rebalance"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
 
@@ -195,49 +193,6 @@ func (o HubCacheOptions) spec() fabric.CacheSpec {
 	}
 }
 
-// RebalanceOptions tune the heat-aware shard rebalancer of the sharded
-// serving runtimes. Off by default: set On to let the coordinator watch
-// per-shard heat (walk steps per ownership block, reported on ingest
-// barriers) and migrate hot blocks off overloaded shards live — walkers
-// are re-routed across the ownership flip, never lost, and the feed's
-// per-source ordering is preserved (see DESIGN.md, "Heat-aware
-// rebalancing"). Zero values select defaults.
-type RebalanceOptions struct {
-	// On enables the rebalancer.
-	On bool
-	// Interval is the heat-check period (default 500ms).
-	Interval time.Duration
-	// Imbalance triggers rebalancing when the hottest shard's share of
-	// walk steps exceeds this multiple of the fair share 1/shards
-	// (default 1.3).
-	Imbalance float64
-	// MaxMovesPerCycle bounds block migrations per heat check (default 4).
-	MaxMovesPerCycle int
-	// MinCycleSteps is the minimum per-cycle step count worth acting on
-	// (default 2048).
-	MinCycleSteps int64
-	// Cooldown is how many heat checks a moved block is pinned before it
-	// may move again (default 2).
-	Cooldown int
-}
-
-func (o RebalanceOptions) opts() rebalance.Options {
-	return rebalance.Options{
-		On:               o.On,
-		Interval:         o.Interval,
-		Imbalance:        o.Imbalance,
-		MaxMovesPerCycle: o.MaxMovesPerCycle,
-		MinCycleSteps:    o.MinCycleSteps,
-		Cooldown:         o.Cooldown,
-	}
-}
-
-// RebalanceStats report the rebalancer's cumulative activity: completed
-// block Migrations, the MovedEdges they shipped between shards, and the
-// ownership plan's overlay version PlanEpoch (0 = the block-cyclic base
-// plan, never rebalanced).
-type RebalanceStats = walk.RebalanceTallies
-
 // LiveOptions configure Serve.
 type LiveOptions struct {
 	// Walkers is the walker-pool size (default GOMAXPROCS).
@@ -337,14 +292,12 @@ type ShardedOptions struct {
 	Concurrency ConcurrentConfig
 	// HubCache tunes the shards' hub-view caches.
 	HubCache HubCacheOptions
-	// Rebalance tunes the heat-aware shard rebalancer (off by default).
-	Rebalance RebalanceOptions
 	// Replicas is the block ownership replication factor (default 1 = no
 	// replication). With Replicas = R, every ownership block's rows live
 	// on R consecutive shards, fed from the same routed update stream, and
 	// the runtime survives shard failures by promoting a replica (a
-	// dead-mask flip — the replicas are already identical). Mutually
-	// exclusive with Rebalance; at most 64 shards.
+	// dead-mask flip — the replicas are already identical). At most 64
+	// shards.
 	Replicas int
 	// CreditWindow bounds per-shard in-flight (routed but unapplied)
 	// update events; a full window blocks Feed (0 = default 16384,
@@ -368,8 +321,8 @@ type HubCacheStats = fabric.CacheTallies
 //
 // The fields run on two clocks, the same for in-process shards and remote
 // daemons. Queries, Steps, Transfers, and Local fold in when a walk
-// retires, Batches when the router takes a batch, and Rebalance, Failover,
-// and Backpressure as their events happen: current as of the call.
+// retires, Batches when the router takes a batch, and Failover and
+// Backpressure as their events happen: current as of the call.
 // Updates, Dropped, ShardSteps, and Cache are the shards' cumulative
 // tallies from their latest barrier acknowledgement: exact as of the last
 // Sync. Call Sync first when the ingest counters must be current.
@@ -379,16 +332,13 @@ type ShardedLiveStats struct {
 	Transfers, Local          int64
 	Cache                     HubCacheStats
 	// ShardSteps splits the hops the shard set served by serving shard
-	// (attached readers' walks included) — the load-share view the
-	// rebalancer acts on.
+	// (attached readers' walks included) — the shard set's load share.
 	ShardSteps []int64
 	// Corpus reports standing-walk-corpus maintenance riding on this
 	// service when one is attached (see CorpusWalker.ServiceStats; only
 	// the maintenance tallies — Resamples through Fallbacks — are
 	// populated here, serving counters stay on CorpusWalker.Stats).
 	Corpus CorpusStats
-	// Rebalance reports the heat-aware rebalancer's activity.
-	Rebalance RebalanceStats
 	// Failover reports replica-failover activity (replicated sessions):
 	// shard-link deaths, walkers re-routed or relaunched across them, and
 	// completed rejoin cycles with their copied snapshot blocks.
@@ -451,7 +401,6 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
 		Cache:           o.HubCache.spec(),
-		Rebalance:       o.Rebalance.opts(),
 		CreditWindow:    o.CreditWindow,
 	})
 	if err != nil {
@@ -531,7 +480,6 @@ func fromShardedStats(st walk.ShardedLiveStats) ShardedLiveStats {
 		Cache:        st.Cache,
 		ShardSteps:   st.ShardSteps,
 		Corpus:       fromCorpusTallies(st.Corpus),
-		Rebalance:    st.Rebalance,
 		Failover:     st.Failover,
 		Backpressure: st.Backpressure,
 	}
@@ -558,16 +506,12 @@ type RemoteOptions struct {
 	// carries it, so the coordinator decides the cache policy for the
 	// whole session.
 	HubCache HubCacheOptions
-	// Rebalance tunes the heat-aware shard rebalancer (off by default).
-	// The coordinator drives migrations; the daemons execute them.
-	Rebalance RebalanceOptions
 	// Replication is the block ownership replication factor (default 1 =
 	// no replication). With factor R every ownership block's rows live on
 	// R consecutive daemons fed from the same routed stream, the
 	// coordinator survives daemon deaths by promoting replicas (a
 	// dead-mask flip), and dead daemons that come back are re-primed from
-	// live replica snapshots. Mutually exclusive with Rebalance; at most
-	// 64 shards.
+	// live replica snapshots. At most 64 shards.
 	Replication int
 	// CreditWindow bounds per-daemon in-flight (routed but unapplied)
 	// update events; a full window blocks Feed instead of growing daemon
@@ -613,7 +557,6 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 		QueueDepth:   o.QueueDepth,
 		WalkLength:   o.WalkLength,
 		Seed:         o.Seed,
-		Rebalance:    o.Rebalance.opts(),
 		CreditWindow: o.CreditWindow,
 	})
 	if err != nil {
@@ -659,7 +602,7 @@ type ReaderWalkerStats struct {
 
 // ReaderWalker is a read-coordinator: a Query/DeepWalk front end
 // attached to a shard set another process (or service) writes to.
-// Exactly one write session owns ingest, credit flow, and rebalancing;
+// Exactly one write session owns ingest and credit flow;
 // any number of ReaderWalkers serve queries beside it, each keeping its
 // routing and hub-view cache valid through the write-coordinator's
 // broadcast stream. Serving is bounded-staleness: AppliedStamp reports
@@ -698,7 +641,7 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 // over the in-process fabric for ServeSharded, over fresh TCP connections
 // to the same daemons for ServeRemote: the returned ReaderWalker serves
 // Query/DeepWalk against the same shards while this walker keeps
-// exclusive ownership of ingest and rebalancing.
+// exclusive ownership of ingest.
 func (sw *ShardedLiveWalker) AttachReader(o ReaderOptions) (*ReaderWalker, error) {
 	svc, err := sw.svc.AttachReader(walk.ReaderConfig{
 		WalkLength: o.WalkLength,
