@@ -80,8 +80,10 @@ obs-smoke:
 	$(GO) test -count 1 -run TestObsSmoke -v .
 	$(GO) test -count 1 -run 'TestKernelObsOverheadBudget|TestJournalMigrationOrdering|TestJournalFailoverOrdering|TestMetricsScrapeUnderLoad' -v ./internal/walk/
 
-# Short local fuzz sessions: the sampler's structural invariants, then
-# the wire codec's decoder (no panic, bounded allocation, canonical form).
+# Short local fuzz sessions: the sampler's structural invariants, the
+# batch reorder against a stable reference sort, then the wire codec's
+# decoder (no panic, bounded allocation, canonical form).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSamplerMutate -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSortUpdatesBySrc -fuzztime 30s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/fabric/tcpgob/

@@ -385,9 +385,10 @@ func toInternalUpdates(floatMode bool, ups []Update) ([]graph.Update, error) {
 }
 
 // ApplyBatch ingests updates through the high-throughput batched path
-// (paper §5.2): per-vertex reordering, parallel workers, 2-phase
-// delete-and-swap, one rebuild per touched vertex. Deletions of edges that
-// are not live are counted in BatchResult.NotFound and skipped.
+// (paper §5.2): an O(n) stable reorder by source vertex, parallel workers
+// over the per-vertex runs, 2-phase delete-and-swap, one rebuild per
+// touched vertex. Deletions of edges that are not live are counted in
+// BatchResult.NotFound and skipped.
 func (e *Engine) ApplyBatch(ups []Update) (BatchResult, error) {
 	internal, err := e.toInternal(ups)
 	if err != nil {

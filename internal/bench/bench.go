@@ -321,7 +321,7 @@ var registry = []runner{
 	{"fig9", "group element ratio per bit position for three bias distributions", runFig9},
 	{"fig11", "adaptive group representation memory impact (BS vs GA)", runFig11},
 	{"fig12", "streaming vs batched update throughput", runFig12},
-	{"fig13", "time breakdown: BS vs GA (insert/delete, rebuild, sampling)", runFig13},
+	{"fig13", "time breakdown: BS vs GA (reorder, insert/delete, rebuild, sampling)", runFig13},
 	{"fig14", "integer vs floating-point bias time and memory", runFig14},
 	{"fig15a", "batch size sweep: Bingo vs RebuildITS", runFig15a},
 	{"fig15b", "walk length sweep: Bingo vs RebuildITS", runFig15b},

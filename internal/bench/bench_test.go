@@ -58,7 +58,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"fig9":     "Power-law",
 		"fig11":    "hdr regular",
 		"fig12":    "updates/s batched",
-		"fig13":    "rebuild(s)",
+		"fig13":    "reorder(s)",
 		"fig14":    "float time(s)",
 		"fig15a":   "RebuildITS time(s)",
 		"fig15b":   "walk length",

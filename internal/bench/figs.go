@@ -179,11 +179,11 @@ func runFig12(o *Options) error {
 	return nil
 }
 
-// runFig13 reports the batched-update time breakdown (insert/delete vs
-// rebuild) plus sampling time, for BS and GA.
+// runFig13 reports the batched-update time breakdown (reorder by source,
+// insert/delete, rebuild) plus sampling time, for BS and GA.
 func runFig13(o *Options) error {
 	t := newTable(o.Out)
-	t.row("dataset", "mode", "insert/delete(s)", "rebuild(s)", "sampling(s)", "total(s)")
+	t.row("dataset", "mode", "reorder(s)", "insert/delete(s)", "rebuild(s)", "sampling(s)", "total(s)")
 	for _, abbr := range o.Datasets {
 		d, g, err := o.dataset(abbr)
 		if err != nil {
@@ -212,8 +212,8 @@ func runFig13(o *Options) error {
 			sampDur := timed(func() {
 				walk.SimpleSampling(s, wcfg)
 			})
-			total := ph.InsertDelete + ph.Rebuild + sampDur
-			t.row(abbr, mode, secs(ph.InsertDelete), secs(ph.Rebuild), secs(sampDur), secs(total))
+			total := ph.Reorder + ph.InsertDelete + ph.Rebuild + sampDur
+			t.row(abbr, mode, secs(ph.Reorder), secs(ph.InsertDelete), secs(ph.Rebuild), secs(sampDur), secs(total))
 		}
 	}
 	t.flush()

@@ -613,12 +613,12 @@ func (e *Engine) ensureSpace(n int) {
 
 // ApplyBatch ingests a batch through the §5.2 per-vertex workflow while
 // walkers keep running: updates are validated, then the shared
-// core.ApplyPerSource orchestration (stable source reorder, per-vertex
-// runs, worker fan-out) applies each run with only the stripe of the
-// vertex it touches held. Concurrent Sample calls on untouched stripes are
-// never blocked; samples on a touched vertex serialize with that vertex's
-// application, observing either the pre- or post-batch row, never a torn
-// one.
+// core.ApplyPerSource orchestration (stable O(n) source reorder,
+// per-vertex runs, chunked worker fan-out) applies each run with only the
+// stripe of the vertex it touches held. Concurrent Sample calls on
+// untouched stripes are never blocked; samples on a touched vertex
+// serialize with that vertex's application, observing either the pre- or
+// post-batch row, never a torn one.
 func (e *Engine) ApplyBatch(ups []graph.Update) (core.BatchResult, error) {
 	if len(ups) == 0 {
 		return core.BatchResult{}, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bingo-rw/bingo/internal/bitutil"
@@ -29,9 +30,9 @@ type BatchResult struct {
 // rebuild step. The inter-group alias table of each touched vertex is
 // rebuilt exactly once.
 //
-// The input slice is reordered in place (stably per source, preserving the
-// paper's timestamp semantics). Zero-bias insertions fail validation before
-// any mutation.
+// The input slice is reordered in place by an O(n) stable radix sort on
+// the source (stable per source, preserving the paper's timestamp
+// semantics). Zero-bias insertions fail validation before any mutation.
 func (s *Sampler) ApplyBatch(ups []graph.Update) (BatchResult, error) {
 	var res BatchResult
 	if len(ups) == 0 {
@@ -46,16 +47,31 @@ func (s *Sampler) ApplyBatch(ups []graph.Update) (BatchResult, error) {
 	return s.ApplyPerSource(ups, s.cfg.Workers, s.ApplyVertexUpdates), nil
 }
 
+// applyChunk is how many consecutive per-source runs a batch worker claims
+// from the shared cursor at a time: enough that one atomic add is
+// amortised over ~100 µs of vertex work, few enough that the workers'
+// last chunks finish close together.
+const applyChunk = 64
+
 // ApplyPerSource is the batched workflow's orchestration, shared with
-// external coordinators (internal/concurrent): sort ups stably by source,
-// partition into per-source runs, fan the runs out over workers, and sum
-// the results. apply receives a per-worker Scratch whose conversion stats
-// are flushed once per worker. The updates must already have passed
-// ValidateUpdates and the vertex space must cover every referenced ID.
+// external coordinators (internal/concurrent): sort ups by source in
+// place (graph.SortUpdatesBySrc, O(n) and stable), partition them into
+// per-source runs, and apply the runs on up to workers goroutines, the
+// caller's included. Workers claim applyChunk runs at a time through one
+// atomic cursor; a batch of at most one chunk runs on the caller's
+// goroutine alone. apply is called exactly once per source, with that
+// source's updates in their submission order, and receives a per-worker
+// Scratch whose conversion stats are flushed once per worker. The
+// updates must already have passed ValidateUpdates and the vertex space
+// must cover every referenced ID.
 func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult) BatchResult {
 	var res BatchResult
 	if len(ups) == 0 {
 		return res
+	}
+	var t0 time.Time
+	if s.cfg.Instrument {
+		t0 = time.Now()
 	}
 	graph.SortUpdatesBySrc(ups)
 
@@ -69,51 +85,43 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u g
 			lo = i
 		}
 	}
-
-	if workers > len(runs) {
-		workers = len(runs)
+	if s.cfg.Instrument {
+		s.reorderNs.Add(time.Since(t0).Nanoseconds())
 	}
-	if workers <= 1 {
+
+	chunks := (len(runs) + applyChunk - 1) / applyChunk
+	var next atomic.Int64
+	var mu sync.Mutex
+	work := func() {
+		var local BatchResult
 		sc := NewScratch()
-		for _, rn := range runs {
-			r := apply(ups[rn.lo].Src, ups[rn.lo:rn.hi], sc)
-			res.Inserted += r.Inserted
-			res.Deleted += r.Deleted
-			res.NotFound += r.NotFound
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			for _, rn := range runs[c*applyChunk : min((c+1)*applyChunk, len(runs))] {
+				local.add(apply(ups[rn.lo].Src, ups[rn.lo:rn.hi], sc))
+			}
 		}
 		s.FlushScratch(sc)
-		return res
+		mu.Lock()
+		res.add(local)
+		mu.Unlock()
 	}
-
-	runCh := make(chan run, workers)
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, chunks); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := BatchResult{}
-			sc := NewScratch()
-			for rn := range runCh {
-				r := apply(ups[rn.lo].Src, ups[rn.lo:rn.hi], sc)
-				local.Inserted += r.Inserted
-				local.Deleted += r.Deleted
-				local.NotFound += r.NotFound
-			}
-			s.FlushScratch(sc)
-			mu.Lock()
-			res.Inserted += local.Inserted
-			res.Deleted += local.Deleted
-			res.NotFound += local.NotFound
-			mu.Unlock()
+			work()
 		}()
 	}
-	for _, rn := range runs {
-		runCh <- rn
-	}
-	close(runCh)
+	work()
 	wg.Wait()
 	return res
+}
+
+func (r *BatchResult) add(o BatchResult) {
+	r.Inserted += o.Inserted
+	r.Deleted += o.Deleted
+	r.NotFound += o.NotFound
 }
 
 // batchScratch is per-worker reusable state: the staging maps of the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"github.com/bingo-rw/bingo/internal/gen"
@@ -279,6 +280,97 @@ func TestBatchParallelWorkers(t *testing.T) {
 		for dst, m := range m1 {
 			if m8[dst] != m {
 				t.Fatalf("vertex %d dst %d mass %v vs %v", u, dst, m, m8[dst])
+			}
+		}
+	}
+}
+
+// TestApplyPerSourceCoversEveryRunOnce checks the chunked fan-out alone,
+// with a stand-in apply: on either side of one chunk and for several
+// worker counts, every source is applied exactly once with its updates in
+// submission order, no Scratch is shared by two goroutines at once, and
+// the result sums equal the serial path's.
+func TestApplyPerSourceCoversEveryRunOnce(t *testing.T) {
+	s, err := New(1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(35)
+	for _, nRuns := range []int{1, applyChunk - 1, applyChunk, applyChunk + 1, 10*applyChunk + 7} {
+		// Each source gets 1-3 updates; Dst numbers a source's updates in
+		// submission order, and the sources' tapes are interleaved at
+		// random. Sources are spread over the whole 32-bit range.
+		perSrc := map[graph.VertexID]int{}
+		var pending []graph.VertexID // one entry per update still to emit
+		for len(perSrc) < nRuns {
+			u := graph.VertexID(r.Uint32())
+			if perSrc[u] > 0 {
+				continue
+			}
+			perSrc[u] = 1 + r.Intn(3)
+			for range perSrc[u] {
+				pending = append(pending, u)
+			}
+		}
+		var want BatchResult
+		var ups []graph.Update
+		emitted := map[graph.VertexID]int{}
+		for len(pending) > 0 {
+			i := r.Intn(len(pending))
+			u := pending[i]
+			pending[i] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			op := graph.Op(r.Intn(2))
+			ups = append(ups, graph.Update{Op: op, Src: u, Dst: graph.VertexID(emitted[u])})
+			emitted[u]++
+			if op == graph.OpInsert {
+				want.Inserted++
+			} else {
+				want.Deleted++
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			var mu sync.Mutex
+			calls := map[graph.VertexID]int{}
+			busy := map[*Scratch]bool{}
+			in := append([]graph.Update(nil), ups...)
+			got := s.ApplyPerSource(in, workers, func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult {
+				mu.Lock()
+				if busy[sc] {
+					t.Errorf("workers=%d: Scratch %p used by two goroutines at once", workers, sc)
+				}
+				busy[sc] = true
+				calls[u]++
+				mu.Unlock()
+				var res BatchResult
+				if len(ops) != perSrc[u] {
+					t.Errorf("workers=%d: source %d applied with %d updates, want %d", workers, u, len(ops), perSrc[u])
+				}
+				for i, op := range ops {
+					if op.Src != u || op.Dst != graph.VertexID(i) {
+						t.Errorf("workers=%d: source %d update %d is %+v: out of order or misrouted", workers, u, i, op)
+					}
+					if op.Op == graph.OpInsert {
+						res.Inserted++
+					} else {
+						res.Deleted++
+					}
+				}
+				mu.Lock()
+				busy[sc] = false
+				mu.Unlock()
+				return res
+			})
+			if len(calls) != nRuns {
+				t.Errorf("runs=%d workers=%d: %d sources applied", nRuns, workers, len(calls))
+			}
+			for u, c := range calls {
+				if c != 1 {
+					t.Errorf("runs=%d workers=%d: source %d applied %d times", nRuns, workers, u, c)
+				}
+			}
+			if got != want {
+				t.Errorf("runs=%d workers=%d: result %+v, want the serial sums %+v", nRuns, workers, got, want)
 			}
 		}
 	}

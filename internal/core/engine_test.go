@@ -65,12 +65,12 @@ func TestPhaseTimesInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	ph := s.PhaseTimes()
-	if ph.InsertDelete <= 0 || ph.Rebuild <= 0 {
+	if ph.Reorder <= 0 || ph.InsertDelete <= 0 || ph.Rebuild <= 0 {
 		t.Errorf("phase times not recorded: %+v", ph)
 	}
 	s.ResetPhaseTimes()
-	if got := s.PhaseTimes(); got.InsertDelete != 0 || got.Rebuild != 0 {
-		t.Error("reset did not clear timers")
+	if got := s.PhaseTimes(); got != (PhaseTimes{}) {
+		t.Errorf("reset did not clear timers: %+v", got)
 	}
 	// Without instrumentation, timers stay zero.
 	s2, _ := New(8, DefaultConfig())

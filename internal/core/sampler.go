@@ -127,12 +127,15 @@ type Sampler struct {
 	cc convCounters
 
 	// Phase timers (Config.Instrument): cumulative nanoseconds spent in
-	// batched insert/delete versus rebuild, for Figure 13.
-	insDelNs, rebuildNs atomic.Int64
+	// the batched reorder, insert/delete and rebuild, for Figure 13.
+	reorderNs, insDelNs, rebuildNs atomic.Int64
 }
 
 // PhaseTimes is the Figure 13 batched-update time breakdown.
 type PhaseTimes struct {
+	// Reorder is the wall time of sorting each batch by source and
+	// partitioning it into per-source runs.
+	Reorder               time.Duration
 	InsertDelete, Rebuild time.Duration
 }
 
@@ -140,6 +143,7 @@ type PhaseTimes struct {
 // Config.Instrument is set).
 func (s *Sampler) PhaseTimes() PhaseTimes {
 	return PhaseTimes{
+		Reorder:      time.Duration(s.reorderNs.Load()),
 		InsertDelete: time.Duration(s.insDelNs.Load()),
 		Rebuild:      time.Duration(s.rebuildNs.Load()),
 	}
@@ -147,6 +151,7 @@ func (s *Sampler) PhaseTimes() PhaseTimes {
 
 // ResetPhaseTimes zeroes the Figure 13 timers.
 func (s *Sampler) ResetPhaseTimes() {
+	s.reorderNs.Store(0)
 	s.insDelNs.Store(0)
 	s.rebuildNs.Store(0)
 }
