@@ -256,11 +256,6 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 	return FromEdges(int(maxID)+1, edges)
 }
 
-// sortInsertionCutoff is the batch length at or below which
-// SortUpdatesBySrc uses an insertion sort: so few updates cost less to
-// shift than to histogram into 256 buckets per pass.
-const sortInsertionCutoff = 32
-
 // SortUpdatesBySrc stably sorts updates by source vertex, in place, the
 // CPU-side reordering step of the paper's batched update workflow (Figure
 // 10(a)). Stability preserves the submission order of each vertex's
@@ -284,19 +279,7 @@ func SortUpdatesBySrc(ups []Update) {
 	if sorted {
 		return
 	}
-	n := len(ups)
-	if n <= sortInsertionCutoff {
-		for i := 1; i < n; i++ {
-			x := ups[i]
-			j := i
-			for ; j > 0 && ups[j-1].Src > x.Src; j-- {
-				ups[j] = ups[j-1]
-			}
-			ups[j] = x
-		}
-		return
-	}
-	src, dst := ups, make([]Update, n)
+	src, dst := ups, make([]Update, len(ups))
 	for shift := 0; shift < 32 && maxSrc>>shift != 0; shift += 8 {
 		var count [256]int
 		for i := range src {

@@ -42,7 +42,7 @@ func TestSortUpdatesBySrcMatchesStable(t *testing.T) {
 		{"sorted", func(i, _ int) VertexID { return VertexID(i / 3) }},
 		{"reversed", func(i, n int) VertexID { return VertexID((n - i) * 70001) }},
 	}
-	for _, n := range []int{0, 1, 2, sortInsertionCutoff - 1, sortInsertionCutoff, sortInsertionCutoff + 1, 257, 5000} {
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 257, 5000} {
 		for _, gen := range gens {
 			ups := make([]Update, n)
 			for i := range ups {
