@@ -61,11 +61,12 @@ corpus-smoke:
 	$(GO) test -race -count 1 -timeout 20m -run 'TestCorpusDifferential|TestCorpusIndexMatchesBruteForce|TestCorpusCoalescingCredit' -v ./internal/walk/
 
 # Multi-coordinator smoke: the reader-tier differentials — two read-
-# coordinators querying through a scripted migration mid-tape
+# coordinators querying while concurrent writers feed a hub-skewed tape
 # (in-process fabric AND loopback tcpgob, chi-square + edge-for-edge),
-# reader crash isolation, plan-epoch broadcast invalidation — plus the
-# real-process variant: bingowalk -shard-serve daemons, a ServeRemote
-# write session, and bingo.AttachReader readers over loopback.
+# reader crash isolation, plan-epoch broadcast invalidation on a
+# replicated session's dead-mask flip — plus the real-process variant:
+# bingowalk -shard-serve daemons, a ServeRemote write session, and
+# bingo.AttachReader readers over loopback.
 coord-smoke:
 	$(GO) test -race -count 1 -timeout 20m -run 'TestMultiCoord|TestReaderCrash|TestPlanEpochBroadcast' -v ./internal/walk/
 	$(GO) test -race -count 1 -timeout 20m -run TestCoordScaleRealProcess -v .
@@ -75,10 +76,11 @@ coord-smoke:
 # feed-and-query pass — then scrape /metrics, /statusz, and /eventz on
 # every plane and assert the promised metric families, including the
 # shard-labeled node tallies the coordinator aggregates over the fabric.
-# The kernel overhead budget and journal-ordering tests ride along.
+# The kernel overhead budget and failover journal-ordering tests ride
+# along.
 obs-smoke:
 	$(GO) test -count 1 -run TestObsSmoke -v .
-	$(GO) test -count 1 -run 'TestKernelObsOverheadBudget|TestJournalMigrationOrdering|TestJournalFailoverOrdering|TestMetricsScrapeUnderLoad' -v ./internal/walk/
+	$(GO) test -count 1 -run 'TestKernelObsOverheadBudget|TestJournalFailoverOrdering|TestMetricsScrapeUnderLoad' -v ./internal/walk/
 
 # Short local fuzz sessions: the sampler's structural invariants, the
 # batch reorder against a stable reference sort, then the wire codec's

@@ -692,12 +692,12 @@ func (e *Engine) Quiesce(fn func(s *core.Sampler)) {
 // half-extracted range, and every stripe's epoch advances — cached views
 // of the range invalidate like any other write.
 //
-// This is the donor half of shard-ownership migration: the returned rows
-// travel to the recipient shard as a fabric.MigrateBlock and are
-// installed there with a plain ApplyUpdates. In-edges pointing *into*
-// the range from other vertices are untouched — 1-D ownership partitions
-// rows by source, so a block's out-rows are the entirety of what its
-// owner holds.
+// A shard installing a copied block calls it to wipe the block's range
+// first, which makes re-priming idempotent; the returned rows rebuild the
+// range with a plain ApplyUpdates. In-edges pointing *into* the range
+// from other vertices are untouched — 1-D ownership partitions rows by
+// source, so a block's out-rows are the entirety of what its owner
+// holds.
 // The bounds are uint64 because the top ownership block of the uint32
 // ID space ends at 2³² — inexpressible as a graph.VertexID.
 func (e *Engine) ExtractRange(lo, hi uint64) ([]graph.Update, error) {
@@ -718,10 +718,9 @@ func (e *Engine) ExtractRange(lo, hi uint64) ([]graph.Update, error) {
 			if len(row) == 0 {
 				continue
 			}
-			// Delete-then-append keeps the invariant the migration
-			// transport depends on even under a mid-range failure: the
-			// returned rows are exactly the rows no longer present here
-			// (never both shipped and retained).
+			// Delete-then-append keeps the returned rows exactly the rows
+			// no longer present here, even under a mid-range failure
+			// (never both returned and retained).
 			if derr := s.DeleteVertex(u); derr != nil {
 				if err == nil {
 					err = fmt.Errorf("concurrent: extracting vertex %d: %w", u, derr)

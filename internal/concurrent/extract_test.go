@@ -37,12 +37,10 @@ func dumpSorted(e *concurrent.Engine) []xEdge {
 	return out
 }
 
-// TestExtractRangeRoundTrip pins the migration transport invariant: an
-// extracted range's rows, installed into a second engine, reproduce the
-// exact edge multiset — and the donor no longer holds any of them. This
-// is what makes donor + recipient dumps union to the pre-migration
-// multiset, the property the live-migration differential harness asserts
-// end to end.
+// TestExtractRangeRoundTrip pins the extraction invariant: an extracted
+// range's rows, installed into a second engine, reproduce the exact edge
+// multiset — and the source engine no longer holds any of them, so the
+// two engines' dumps union to the pre-extraction multiset.
 func TestExtractRangeRoundTrip(t *testing.T) {
 	for _, mode := range []string{"int", "float"} {
 		t.Run(mode, func(t *testing.T) {
@@ -128,7 +126,7 @@ func TestExtractRangeRoundTrip(t *testing.T) {
 					t.Fatalf("%s invariants: %v", name, ierr)
 				}
 			}
-			// Sampling at a migrated vertex reproduces the pre-extraction
+			// Sampling at a moved vertex reproduces the pre-extraction
 			// distribution (spot-check: the neighbor sets match exactly,
 			// probabilities are pinned by the invariant checks above).
 			for v := graph.VertexID(lo); v < hi; v++ {

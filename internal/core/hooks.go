@@ -79,7 +79,7 @@ func (s *Sampler) ValidateUpdates(ups []graph.Update) (maxV graph.VertexID, err 
 // Snapshot's, so λ scaling round-trips). It reads the same structures
 // Sample reads; the caller must exclude concurrent mutation of u's row
 // (the concurrent wrapper calls it quiescent). This is the per-vertex
-// half of block extraction: shard-ownership migration ships a vertex
+// half of block snapshots and extraction: replica priming ships a vertex
 // range as the updates this hook emits.
 func (s *Sampler) AppendRowUpdates(u graph.VertexID, buf []graph.Update) []graph.Update {
 	if int(u) >= len(s.vx) {

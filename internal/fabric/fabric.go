@@ -99,25 +99,24 @@ type Ingest struct {
 	// barrier's Ack — the coordinator's way to read back distributed
 	// state for verification.
 	Dump bool
-	// Offer, when Offer.Epoch != 0, instructs the receiving shard — the
-	// current owner of Offer.Block — to extract that block's rows, stop
-	// serving it, and ship the rows to Offer.To as a MigrateBlock. Its
-	// position in the ingest stream is the migration's linearization
-	// point on the donor: every update routed to the donor before the
-	// offer is in the shipped rows, every later one is routed elsewhere.
+	// Offer, when Offer.Epoch != 0, instructs the receiving shard — a
+	// live holder of Offer.Block — to snapshot that block's rows and ship
+	// them to Offer.To as a MigrateBlock, while it keeps serving them.
+	// Its position in the ingest stream is the copy's linearization point
+	// on the donor: every update routed to the donor before the offer is
+	// in the shipped rows, every later one also reaches the recipient
+	// directly.
 	Offer MigrateOffer
-	// Commit, when Commit.Epoch != 0, announces the new ownership of
-	// Commit.Block to the receiving shard. The recipient named by
-	// Commit.To installs the in-flight MigrateBlock before continuing
-	// its ingest stream; every other shard just flips its plan overlay
-	// and drops cached views of the moved block.
+	// Commit, when Commit.Epoch != 0, tells the recipient named by
+	// Commit.To to install the in-flight MigrateBlock before continuing
+	// its ingest stream.
 	Commit MigrateCommit
 	// Boot marks a bootstrap element: Ups carries CSR snapshot rows
 	// shipped at session start (or replica priming) rather than live feed
 	// events. A shard applies them like any insert batch but does not
 	// count them in its Updates/consumed ingest tallies — bootstrap rows
 	// are initial state, not stream history, and watermark arithmetic
-	// (view invalidation, migration FIFO checks) must see the same
+	// (view invalidation, copy FIFO checks) must see the same
 	// stream positions whether a session bootstrapped from a snapshot or
 	// replayed updates.
 	Boot bool
@@ -125,11 +124,11 @@ type Ingest struct {
 	// observed shard Down.Shard die (Up false) or finish rejoining (Up
 	// true) and every surviving shard flips its plan's dead-mask at
 	// Down.Epoch. Its position in the ingest stream linearizes the
-	// failover against routed updates exactly like a migration commit.
+	// failover against routed updates.
 	Down ShardDown
 	// Plan, when non-nil, carries a full ownership-plan sync: a rejoined
 	// daemon starts from a fresh engine and needs the coordinator's
-	// current epoch/overlay/dead-mask before any copy-commit or update
+	// current epoch and dead-mask before any copy-commit or update
 	// reaches it.
 	Plan *PlanState
 	// Watermarks is the coordinator's per-shard routed-update ledger
@@ -157,11 +156,10 @@ type ShardDown struct {
 }
 
 // PlanState is a full ownership-plan synchronization, sent to a rejoined
-// shard before any other traffic so it agrees with the fleet on
-// epoch, overlay, and liveness.
+// shard before any other traffic so it agrees with the fleet on epoch
+// and liveness.
 type PlanState struct {
 	Epoch    uint64
-	Overlay  map[uint64]int
 	DeadMask uint64
 }
 
@@ -178,71 +176,59 @@ type Credit struct {
 }
 
 // ---------------------------------------------------------------------------
-// Ownership migration (the live block-migration protocol)
+// Replica priming (the block-copy protocol)
 //
-// A migration moves one ShardPlan block from a donor shard to a recipient
-// in three fabric messages, ordered by the per-shard FIFO ingest streams:
+// A rejoined replica is primed by copying each block it should hold from
+// that block's live owner, in four fabric messages ordered by the
+// per-shard FIFO ingest streams:
 //
-//	coordinator ──Offer──▶ donor          (donor's ingest stream)
-//	coordinator ──Commit─▶ every shard    (each shard's ingest stream)
-//	donor ──────MigrateBlock──▶ recipient (block stream, peer-to-peer)
+//	coordinator ──Offer──▶ donor           (donor's ingest stream)
+//	coordinator ──Commit─▶ recipient       (recipient's ingest stream)
+//	donor ──────MigrateBlock──▶ recipient  (block stream, peer-to-peer)
 //	recipient ──MigrateDone──▶ coordinator (event stream)
 //
-// The router flips its own routing table the instant it publishes the
-// offer, so updates for the moved block enqueue behind the recipient's
-// commit and are applied only after the block's rows are installed —
-// per-source order is preserved across the ownership flip. Walkers are
-// re-routed, never lost: a node that no longer (or does not yet) own a
-// moved vertex forwards the walker to whatever owner its current plan
-// names, and the bounded window in which donor and recipient disagree
-// only costs extra hand-offs.
+// The router starts fanning the block's routed updates out to the
+// recipient the instant it publishes the offer, so they enqueue behind
+// the recipient's commit and apply onto the installed snapshot. Nobody
+// flips ownership: the donor keeps serving the block, and the rejoiner
+// stays masked dead until its last copy lands.
 
-// MigrateOffer instructs a donor shard to give up one ownership block.
-// Zero Epoch means "no offer" (the Ingest discriminator); real epochs
+// MigrateOffer instructs a donor shard to snapshot one block and ship it.
+// Zero Epoch means "no offer" (the Ingest discriminator); copy epochs
 // start at 1.
 type MigrateOffer struct {
-	// Block is the ShardPlan block index being moved.
+	// Block is the ShardPlan block index being copied.
 	Block uint64
 	// To is the recipient shard.
 	To int
-	// Epoch is the plan epoch the migration creates.
+	// Epoch numbers the copy within the session; the shipped block and
+	// the recipient's commit carry the same value.
 	Epoch uint64
-	// Copy asks the donor to *snapshot* the block instead of giving it
-	// up: rows are extracted and shipped but the donor keeps serving them
-	// and flips no ownership. Copy offers prime a rejoined replica from
-	// a live group member (failback bootstrap); their epochs live in a
-	// separate sequence from ownership flips.
-	Copy bool
 }
 
-// MigrateCommit announces a block's new owner to a shard. Zero Epoch
-// means "no commit".
+// MigrateCommit tells the recipient to install one copied block. Zero
+// Epoch means "no commit".
 type MigrateCommit struct {
 	Block    uint64
 	From, To int
-	// Epoch is the plan epoch the flip installs.
+	// Epoch is the copy's number (see MigrateOffer.Epoch).
 	Epoch uint64
 	// MinWatermark is the coordinator's routed-update count for the donor
 	// at the instant the offer was published. The shipped block must
 	// carry a donor watermark at least this high — a cheap end-to-end
 	// check that the ingest stream's FIFO ordering actually held.
 	MinWatermark int64
-	// Copy marks the commit half of a copy offer: only the recipient
-	// acts (install the shipped rows into an empty range), nobody flips
-	// ownership, and the install replaces whatever the recipient held in
-	// the range rather than requiring it empty.
-	Copy bool
 }
 
-// MigrateBlock carries one block's extracted rows from donor to
+// MigrateBlock carries one block's snapshotted rows from donor to
 // recipient: insert updates that reconstruct exactly the rows the donor
-// held at extraction, in per-source adjacency order.
+// held at the offer, in per-source adjacency order.
 type MigrateBlock struct {
 	Block uint64
 	From  int
 	Epoch uint64
 	// Watermark is the donor's ingest-stream position (update events
-	// consumed) at extraction; see MigrateCommit.MinWatermark.
+	// consumed) at the snapshot; see MigrateCommit.MinWatermark.
 	Watermark int64
 	// Rows reconstruct the block's rows when applied to an empty range.
 	Rows []graph.Update
@@ -258,12 +244,8 @@ type MigrateDone struct {
 	// Edges is how many edges the installed block carried.
 	Edges int64
 	// Err is a non-empty description when the install failed; the
-	// coordinator surfaces it through Err and fails the migration.
+	// coordinator abandons the rejoin and keeps the shard masked dead.
 	Err string
-	// Copy marks the completion of a copy install (replica priming), so
-	// the coordinator tallies it against the rejoin instead of an
-	// ownership migration.
-	Copy bool
 }
 
 // Ack is a shard's acknowledgement of a barrier. Updates/Dropped are the
@@ -399,7 +381,7 @@ type ViewMsg struct {
 
 // Broadcast is the write-coordinator's periodic state announcement to
 // every attached read-coordinator: the full routing-relevant snapshot —
-// plan epoch, ownership overlay, liveness mask, partition geometry — plus
+// plan epoch, liveness mask, partition geometry — plus
 // the routed-update watermark vector and the applied stamp backing the
 // readers' bounded-staleness contract.
 //
@@ -414,10 +396,9 @@ type ViewMsg struct {
 type Broadcast struct {
 	// Seq orders broadcasts within the write session (monotonic from 1).
 	Seq uint64
-	// Epoch, Overlay, and DeadMask mirror the write-coordinator's live
-	// ShardPlan: readers rebuild their routing from them on every flip.
+	// Epoch and DeadMask mirror the write-coordinator's live ShardPlan:
+	// readers rebuild their routing from them on every flip.
 	Epoch    uint64
-	Overlay  map[uint64]int
 	DeadMask uint64
 	// RangeSize, Replicas, and Vertices complete the partition geometry
 	// (Vertices is the coordinator's current high-water vertex count —
@@ -443,7 +424,7 @@ const (
 	EvRetire EventKind = iota
 	// EvAck delivers a barrier acknowledgement.
 	EvAck
-	// EvMigrated delivers a migration completion report.
+	// EvMigrated delivers a block-copy completion report.
 	EvMigrated
 	// EvCredit delivers a shard's flow-control report.
 	EvCredit
@@ -521,11 +502,11 @@ type ShardPort interface {
 	// (inbound requests and replies share it). It blocks, and returns
 	// ok=false once the session has ended and the stream drained.
 	NextView() (*ViewMsg, bool)
-	// SendBlock ships an extracted ownership block to peer shard dst
-	// (the donor half of a migration). Like ForwardWalker it must not
-	// block indefinitely.
+	// SendBlock ships a snapshotted block to peer shard dst (the donor
+	// half of a copy). Like ForwardWalker it must not block
+	// indefinitely.
 	SendBlock(dst int, mb *MigrateBlock) error
-	// NextBlock pops the next inbound migration block. It blocks, and
+	// NextBlock pops the next inbound copied block. It blocks, and
 	// returns ok=false once the session has ended and the stream
 	// drained.
 	NextBlock() (*MigrateBlock, bool)
@@ -608,7 +589,8 @@ type ReadPort interface {
 // so a Hello that never mentions roles opens a write session.
 const (
 	// RoleWrite is the session owner: exactly one per shard set, owning
-	// the ingest router, credit windows, plan epoch, and migrations.
+	// the ingest router, credit windows, plan epoch, and replica
+	// priming.
 	RoleWrite = ""
 	// RoleRead attaches a read-coordinator to an already-running write
 	// session: it launches walkers and fetches hub views but never
@@ -635,12 +617,6 @@ type Hello struct {
 	Shards, Shard int
 	// RangeSize is the ShardPlan block length (ownership geometry).
 	RangeSize int
-	// PlanEpoch and Overlay carry the coordinator's current ownership
-	// overlay (block index → owner shard) so a session can start from a
-	// plan that prior migrations already reshaped. A fresh session has
-	// epoch 0 and a nil overlay (pure block-cyclic ownership).
-	PlanEpoch uint64
-	Overlay   map[uint64]int
 	// NumVertices sizes the shard engine's initial vertex space; the
 	// feed grows it live like any other engine.
 	NumVertices int
@@ -659,12 +635,10 @@ type Hello struct {
 	Cache CacheSpec
 	// Replicas is the block replication factor (0 or 1 = no replication):
 	// each ownership block is held by Replicas consecutive shards and
-	// survives Replicas-1 deaths.
+	// survives Replicas-1 deaths. A session starts with every shard live;
+	// a daemon that rejoins mid-failover learns the fleet's liveness from
+	// the PlanState heading its ingest stream.
 	Replicas int
-	// DeadMask is the coordinator's current liveness mask (bit i set =
-	// shard i considered dead), so a daemon joining mid-failover starts
-	// from the fleet's view rather than assuming everyone alive.
-	DeadMask uint64
 }
 
 // CacheSpec configures the two hub-cache layers of a shard node. The

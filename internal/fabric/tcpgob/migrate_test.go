@@ -1,10 +1,8 @@
-// Wire coverage for the block-migration protocol: the offer and
-// commit riding the ingest stream, the extracted block on the peer
+// Wire coverage for the replica-priming copy protocol: the offer and
+// commit riding the ingest stream, the snapshotted block on the peer
 // stream, and the completion report on the coordinator link must all
 // round-trip unchanged — with growth-path vertex IDs and float-mode
-// weights in the shipped rows, and the plan overlay in the session
-// Hello (a daemon rebuilds its ownership function from exactly these
-// bytes).
+// weights in the shipped rows.
 package tcpgob
 
 import (
@@ -71,21 +69,5 @@ func TestMigrateDoneFrameRoundTrip(t *testing.T) {
 		if got.kind != kMigDone || !reflect.DeepEqual(*got.migDone, d) {
 			t.Fatalf("done round-trip: got %+v, want %+v", got.migDone, d)
 		}
-	}
-}
-
-func TestHelloOverlayFrameRoundTrip(t *testing.T) {
-	h := fabric.Hello{
-		Shards: 4, Shard: 1,
-		RangeSize:   150,
-		NumVertices: 600,
-		PlanEpoch:   3,
-		Overlay:     map[uint64]int{0: 3, 9: 1, 1 << 40: 2},
-		Peers:       []string{"a", "b", "c", "d"},
-		Session:     77,
-	}
-	got := roundTrip(t, &frame{kind: kHelloCoord, hello: &h})
-	if !reflect.DeepEqual(*got.hello, h) {
-		t.Fatalf("hello with overlay: got %+v, want %+v", got.hello, h)
 	}
 }

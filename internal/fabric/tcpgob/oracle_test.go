@@ -158,15 +158,14 @@ func updateBatch(n int, float bool) []graph.Update {
 
 // oracleFrames covers every frame kind and every optional field.
 func oracleFrames() []oracleCase {
-	overlay := map[uint64]int{0: 3, 9: 1, 1 << 40: 2}
 	return []oracleCase{
 		{"hello_coord", frame{kind: kHelloCoord, hello: &fabric.Hello{
-			Role: fabric.RoleRead, Shards: 4, Shard: 2, RangeSize: 1009, PlanEpoch: 3, Overlay: overlay,
+			Role: fabric.RoleRead, Shards: 4, Shard: 2, RangeSize: 1009,
 			NumVertices: 4_000_000_001, FloatBias: true,
 			Peers:    []string{"127.0.0.1:1", "127.0.0.1:2", "", "[::1]:4"},
 			Session:  0xDEADBEEFCAFE,
 			Cache:    fabric.CacheSpec{Off: true, Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
-			Replicas: 2, DeadMask: 1 << 63,
+			Replicas: 2,
 		}}},
 		{"hello_coord_zero", frame{kind: kHelloCoord, hello: &fabric.Hello{}}},
 		{"hello_peer", frame{kind: kHelloPeer, from: 3, session: 0xFFFF_FFFF_FFFF_FFFF}},
@@ -183,10 +182,10 @@ func oracleFrames() []oracleCase {
 			Barrier: 42, Dump: true, Watermarks: []int64{7, 9},
 		}}},
 		{"ingest_control", frame{kind: kUpdates, ingest: &fabric.Ingest{
-			Offer:      fabric.MigrateOffer{Block: 1 << 40, To: 3, Epoch: 7, Copy: true},
-			Commit:     fabric.MigrateCommit{Block: 9, From: 4, To: 2, Epoch: 8, MinWatermark: 4096, Copy: true},
+			Offer:      fabric.MigrateOffer{Block: 1 << 40, To: 3, Epoch: 7},
+			Commit:     fabric.MigrateCommit{Block: 9, From: 4, To: 2, Epoch: 8, MinWatermark: 4096},
 			Down:       fabric.ShardDown{Shard: 1, Epoch: 5, Up: true},
-			Plan:       &fabric.PlanState{Epoch: 6, Overlay: overlay, DeadMask: 2},
+			Plan:       &fabric.PlanState{Epoch: 6, DeadMask: 1 << 63},
 			Watermarks: []int64{5, 0, 12},
 		}}},
 		{"retire_failed", frame{kind: kRetire, walker: &fabric.Walker{
@@ -215,11 +214,11 @@ func oracleFrames() []oracleCase {
 			Block: 3, From: 1, Epoch: 5, Watermark: 99999, Rows: updateBatch(4, true),
 		}}},
 		{"mig_done", frame{kind: kMigDone, migDone: &fabric.MigrateDone{
-			Shard: 2, Block: 1 << 33, Epoch: 6, Edges: 1234, Err: "install failed", Copy: true,
+			Shard: 2, Block: 1 << 33, Epoch: 6, Edges: 1234, Err: "install failed",
 		}}},
 		{"credit", frame{kind: kCredit, credit: &fabric.Credit{Shard: 1, Credited: 1 << 41}}},
 		{"broadcast", frame{kind: kBroadcast, bcast: &fabric.Broadcast{
-			Seq: 12, Epoch: 4, Overlay: overlay, DeadMask: 5, RangeSize: 150, Replicas: 2,
+			Seq: 12, Epoch: 4, DeadMask: 5, RangeSize: 150, Replicas: 2,
 			Vertices: 4_000_000_001, Watermarks: []int64{1, 2, 3}, Applied: 6,
 		}}},
 	}
@@ -316,10 +315,10 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{fabric.Walker{}, 13},
 		{xrand.State{}, 4},
 		{fabric.Ingest{}, 9},
-		{fabric.MigrateOffer{}, 4},
-		{fabric.MigrateCommit{}, 6},
+		{fabric.MigrateOffer{}, 3},
+		{fabric.MigrateCommit{}, 5},
 		{fabric.ShardDown{}, 3},
-		{fabric.PlanState{}, 3},
+		{fabric.PlanState{}, 2},
 		{fabric.Ack{}, 10},
 		{fabric.CacheTallies{}, 6},
 		{obs.Sample{}, 1},
@@ -329,10 +328,10 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{core.VertexView{}, 14},
 		{core.ViewGroup{}, 5},
 		{fabric.MigrateBlock{}, 5},
-		{fabric.MigrateDone{}, 6},
+		{fabric.MigrateDone{}, 5},
 		{fabric.Credit{}, 2},
-		{fabric.Broadcast{}, 9},
-		{fabric.Hello{}, 13},
+		{fabric.Broadcast{}, 8},
+		{fabric.Hello{}, 10},
 		{fabric.CacheSpec{}, 5},
 		{graph.Update{}, 5},
 		{graph.Edge{}, 4},

@@ -103,13 +103,14 @@ const (
 	// tries a new connection — how peer links heal once a crashed
 	// daemon returns.
 	peerRedialAfter = 250 * time.Millisecond
-	// blockRedeliverAttempts bounds re-sending a migration block whose
-	// peer stream died before flushing it. Walkers stranded the same way
-	// are retired Failed and re-routed, but a dropped block would wedge
-	// its migration for good: SendBlock already returned success to the
+	// blockRedeliverAttempts bounds re-sending a copied block whose peer
+	// stream died before flushing it. Walkers stranded the same way are
+	// retired Failed and re-routed, but a dropped block would wedge its
+	// rejoin for good: SendBlock already returned success to the
 	// donor, and the coordinator is waiting on exactly one MigrateDone
-	// per block. Blocks are idempotent and epoch-guarded, so re-sending
-	// through a replacement stream is always safe.
+	// per block. Blocks are keyed by copy epoch and installs wipe the
+	// range first, so re-sending through a replacement stream is always
+	// safe.
 	blockRedeliverAttempts = 40
 )
 
@@ -156,8 +157,8 @@ const (
 	kViewReq                       // hub-view request, shard → peer
 	kViewRep                       // hub-view reply, shard → peer
 	kShutdown                      // session end, coordinator → shard
-	kMigBlock                      // extracted ownership block, donor shard → recipient peer
-	kMigDone                       // migration completion, recipient shard → coordinator
+	kMigBlock                      // snapshotted block, donor shard → recipient peer
+	kMigDone                       // block-copy completion, recipient shard → coordinator
 	kCredit                        // ingest flow-control report, shard → coordinator
 	kBroadcast                     // plan/watermark broadcast, write-coordinator → shard → readers
 )
@@ -492,9 +493,6 @@ func newShardConn(l *Listener, coord *link, h fabric.Hello) *ShardConn {
 		peers:       map[int]*peerOut{},
 		readerLinks: map[uint64]*link{},
 		lastBcast: fabric.Broadcast{
-			Epoch:     h.PlanEpoch,
-			Overlay:   h.Overlay,
-			DeadMask:  h.DeadMask,
 			RangeSize: h.RangeSize,
 			Replicas:  h.Replicas,
 			Vertices:  h.NumVertices,
@@ -686,7 +684,7 @@ func (s *ShardConn) NextIngest() (*fabric.Ingest, bool) { return s.ingests.Pop()
 // NextView pops the next view-stream element.
 func (s *ShardConn) NextView() (*fabric.ViewMsg, bool) { return s.views.Pop() }
 
-// NextBlock pops the next inbound migration block.
+// NextBlock pops the next inbound copied block.
 func (s *ShardConn) NextBlock() (*fabric.MigrateBlock, bool) { return s.blocks.Pop() }
 
 // peerOut is the ordered outbound stream toward one peer: a queue, a
@@ -707,7 +705,7 @@ type peerOut struct {
 }
 
 // outMsg is one queued peer-bound message; exactly one of the pointer
-// fields is set. mbTries counts how many dead streams a migration block
+// fields is set. mbTries counts how many dead streams a copied block
 // has already been stranded on, bounding redelivery.
 type outMsg struct {
 	w       *fabric.Walker
@@ -862,7 +860,7 @@ func (p *peerOut) loop() {
 // connection is gone. Write errors cannot stand in for it: the first write
 // into a connection whose far end has closed succeeds (the reset comes
 // back after it), so that frame — a walker, or with one write per frame a
-// whole migration block — would vanish into a dead daemon unreported.
+// whole copied block — would vanish into a dead daemon unreported.
 func (p *peerOut) watch(conn net.Conn) {
 	var b [1]byte
 	_, err := conn.Read(b[:])
@@ -907,13 +905,12 @@ func (p *peerOut) fail(err error) {
 	p.redeliverBlocks(queuedBlocks(q))
 }
 
-// redeliverBlocks re-sends migration blocks stranded on this dead
-// stream through a replacement once the redial window opens. The donor
-// was already told the send succeeded, so dropping the block here would
-// strand the migration: the recipient never installs, never reports
-// MigrateDone, and — for a replica rejoin — the coordinator re-arms the
-// attempt only on the next EvShardUp, which a healthy coordinator link
-// never produces. This is exactly the kill -9 rejoin shape: the donor's
+// redeliverBlocks re-sends copied blocks stranded on this dead stream
+// through a replacement once the redial window opens. The donor was
+// already told the send succeeded, so dropping the block here would
+// strand the copy: the recipient never installs, never reports
+// MigrateDone, and the coordinator re-arms the attempt only on the next
+// EvShardUp, which a healthy coordinator link never produces. This is exactly the kill -9 rejoin shape: the donor's
 // peer stream to the victim dies with it, nothing writes to it while
 // the victim's blocks are routed elsewhere, and the first frame that
 // touches the zombie stream is the priming snapshot itself.
@@ -938,7 +935,7 @@ func (p *peerOut) redeliverBlocks(blocks []outMsg) {
 				np, err := p.sc.peer(p.dst)
 				if err != nil {
 					// Session torn down; the coordinator's death handling
-					// owns any migration still in flight.
+					// owns any copy still in flight.
 					return
 				}
 				if np.enqueue(m) != nil {

@@ -12,13 +12,12 @@ package tcpgob
 //   - a slice or string is a u32 count followed by its elements; a count
 //     is checked against the bytes remaining in the frame *before*
 //     anything is allocated, so decode allocation is O(frame length);
-//   - an empty slice or map decodes as nil;
+//   - an empty slice decodes as nil;
 //   - optional sections sit behind one presence-flags byte per message,
 //     written in flag-bit order;
 //   - the encoding is canonical: a decoder rejects unknown flag bits, a
-//     section flagged present that holds only zero values, unsorted map
-//     keys and trailing bytes, so every accepted frame re-encodes to the
-//     identical bytes.
+//     section flagged present that holds only zero values and trailing
+//     bytes, so every accepted frame re-encodes to the identical bytes.
 
 import (
 	"bufio"
@@ -41,7 +40,7 @@ import (
 // first payload byte and a daemon refuses any other value: the layout has
 // no self-description, so two builds that disagree on it must not talk.
 // Bump it on every change to any message layout.
-const wireVersion = 3
+const wireVersion = 4
 
 var le = binary.LittleEndian
 
@@ -264,7 +263,7 @@ func decodeFrame(p []byte) (frame, error) {
 		f.migBlock = &fabric.MigrateBlock{Block: c.u64(), From: c.int(), Epoch: c.u64(), Watermark: c.i64()}
 		f.migBlock.Rows = c.updates()
 	case kMigDone:
-		f.migDone = &fabric.MigrateDone{Shard: c.int(), Block: c.u64(), Epoch: c.u64(), Edges: c.i64(), Copy: c.bool(), Err: c.str()}
+		f.migDone = &fabric.MigrateDone{Shard: c.int(), Block: c.u64(), Epoch: c.u64(), Edges: c.i64(), Err: c.str()}
 	case kCredit:
 		f.credit = &fabric.Credit{Shard: c.int(), Credited: c.i64()}
 	case kBroadcast:
@@ -704,45 +703,6 @@ func (c *cursor) edges() []graph.Edge {
 }
 
 // ---------------------------------------------------------------------------
-// Ownership overlay (map[block]shard), sorted by block so the encoding is
-// deterministic.
-
-func appendOverlay(b []byte, m map[uint64]int) []byte {
-	b = le.AppendUint32(b, uint32(len(m)))
-	if len(m) == 0 {
-		return b
-	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = le.AppendUint64(b, k)
-		b = appendInt(b, m[k])
-	}
-	return b
-}
-
-func (c *cursor) overlay() map[uint64]int {
-	n := c.count(16)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[uint64]int, n)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		k, v := c.u64(), c.int()
-		if i > 0 && k <= prev {
-			c.fail("overlay blocks not strictly ascending")
-			return nil
-		}
-		m[k], prev = v, k
-	}
-	return m
-}
-
-// ---------------------------------------------------------------------------
 // Ingest
 
 const (
@@ -783,7 +743,6 @@ func appendIngest(b []byte, in *fabric.Ingest) []byte {
 		b = le.AppendUint64(b, in.Offer.Block)
 		b = appendInt(b, in.Offer.To)
 		b = le.AppendUint64(b, in.Offer.Epoch)
-		b = appendBool(b, in.Offer.Copy)
 	}
 	if fl&inCommit != 0 {
 		b = le.AppendUint64(b, in.Commit.Block)
@@ -791,7 +750,6 @@ func appendIngest(b []byte, in *fabric.Ingest) []byte {
 		b = appendInt(b, in.Commit.To)
 		b = le.AppendUint64(b, in.Commit.Epoch)
 		b = appendI64(b, in.Commit.MinWatermark)
-		b = appendBool(b, in.Commit.Copy)
 	}
 	if fl&inDown != 0 {
 		b = appendInt(b, in.Down.Shard)
@@ -800,7 +758,6 @@ func appendIngest(b []byte, in *fabric.Ingest) []byte {
 	}
 	if fl&inPlan != 0 {
 		b = le.AppendUint64(b, in.Plan.Epoch)
-		b = appendOverlay(b, in.Plan.Overlay)
 		b = le.AppendUint64(b, in.Plan.DeadMask)
 	}
 	return b
@@ -813,13 +770,13 @@ func (c *cursor) ingest(in *fabric.Ingest) {
 	in.Watermarks = col64[int64](c)
 	in.Ups = c.updates()
 	if fl&inOffer != 0 {
-		in.Offer = fabric.MigrateOffer{Block: c.u64(), To: c.int(), Epoch: c.u64(), Copy: c.bool()}
+		in.Offer = fabric.MigrateOffer{Block: c.u64(), To: c.int(), Epoch: c.u64()}
 		if in.Offer == (fabric.MigrateOffer{}) {
 			c.fail("zero offer flagged present")
 		}
 	}
 	if fl&inCommit != 0 {
-		in.Commit = fabric.MigrateCommit{Block: c.u64(), From: c.int(), To: c.int(), Epoch: c.u64(), MinWatermark: c.i64(), Copy: c.bool()}
+		in.Commit = fabric.MigrateCommit{Block: c.u64(), From: c.int(), To: c.int(), Epoch: c.u64(), MinWatermark: c.i64()}
 		if in.Commit == (fabric.MigrateCommit{}) {
 			c.fail("zero commit flagged present")
 		}
@@ -831,7 +788,7 @@ func (c *cursor) ingest(in *fabric.Ingest) {
 		}
 	}
 	if fl&inPlan != 0 {
-		in.Plan = &fabric.PlanState{Epoch: c.u64(), Overlay: c.overlay(), DeadMask: c.u64()}
+		in.Plan = &fabric.PlanState{Epoch: c.u64(), DeadMask: c.u64()}
 	}
 }
 
@@ -1003,7 +960,7 @@ func (c *cursor) viewReply(rp *fabric.ViewReply) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration
+// Replica priming (block copies)
 
 func appendMigrateBlock(b []byte, mb *fabric.MigrateBlock) []byte {
 	b = le.AppendUint64(b, mb.Block)
@@ -1018,7 +975,6 @@ func appendMigrateDone(b []byte, d *fabric.MigrateDone) []byte {
 	b = le.AppendUint64(b, d.Block)
 	b = le.AppendUint64(b, d.Epoch)
 	b = appendI64(b, d.Edges)
-	b = appendBool(b, d.Copy)
 	return appendString(b, d.Err)
 }
 
@@ -1035,8 +991,6 @@ func appendHello(b []byte, h *fabric.Hello) []byte {
 	b = appendInt(b, h.Shards)
 	b = appendInt(b, h.Shard)
 	b = appendInt(b, h.RangeSize)
-	b = le.AppendUint64(b, h.PlanEpoch)
-	b = appendOverlay(b, h.Overlay)
 	b = appendInt(b, h.NumVertices)
 	var fl uint8
 	if h.FloatBias {
@@ -1055,15 +1009,12 @@ func appendHello(b []byte, h *fabric.Hello) []byte {
 	b = appendInt(b, h.Cache.MinDegree)
 	b = appendInt(b, h.Cache.RemoteSize)
 	b = appendInt(b, h.Cache.RequestAfter)
-	b = appendInt(b, h.Replicas)
-	return le.AppendUint64(b, h.DeadMask)
+	return appendInt(b, h.Replicas)
 }
 
 func (c *cursor) hello(h *fabric.Hello) {
 	h.Role = c.str()
 	h.Shards, h.Shard, h.RangeSize = c.int(), c.int(), c.int()
-	h.PlanEpoch = c.u64()
-	h.Overlay = c.overlay()
 	h.NumVertices = c.int()
 	fl := c.flags(helloFloatBias | helloCacheOff)
 	h.FloatBias, h.Cache.Off = fl&helloFloatBias != 0, fl&helloCacheOff != 0
@@ -1077,13 +1028,11 @@ func (c *cursor) hello(h *fabric.Hello) {
 	h.Cache.Size, h.Cache.MinDegree = c.int(), c.int()
 	h.Cache.RemoteSize, h.Cache.RequestAfter = c.int(), c.int()
 	h.Replicas = c.int()
-	h.DeadMask = c.u64()
 }
 
 func appendBroadcast(b []byte, bc *fabric.Broadcast) []byte {
 	b = le.AppendUint64(b, bc.Seq)
 	b = le.AppendUint64(b, bc.Epoch)
-	b = appendOverlay(b, bc.Overlay)
 	b = le.AppendUint64(b, bc.DeadMask)
 	b = appendInt(b, bc.RangeSize)
 	b = appendInt(b, bc.Replicas)
@@ -1093,9 +1042,7 @@ func appendBroadcast(b []byte, bc *fabric.Broadcast) []byte {
 }
 
 func (c *cursor) broadcast(bc *fabric.Broadcast) {
-	bc.Seq, bc.Epoch = c.u64(), c.u64()
-	bc.Overlay = c.overlay()
-	bc.DeadMask = c.u64()
+	bc.Seq, bc.Epoch, bc.DeadMask = c.u64(), c.u64(), c.u64()
 	bc.RangeSize, bc.Replicas, bc.Vertices = c.int(), c.int(), c.int()
 	bc.Watermarks = col64[int64](c)
 	bc.Applied = c.i64()

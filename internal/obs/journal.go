@@ -17,13 +17,12 @@ type Event struct {
 	Detail string    `json:"detail,omitempty"`
 }
 
-// Journal is a fixed-capacity ring of control-plane events: migration
-// offers and commits, plan-epoch flips, shard deaths/promotions/rejoins,
-// reader attach/detach, credit stalls, corpus refresh cycles. Appends are
-// mutex-guarded — every recorded event is a control-path occurrence
-// (per-migration, per-failover, per-refresh-cycle), never per-step or
-// per-frame, so the lock is uncontended in practice. A nil journal
-// no-ops.
+// Journal is a fixed-capacity ring of control-plane events: shard
+// deaths/promotions/rejoins, reader attach/detach, credit stalls, corpus
+// refresh cycles. Appends are mutex-guarded — every recorded event is a
+// control-path occurrence (per-failover, per-refresh-cycle), never
+// per-step or per-frame, so the lock is uncontended in practice. A nil
+// journal no-ops.
 type Journal struct {
 	mu  sync.Mutex
 	buf []Event
@@ -105,14 +104,11 @@ func (j *Journal) Since(after uint64) []Event {
 // Journal event kinds recorded by the serving layers. Collected here so
 // scrapers and tests share one vocabulary.
 const (
-	EvMigrationOffer  = "migration.offer"
-	EvMigrationCommit = "migration.commit"
-	EvPlanFlip        = "plan.flip"
-	EvShardDeath      = "shard.down"
-	EvShardPromote    = "shard.promote"
-	EvShardRejoin     = "shard.rejoin"
-	EvReaderAttach    = "reader.attach"
-	EvReaderDetach    = "reader.detach"
-	EvCreditStall     = "credit.stall"
-	EvCorpusRefresh   = "corpus.refresh"
+	EvShardDeath    = "shard.down"
+	EvShardPromote  = "shard.promote"
+	EvShardRejoin   = "shard.rejoin"
+	EvReaderAttach  = "reader.attach"
+	EvReaderDetach  = "reader.detach"
+	EvCreditStall   = "credit.stall"
+	EvCorpusRefresh = "corpus.refresh"
 )

@@ -66,40 +66,32 @@ func TestRemoteViewsChurnBackoff(t *testing.T) {
 	}
 }
 
-// TestRemoteViewsDropBlock pins the migration hook: committing a block
-// move purges that block's views, crossing counts, in-flight markers,
-// and negative entries — and installs from the block's old owner are
-// refused once the ownership function says otherwise.
-func TestRemoteViewsDropBlock(t *testing.T) {
+// TestRemoteViewsRefuseNonOwnerReply pins the ownership check on
+// installs: once a liveness flip re-chains a vertex's block to another
+// shard, a straggler reply from the old owner is refused — hub or not,
+// so a stale "not a hub" answer cannot suppress requests toward the new
+// owner — and the new owner's reply installs.
+func TestRemoteViewsRefuseNonOwnerReply(t *testing.T) {
 	rv := newRemoteViews(2, 16, 2)
 	owner := 1
 	rv.ownerOf = func(v graph.VertexID) int { return owner }
 
-	rv.noteCrossing(9)
-	rv.noteCrossing(9)
 	if !rv.install(testReply(9, 1, 0, true)) {
-		t.Fatal("install failed")
+		t.Fatal("install from the owner failed")
 	}
-	rv.install(testReply(12, 1, 0, false)) // negative entry in the same block
-	if vw, _ := rv.get(9); vw == nil {
-		t.Fatal("view missing before drop")
-	}
-	// Block of vertex 9 with rangeSize 8 is block 1 = [8, 16).
-	rv.dropBlock(8, 1)
-	if vw, stale := rv.get(9); vw != nil || stale {
-		t.Fatalf("view survived dropBlock: vw=%v stale=%v", vw, stale)
-	}
-	if rv.notHub[12] {
-		t.Fatal("negative entry survived dropBlock")
-	}
-	// Ownership moved to shard 0: a straggler reply from shard 1 must be
-	// refused even with a fresh stamp.
+	rv.dropAll() // the flip's wholesale invalidation
 	owner = 0
 	if rv.install(testReply(9, 1, 100, true)) {
 		t.Fatal("reply from the block's old owner installed")
 	}
+	if rv.install(testReply(12, 1, 0, false)) || rv.notHub[12] {
+		t.Fatal("old owner's not-a-hub answer entered the negative cache")
+	}
 	if !rv.install(testReply(9, 0, 0, true)) {
 		t.Fatal("reply from the new owner rejected")
+	}
+	if vw, _ := rv.get(9); vw == nil {
+		t.Fatal("new owner's view not served")
 	}
 }
 

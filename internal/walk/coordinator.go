@@ -27,7 +27,6 @@ var (
 	coordIngestUpdates = obs.C("bingo_ingest_updates_total", "svc", "coord")
 	coordCreditStallNs = obs.H("bingo_credit_stall_seconds")
 	coordBroadcasts    = obs.C("bingo_broadcasts_total")
-	coordMigrations    = obs.C("bingo_migrations_total")
 )
 
 // journalStallMin is the credit-stall duration below which a stall is
@@ -47,7 +46,7 @@ var ErrFabricDown = errors.New("walk: shard fabric session ended")
 
 // coordinator is the write side of a sharded serving runtime over any
 // shard fabric: it routes feed batches by owner shard, pushes sync
-// barriers, runs the control plane (liveness flips, migrations,
+// barriers, runs the control plane (liveness flips, replica priming,
 // broadcasts), and consumes the event stream to complete them. Walker
 // launches, re-routes, and retire resolution — Query and DeepWalk — come
 // from the embedded walkFront, the same front end every ReaderService
@@ -57,9 +56,9 @@ type coordinator struct {
 	walkFront
 	port fabric.CoordPort
 	// plan is the construction-time geometry (Shards and RangeSize never
-	// change); the front end's planv is the live ownership plan that
-	// committed migrations and the liveness flips re-point. Routing and
-	// walker launches resolve owners through planNow.
+	// change); the front end's planv is the live ownership plan that the
+	// liveness flips re-point. Routing and walker launches resolve owners
+	// through planNow.
 	plan ShardPlan
 	cfg  ShardedLiveConfig
 
@@ -89,11 +88,10 @@ type coordinator struct {
 
 	// The front end's mu (and its dead flag, which fences registrations
 	// once the event loop has exited) also guards the write-side
-	// completion tables below; Feed, barriers, and Migrate take the front
-	// end's sendMu gate like its walk calls do.
+	// completion tables below; Feed and barriers take the front end's
+	// sendMu gate like its walk calls do.
 	syncs map[uint64]*barrierWait
-	migs  map[uint64]chan *fabric.MigrateDone // in-flight migrations by epoch
-	acks  []fabric.Ack                        // latest ack per shard (cumulative tallies)
+	acks  []fabric.Ack // latest ack per shard (cumulative tallies)
 	// downs marks shards the coordinator currently considers dead (set by
 	// the event loop the moment a link dies, cleared by the router at
 	// failback): it gates which shards a barrier is published to and
@@ -127,9 +125,8 @@ type coordinator struct {
 	// their fabric publishes must happen on the router thread to stay
 	// ordered against update routing. The event loop never blocks on the
 	// feed queue. priming, rejoin bookkeeping, and copySeq are
-	// router-owned. copySeq numbers replica-priming copies from 1<<48 so
-	// copy epochs can never collide with plan epochs in the recipients'
-	// (block, epoch) stash keys.
+	// router-owned. copySeq numbers replica-priming copies from 1; the
+	// recipients key their block stash by (block, copy epoch).
 	ctrl    chan ctrlOp
 	priming []bool
 	copySeq uint64
@@ -141,7 +138,7 @@ type coordinator struct {
 
 	deaths, rejoinsDone, copiedBlocks atomic.Int64
 
-	batches, migrations, movedEdges atomic.Int64
+	batches atomic.Int64
 
 	// obsKey names this session's shard-sample exporter in the obs
 	// registry; Close unregisters it so a dead session's tallies stop
@@ -159,7 +156,6 @@ type coordMsg struct {
 	ups  []graph.Update
 	boot bool
 	bar  *barrierWait
-	mig  *migOp
 }
 
 // ctrlOp is one shard-liveness transition handed to the router.
@@ -175,21 +171,12 @@ const (
 )
 
 // rejoinState tracks one in-flight rejoin's outstanding block copies
-// (guarded by coordinator.mu; resolved by EvMigrated Copy reports).
+// (guarded by coordinator.mu; resolved by EvMigrated reports).
 type rejoinState struct {
 	shard     int
 	remaining int
 	failed    bool
 	donors    map[int]bool // shards serving as copy donors for this rejoin
-}
-
-// migOp is one block migration routed through the feed queue, so its
-// offer and commit publishes are ordered against every batch accepted
-// before it.
-type migOp struct {
-	block    uint64
-	from, to int
-	epoch    uint64
 }
 
 // barrierWait tracks one barrier's acknowledgements. The router fills
@@ -216,7 +203,6 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		cfg:      cfg,
 		feed:     make(chan coordMsg, cfg.QueueDepth),
 		syncs:    map[uint64]*barrierWait{},
-		migs:     map[uint64]chan *fabric.MigrateDone{},
 		acks:     make([]fabric.Ack, plan.Shards),
 		ledger:   make([]int64, plan.Shards),
 		downs:    make([]bool, plan.Shards),
@@ -227,7 +213,7 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		credDown: make([]bool, plan.Shards),
 		ctrl:     make(chan ctrlOp, 4*plan.Shards+16),
 		priming:  make([]bool, plan.Shards),
-		copySeq:  1 << 48,
+		copySeq:  1,
 	}
 	c.walkFront.init(port, plan, cfg.Seed, cfg.WalkLength, coordQueryNs)
 	// The write side sees shard deaths, so it keeps launch clones.
@@ -315,12 +301,9 @@ func (c *coordinator) routerLoop() {
 			if !ok {
 				return
 			}
-			switch {
-			case m.bar != nil:
+			if m.bar != nil {
 				c.publishBarrier(m.bar)
-			case m.mig != nil:
-				c.routeMigration(m.mig)
-			default:
+			} else {
 				c.routeBatch(m)
 			}
 		}
@@ -507,28 +490,20 @@ func (c *coordinator) ledgerCopy() []int64 {
 }
 
 // broadcastNow publishes the coordinator's current control state to
-// every attached read-coordinator: live plan (epoch, overlay, dead-mask,
+// every attached read-coordinator: live plan (epoch, dead-mask,
 // geometry), routed-update watermarks, and the applied stamp. Broadcasts
 // are full-state and idempotent, so any single one brings a reader
 // current — the transports cache the newest for late attachers. Called
-// after every plan flip (migration commit, death, failback), at session
-// start, and at every barrier completion (the applied stamp moved).
+// after every plan flip (death, failback), at session start, and at
+// every barrier completion (the applied stamp moved).
 func (c *coordinator) broadcastNow() {
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
 	c.bcastSeq++
 	p := c.planNow()
-	var ov map[uint64]int
-	if len(p.Overlay) > 0 {
-		ov = make(map[uint64]int, len(p.Overlay))
-		for b, o := range p.Overlay {
-			ov[b] = o
-		}
-	}
 	b := fabric.Broadcast{
 		Seq:        c.bcastSeq,
 		Epoch:      p.Epoch,
-		Overlay:    ov,
 		DeadMask:   p.DeadMask,
 		RangeSize:  p.RangeSize,
 		Replicas:   p.Replicas,
@@ -540,49 +515,6 @@ func (c *coordinator) broadcastNow() {
 	// Best effort: a broadcast that cannot be delivered (session tearing
 	// down) only means readers are ending too.
 	_ = c.port.PublishBroadcast(b)
-}
-
-// routeMigration publishes one migration's fabric messages from inside
-// the router loop, which is what gives the protocol its ordering
-// guarantees: the offer lands on the donor's FIFO stream *after* every
-// batch routed to it so far (so the extracted rows contain them), the
-// routing flip happens before any later batch is split (so updates for
-// the moved block queue behind the recipient's commit), and the commit
-// lands on every shard's stream after the flip (so the recipient
-// installs the rows before applying those updates).
-func (c *coordinator) routeMigration(mg *migOp) {
-	// Validate the flip before anything is published: once the offer is
-	// on the donor's stream the commit MUST follow (the recipient's
-	// ingester will block on the shipped rows), so a plan the overlay
-	// rejects has to fail the migration here, wedging nothing.
-	cur := c.planNow()
-	next, err := cur.WithOverlay(mg.block, mg.to, mg.epoch)
-	if err != nil {
-		c.setErr(err)
-		c.onMigrated(&fabric.MigrateDone{Block: mg.block, Epoch: mg.epoch, Err: err.Error()})
-		return
-	}
-	obs.Log.Record(obs.EvMigrationOffer, mg.from,
-		fmt.Sprintf("block %d -> shard %d (epoch %d)", mg.block, mg.to, mg.epoch))
-	if err := c.port.PublishUpdates(mg.from, fabric.Ingest{
-		Offer:      fabric.MigrateOffer{Block: mg.block, To: mg.to, Epoch: mg.epoch},
-		Watermarks: c.ledgerCopy(),
-	}); err != nil {
-		c.setErr(err)
-	}
-	c.planv.Store(&next)
-	obs.Log.Record(obs.EvPlanFlip, -1, fmt.Sprintf("epoch %d: block %d overlay -> shard %d", next.Epoch, mg.block, mg.to))
-	cm := fabric.MigrateCommit{Block: mg.block, From: mg.from, To: mg.to, Epoch: mg.epoch, MinWatermark: c.ledger[mg.from]}
-	for i := 0; i < c.plan.Shards; i++ {
-		if err := c.port.PublishUpdates(i, fabric.Ingest{Commit: cm, Watermarks: c.ledgerCopy()}); err != nil {
-			c.setErr(err)
-		}
-	}
-	obs.Log.Record(obs.EvMigrationCommit, mg.to,
-		fmt.Sprintf("block %d from shard %d (epoch %d)", mg.block, mg.from, mg.epoch))
-	// Readers learn the flipped plan (and drop cached views of the moved
-	// block) through the broadcast stream.
-	c.broadcastNow()
 }
 
 // handleCtrl runs one liveness transition on the router thread.
@@ -709,7 +641,7 @@ func (c *coordinator) ctrlUpOp(s int) {
 	c.credDown[s] = false
 	c.credMu.Unlock()
 	c.priming[s] = true
-	ps := &fabric.PlanState{Epoch: plan.Epoch, Overlay: plan.Overlay, DeadMask: plan.DeadMask}
+	ps := &fabric.PlanState{Epoch: plan.Epoch, DeadMask: plan.DeadMask}
 	if err := c.port.PublishUpdates(s, fabric.Ingest{Plan: ps, Watermarks: c.ledgerCopy()}); err != nil {
 		c.abortRejoin(s)
 		return
@@ -752,12 +684,12 @@ func (c *coordinator) ctrlUpOp(s int) {
 	for _, j := range jobs {
 		epoch := c.copySeq
 		c.copySeq++
-		off := fabric.MigrateOffer{Block: j.block, To: s, Epoch: epoch, Copy: true}
+		off := fabric.MigrateOffer{Block: j.block, To: s, Epoch: epoch}
 		if err := c.port.PublishUpdates(j.donor, fabric.Ingest{Offer: off, Watermarks: c.ledgerCopy()}); err != nil {
 			c.abortRejoin(s)
 			return
 		}
-		cm := fabric.MigrateCommit{Block: j.block, From: j.donor, To: s, Epoch: epoch, MinWatermark: c.ledger[j.donor], Copy: true}
+		cm := fabric.MigrateCommit{Block: j.block, From: j.donor, To: s, Epoch: epoch, MinWatermark: c.ledger[j.donor]}
 		if err := c.port.PublishUpdates(s, fabric.Ingest{Commit: cm, Watermarks: c.ledgerCopy()}); err != nil {
 			c.abortRejoin(s)
 			return
@@ -828,10 +760,8 @@ func (c *coordinator) eventLoop() {
 		case fabric.EvAck:
 			c.onAck(ev.Ack)
 		case fabric.EvMigrated:
-			if ev.Done != nil && ev.Done.Copy {
+			if ev.Done != nil {
 				c.onCopyDone(ev.Done)
-			} else {
-				c.onMigrated(ev.Done)
 			}
 		case fabric.EvCredit:
 			c.onCredit(ev.Credit)
@@ -974,22 +904,11 @@ func (c *coordinator) onAck(a *fabric.Ack) {
 	}
 }
 
-// onMigrated resolves the in-flight migration the report names.
-func (c *coordinator) onMigrated(d *fabric.MigrateDone) {
-	c.mu.Lock()
-	ch := c.migs[d.Epoch]
-	delete(c.migs, d.Epoch)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- d
-	}
-}
-
 // failPending unblocks every caller still waiting when the event stream
 // dies: the front end fails its walkers (and marks itself dead, which
-// fences barrier and migration registrations too — set before their
-// tables are swept, so nothing can register behind the sweep), then
-// barriers and migrations complete with the error.
+// fences barrier registrations too — set before the table is swept, so
+// nothing can register behind the sweep), then barriers complete with
+// the error.
 func (c *coordinator) failPending() {
 	// Lift every credit gate first: a router blocked in waitCredits must
 	// wake (nothing will ever credit again) or Close would deadlock.
@@ -1000,21 +919,16 @@ func (c *coordinator) failPending() {
 	c.walkFront.failPending()
 	c.mu.Lock()
 	syncs := c.syncs
-	migs := c.migs
 	c.syncs = map[uint64]*barrierWait{}
-	c.migs = map[uint64]chan *fabric.MigrateDone{}
 	c.rejoins = map[int]*rejoinState{}
 	c.mu.Unlock()
-	for _, ch := range migs {
-		ch <- nil // Migrate maps nil to ErrFabricDown
-	}
 	for _, bw := range syncs {
 		if bw.err == nil {
 			bw.err = ErrFabricDown
 		}
 		close(bw.done)
 	}
-	if len(syncs)+len(migs) > 0 {
+	if len(syncs) > 0 {
 		c.setErr(ErrFabricDown)
 	}
 }
@@ -1147,64 +1061,4 @@ func (c *coordinator) failoverTallies() FailoverTallies {
 		Rejoins:      c.rejoinsDone.Load(),
 		CopiedBlocks: c.copiedBlocks.Load(),
 	}
-}
-
-// migrationTallies snapshots the block-migration counters.
-func (c *coordinator) migrationTallies() MigrationTallies {
-	return MigrationTallies{
-		Migrations: c.migrations.Load(),
-		MovedEdges: c.movedEdges.Load(),
-		PlanEpoch:  c.planNow().Epoch,
-	}
-}
-
-// Migrate moves ownership block `block` to shard `to`, end to end: it
-// routes the offer/commit pair through the feed queue (ordering against
-// accepted batches) and blocks until the recipient reports the block
-// installed. Moving a block to its current owner is a no-op, and a
-// replicated plan refuses every move (its overlay stays nil). Callers
-// issue one migration at a time, which keeps the donor-waits-for-nobody
-// / recipient-waits-for-one-donor protocol trivially deadlock-free, and
-// let it return before calling Close: a migration still in flight when
-// the session ends fails with ErrFabricDown.
-func (c *coordinator) Migrate(block uint64, to int) error {
-	if c.plan.Replicas > 1 {
-		return errors.New("walk: block migration is not supported on replicated plans")
-	}
-	c.sendMu.RLock()
-	if c.closed {
-		c.sendMu.RUnlock()
-		return ErrLiveClosed
-	}
-	cur := c.planNow()
-	from := cur.BlockOwner(block)
-	if from == to || to < 0 || to >= c.plan.Shards {
-		c.sendMu.RUnlock()
-		return nil
-	}
-	epoch := cur.Epoch + 1
-	ch := make(chan *fabric.MigrateDone, 1)
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		c.sendMu.RUnlock()
-		return ErrFabricDown
-	}
-	c.migs[epoch] = ch
-	c.mu.Unlock()
-	c.feed <- coordMsg{mig: &migOp{block: block, from: from, to: to, epoch: epoch}}
-	c.sendMu.RUnlock()
-	d := <-ch
-	if d == nil {
-		return ErrFabricDown
-	}
-	if d.Err != "" {
-		err := errors.New(d.Err)
-		c.setErr(err)
-		return err
-	}
-	c.migrations.Add(1)
-	coordMigrations.Inc()
-	c.movedEdges.Add(d.Edges)
-	return nil
 }

@@ -1,6 +1,12 @@
 package walk
 
-// Migrate commits one scripted block migration through the coordinator
-// and returns once the move has committed. The external differential
-// tests use it to flip ownership at a chosen point of a tape.
-func (s *ShardedLiveService) Migrate(block uint64, to int) error { return s.coord.Migrate(block, to) }
+// MaskShardDown hands the router the same ctrlDown op onShardDown pushes
+// for a dead link, so the coordinator's own flip path runs: the plan
+// masks the shard dead at the next epoch, the survivors and attached
+// readers learn the flip, and in-flight walkers are relaunched. The
+// link-death bookkeeping (barrier exclusion, credit gate) is skipped —
+// the shard's node keeps running and acking barriers, so a test can
+// observe the flip without killing a process.
+func (s *ShardedLiveService) MaskShardDown(shard int) {
+	s.coord.pushCtrl(ctrlOp{kind: ctrlDown, shard: shard})
+}

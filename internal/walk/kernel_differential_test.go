@@ -1,7 +1,7 @@
 package walk
 
 // The kernel's own differential gates, sitting below the service-level
-// harnesses (sharded, hub-churn, rebalance, failover):
+// harnesses (sharded, hub-churn, multi-coordinator, failover):
 //
 //  1. Lockstep: with hub caches off, every draw goes through the engine
 //     and consumes its slot's stream exactly as a per-walker locked

@@ -1,20 +1,19 @@
-// The multi-coordinator extension of the live-migration differential harness:
-// read-coordinators attach to the running shard set and serve queries
-// *while* the write-coordinator feeds a hub-skewed growth tape and
-// scripted migrations move the hot blocks live. Afterwards the
-// distributed state must still match a sequential replay edge-for-edge,
-// and the sampling distribution served *through a reader* — hops from
-// its broadcast-validated hub-view cache and shard-launched remainders
-// alike — must be one a 120k-draw chi-square cannot tell from the
-// replay's exact probabilities.
+// The multi-coordinator differential harness: read-coordinators attach
+// to the running shard set and serve queries *while* the
+// write-coordinator's concurrent writers feed a hub-skewed growth tape.
+// Afterwards the distributed state must match a sequential replay
+// edge-for-edge, and the sampling distribution served *through a
+// reader* — hops from its broadcast-validated hub-view cache and
+// shard-launched remainders alike — must be one a 120k-draw chi-square
+// cannot tell from the replay's exact probabilities.
 //
 // The reader-specific consistency claims under test: the broadcast
-// stream keeps a reader's plan epoch, overlay, and watermark vector
-// valid across migrations (launches toward moved blocks re-route, cached
-// views of moved blocks drop at the flip), bounded staleness holds
-// (WaitApplied past the writer's post-Sync stamp means the reader serves
-// nothing older), and a reader's death is invisible to the write session
-// and its sibling readers. Run with -race on both fabrics.
+// stream keeps a reader's plan and watermark vector valid while the feed
+// lands (cached views drop as watermarks advance, and a liveness flip
+// drops the whole cache), bounded staleness holds (WaitApplied past the
+// writer's post-Sync stamp means the reader serves nothing older), and a
+// reader's death is invisible to the write session and its sibling
+// readers. Run with -race on both fabrics.
 package walk_test
 
 import (
@@ -33,25 +32,160 @@ import (
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
+const (
+	rbVerts0   = 600  // initial space → range size 150 at 4 shards
+	rbVertsMax = 1200 // growth target; block 4 = [600, 750) is minted live
+	rbTapeLen  = 8000
+	rbWriters  = 4
+	rbShards   = 4
+	rbSamples  = 120000 // ≥ 1e5 chi-square draws
+	// Under the race detector every Query is a serial round trip whose
+	// cost the instrumentation multiplies several-fold — over loopback
+	// TCP on a single-core box, 120k draws alone exceed the package
+	// timeout. 3k draws per vertex keeps every expected cell count far
+	// above the chi-square floor while fitting the budget.
+	rbSamplesRace = 24000
+)
+
+// rbHotVertex draws from the hot set: the two blocks shard 0 owns under
+// the initial plan — block 0 ([0, 150), bootstrap-time) and block 4
+// ([600, 750), minted by growth).
+func rbHotVertex(r *xrand.RNG) graph.VertexID {
+	if r.Coin(0.5) {
+		return graph.VertexID(r.Intn(150))
+	}
+	return graph.VertexID(600 + r.Intn(150))
+}
+
+// buildHubSkewTape is buildGrowthTape with the paper's serving skew
+// dialed in: three quarters of the inserts source from the hot blocks
+// (and mostly land there too, so walks dwell on them), the rest spread
+// over the whole growth space. Every (src,dst) pair still has at most
+// one live instance, so any valid replay agrees edge-for-edge.
+func buildHubSkewTape(n int, seed uint64) []graph.Update {
+	r := xrand.New(seed)
+	live := make([]sdPair, 0, n)
+	liveAt := make(map[sdPair]int, n)
+	tape := make([]graph.Update, 0, n)
+	pick := func() sdPair {
+		if r.Coin(0.75) {
+			src := rbHotVertex(r)
+			if r.Coin(0.7) {
+				return sdPair{src, rbHotVertex(r)}
+			}
+			return sdPair{src, graph.VertexID(r.Intn(rbVertsMax))}
+		}
+		return sdPair{graph.VertexID(r.Intn(rbVertsMax)), graph.VertexID(r.Intn(rbVertsMax))}
+	}
+	for len(tape) < n {
+		roll := r.Float64()
+		switch {
+		case roll < 0.20 && len(live) > 8:
+			i := r.Intn(len(live))
+			p := live[i]
+			last := len(live) - 1
+			live[i] = live[last]
+			liveAt[live[i]] = i
+			live = live[:last]
+			delete(liveAt, p)
+			tape = append(tape, graph.Update{Op: graph.OpDelete, Src: p.src, Dst: p.dst})
+		default:
+			p := pick()
+			if _, ok := liveAt[p]; ok {
+				continue
+			}
+			liveAt[p] = len(live)
+			live = append(live, p)
+			tape = append(tape, graph.Update{Op: graph.OpInsert, Src: p.src, Dst: p.dst, Bias: uint64(1 + r.Intn(1000))})
+		}
+	}
+	return tape
+}
+
+// rbFeed feeds tape through rbWriters concurrent writers (writer w owns
+// the sources ≡ w mod rbWriters, so per-source order holds) and returns
+// when every writer is done; failures are reported with t.Errorf.
+func rbFeed(t *testing.T, svc *walk.ShardedLiveService, tape []graph.Update) {
+	t.Helper()
+	parts := make([][]graph.Update, rbWriters)
+	for _, up := range tape {
+		w := int(up.Src) % rbWriters
+		parts[w] = append(parts[w], up)
+	}
+	var writers sync.WaitGroup
+	for w := 0; w < rbWriters; w++ {
+		writers.Add(1)
+		go func(part []graph.Update) {
+			defer writers.Done()
+			const chunk = 64
+			for lo := 0; lo < len(part); lo += chunk {
+				hi := min(lo+chunk, len(part))
+				if err := svc.Feed(part[lo:hi]); err != nil {
+					t.Errorf("Feed: %v", err)
+					return
+				}
+			}
+		}(parts[w])
+	}
+	writers.Wait()
+}
+
+// rbSequentialReplay builds the single-engine ground truth.
+func rbSequentialReplay(t *testing.T, tape []graph.Update) *core.Sampler {
+	t.Helper()
+	seq, err := core.New(rbVertsMax, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.ApplyUpdatesStreaming(append([]graph.Update(nil), tape...)); err != nil {
+		t.Fatalf("sequential replay: %v", err)
+	}
+	return seq
+}
+
+// rbAssertEdgeEquality compares a distributed edge multiset against the
+// sequential replay, edge for edge.
+func rbAssertEdgeEquality(t *testing.T, got []sdEdge, tape []graph.Update) {
+	t.Helper()
+	seq := rbSequentialReplay(t, tape)
+	want := appendEdges(nil, seq.Snapshot())
+	sortEdges(got)
+	sortEdges(want)
+	if len(got) != len(want) {
+		t.Fatalf("edge count %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("edge multiset diverges at %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // runMultiCoordDifferential drives the hub-skewed growth tape through
 // the write service while every reader serves a concurrent query storm,
-// commits the two scripted migrations mid-tape, syncs, verifies bounded
-// staleness through each reader, and chi-squares the served sampling
-// distribution drawn through the readers (round-robin) against the
-// sequential replay.
+// syncs, verifies bounded staleness through each reader, and
+// chi-squares the served sampling distribution drawn through the
+// readers (round-robin) against the sequential replay.
 func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, readers []*walk.ReaderService, tape []graph.Update) {
 	t.Helper()
 
-	// Every reader serves a hot-block query storm while the tape lands
-	// and both scripted flips commit under it.
+	// Every reader serves a hot-block query storm while the tape lands.
+	// The feed starts only once every reader has finished a query, so
+	// each storm overlaps the feed however fast the tape is routed.
 	done := make(chan struct{})
-	var storms sync.WaitGroup
+	var storms, started sync.WaitGroup
 	for ri, rd := range readers {
 		storms.Add(1)
+		started.Add(1)
 		go func(ri int, rd *walk.ReaderService) {
 			defer storms.Done()
+			var once sync.Once
+			defer once.Do(started.Done)
 			r := xrand.New(0xBEAD + uint64(ri))
 			for i := 0; ; i++ {
+				if i == 1 {
+					once.Do(started.Done)
+				}
 				if i%64 == 0 {
 					select {
 					case <-done:
@@ -75,8 +209,8 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 			}
 		}(ri, rd)
 	}
+	started.Wait()
 	rbFeed(t, svc, tape)
-	rbMigrate(t, svc, rbLateMove)
 	close(done)
 	storms.Wait()
 	if t.Failed() {
@@ -88,26 +222,19 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 
 	st := svc.Stats()
 	livePlan := svc.LivePlan()
-	t.Logf("replayed %d updates with %d readers attached; %d migrations (plan epoch %d), shard steps %v",
-		st.Updates, len(readers), st.Migration.Migrations, st.Migration.PlanEpoch, st.ShardSteps)
+	t.Logf("replayed %d updates with %d readers attached; shard steps %v",
+		st.Updates, len(readers), st.ShardSteps)
 	if st.Updates != int64(len(tape)) || st.Dropped != 0 {
 		t.Fatalf("ingest stats %+v, want %d updates, 0 dropped", st, len(tape))
-	}
-	if st.Migration.Migrations != 2 || len(livePlan.Overlay) != 2 {
-		t.Fatalf("want the 2 scripted migrations committed: %+v, overlay %v", st.Migration, livePlan.Overlay)
 	}
 
 	// Bounded staleness: the write side's post-Sync stamp covers the
 	// whole tape; each reader must reach it (the barrier-completion
-	// broadcast carries it) and report the migrated plan epoch.
+	// broadcast carries it, full-state, so the plan epoch with it).
 	stamp := svc.AppliedStamp()
 	for ri, rd := range readers {
 		if err := rd.WaitApplied(stamp); err != nil {
 			t.Fatalf("reader %d: WaitApplied(%d): %v", ri, stamp, err)
-		}
-		waitFor := time.Now().Add(10 * time.Second)
-		for rd.Stats().PlanEpoch != livePlan.Epoch && time.Now().Before(waitFor) {
-			time.Sleep(5 * time.Millisecond)
 		}
 		rst := rd.Stats()
 		if rst.Applied < stamp {
@@ -123,8 +250,7 @@ func runMultiCoordDifferential(t *testing.T, svc *walk.ShardedLiveService, reade
 
 	// Chi-square the distribution served through the readers against the
 	// sequential replay on the highest-degree vertices (hub-skew puts
-	// them on migrated blocks, so draws cross the moved ownership and
-	// exercise reader-cached views of the new owner's state).
+	// them on the hot blocks, so draws exercise reader-cached views).
 	seq := rbSequentialReplay(t, tape)
 	type cand struct {
 		u graph.VertexID
@@ -432,15 +558,19 @@ func TestReaderCrashIsolation(t *testing.T) {
 	}
 }
 
-// TestPlanEpochBroadcastInvalidation pins the migration-vs-reader-cache
-// story: a reader caches hub views, a scripted migration commits while it
-// holds them, and the plan-epoch broadcast must flip the reader's plan and
-// drop every cached view — after which its serving reflects the moved
-// ownership. Nothing is fed after the warm-up, so the watermark-advance
-// pruning path cannot mask the epoch-flip drop.
+// TestPlanEpochBroadcastInvalidation pins the liveness-flip-vs-reader-
+// cache story: on a replicated session a reader caches hub views, the
+// coordinator masks the shard that owns the hot blocks dead while the
+// reader holds them, and the plan-epoch broadcast must flip the reader's
+// plan and drop every cached view — after which its draws from the
+// masked shard's blocks are served by the surviving replica. Nothing is
+// fed after the warm-up, so the watermark-advance pruning path cannot
+// mask the epoch-flip drop.
 func TestPlanEpochBroadcastInvalidation(t *testing.T) {
+	const masked = 0 // base owner of both hot blocks (0 and 4)
 	tape := buildHubSkewTape(4000, 0xE90C)
 	plan := walk.NewShardPlan(rbVerts0, rbShards)
+	plan.Replicas = 2
 	engines, _ := newShardEngines(t, plan, rbVerts0)
 	svc, err := walk.NewShardedLiveService(engines, plan, walk.ShardedLiveConfig{
 		WalkersPerShard: 2,
@@ -481,44 +611,49 @@ func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 	cached0 := rd.Stats().CachedViews
 	epoch0 := rd.Stats().PlanEpoch
 	if cached0 == 0 {
-		t.Fatal("cached views drained to zero before the migration")
+		t.Fatal("cached views drained to zero before the flip")
 	}
 
-	// Phase 2: move the hot block 0 while the reader holds its views.
-	if err := svc.Migrate(rbMidMove.block, rbMidMove.to); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	livePlan := svc.LivePlan()
+	// Phase 2: mask the hot blocks' owner dead while the reader holds
+	// its views.
+	svc.MaskShardDown(masked)
+	var livePlan walk.ShardPlan
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
+		livePlan = svc.LivePlan()
 		rst := rd.Stats()
-		if rst.PlanFlips > 0 && rst.CachedViews == 0 && rst.PlanEpoch == livePlan.Epoch {
+		if !livePlan.Alive(masked) && rst.PlanFlips > 0 && rst.CachedViews == 0 && rst.PlanEpoch == livePlan.Epoch {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if livePlan.Alive(masked) {
+		t.Fatalf("write session never masked shard %d: %+v", masked, livePlan)
+	}
 	rst := rd.Stats()
-	if rst.PlanFlips == 0 || rst.PlanEpoch == epoch0 {
+	if rst.PlanFlips == 0 || rst.PlanEpoch != livePlan.Epoch || rst.PlanEpoch == epoch0 {
 		t.Fatalf("reader never saw the plan-epoch broadcast: %+v, write session at epoch %d", rst, livePlan.Epoch)
 	}
 	if rst.CachedViews != 0 {
 		t.Fatalf("epoch flip left %d cached views standing (had %d before)", rst.CachedViews, cached0)
 	}
 
-	// The reader now serves against the moved ownership: draws from the
-	// hottest (migrated) vertices must land on live neighbors only.
+	// The reader now serves the masked shard's blocks from the replica:
+	// draws from the hottest of their vertices must land on live
+	// neighbors only.
 	seq := rbSequentialReplay(t, tape)
 	var hot graph.VertexID
 	best := -1
 	for u := 0; u < rbVertsMax; u++ {
-		if d := seq.Degree(graph.VertexID(u)); d > best {
-			if _, moved := livePlan.Overlay[livePlan.BlockOf(graph.VertexID(u))]; moved {
-				hot, best = graph.VertexID(u), d
-			}
+		if d := seq.Degree(graph.VertexID(u)); d > best && plan.Owner(graph.VertexID(u)) == masked {
+			hot, best = graph.VertexID(u), d
 		}
 	}
 	if best < 1 {
-		t.Skip("no connected vertex on a migrated block")
+		t.Fatal("no connected vertex on the masked shard's blocks — tape generator broken")
+	}
+	if o := livePlan.Owner(hot); o == masked {
+		t.Fatalf("vertex %d still owned by masked shard %d", hot, o)
 	}
 	liveDst := map[graph.VertexID]bool{}
 	for slot := range seq.VertexProbabilities(hot) {
@@ -528,10 +663,10 @@ func TestPlanEpochBroadcastInvalidation(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		path, err := rd.Query(hot, 1)
 		if err != nil {
-			t.Fatalf("post-migration Query: %v", err)
+			t.Fatalf("post-flip Query: %v", err)
 		}
 		if len(path) != 2 || !liveDst[path[1]] {
-			t.Fatalf("post-migration draw %d from moved vertex %d: path %v not a live edge", i, hot, path)
+			t.Fatalf("post-flip draw %d from masked-shard vertex %d: path %v not a live edge", i, hot, path)
 		}
 		seen[path[1]] = true
 	}

@@ -1,39 +1,52 @@
 package walk
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
-	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
-// TestShardPlanOverlayTotality pins the plan-v2 contract: ownership must
-// stay total over the entire vertex-ID space under any overlay, exactly
-// as the base block-cyclic map is — the PR-2 "owner index past the shard
-// array" bug class must be unreachable no matter how blocks have been
-// migrated or how far the live feed has grown the space.
-func TestShardPlanOverlayTotality(t *testing.T) {
+// TestShardPlanDeadMaskTotality pins the replicated-plan contract:
+// ownership must stay total over the entire vertex-ID space under any
+// dead-mask, exactly as the base block-cyclic map is — an owner index
+// past the shard array must be unreachable no matter which shards are
+// masked or how far the live feed has grown the space. A masked base
+// owner's blocks chain to the next live member of their replica group,
+// and a fully-dead group falls back to its base owner.
+func TestShardPlanDeadMaskTotality(t *testing.T) {
 	plan := NewShardPlan(600, 4)
+	plan.Replicas = 2
 	var err error
-	// Pile up overlays, including blocks far beyond the derived space
-	// (growth can mint them) and a block moved twice.
-	moves := []struct {
-		block uint64
-		to    int
-	}{{0, 3}, {1, 2}, {7, 0}, {1 << 20, 1}, {0, 1}}
-	epoch := uint64(0)
-	for _, m := range moves {
-		epoch++
-		plan, err = plan.WithOverlay(m.block, m.to, epoch)
+	// Groups are {b%4, b%4+1}. Kill 1 and 3, fail 1 back, then kill 2:
+	// group {2, 3} ends fully dead, every other group keeps a live member.
+	for _, f := range []struct {
+		shard int
+		up    bool
+	}{{1, false}, {3, false}, {1, true}, {2, false}} {
+		if f.up {
+			plan, err = plan.WithUp(f.shard, plan.Epoch+1)
+		} else {
+			plan, err = plan.WithDown(f.shard, plan.Epoch+1)
+		}
 		if err != nil {
-			t.Fatalf("WithOverlay(%d → %d): %v", m.block, m.to, err)
+			t.Fatalf("flip %+v: %v", f, err)
 		}
 	}
-	if plan.Epoch != epoch {
-		t.Fatalf("epoch %d, want %d", plan.Epoch, epoch)
+	if plan.Epoch != 4 || plan.Alive(2) || plan.Alive(3) || !plan.Alive(0) || !plan.Alive(1) {
+		t.Fatalf("plan after flips: %+v", plan)
+	}
+	for b, want := range map[uint64]int{
+		0:         0, // base live
+		1:         1, // failed back
+		2:         2, // group {2, 3} fully dead: base owner
+		3:         0, // base 3 dead, chains to 0
+		1 << 20:   0, // beyond the derived space, base 0
+		1<<20 + 3: 0,
+	} {
+		if got := plan.BlockOwner(b); got != want {
+			t.Fatalf("BlockOwner(%d) = %d, want %d", b, got, want)
+		}
 	}
 
 	r := xrand.New(7)
@@ -46,24 +59,19 @@ func TestShardPlanOverlayTotality(t *testing.T) {
 		if o < 0 || o >= plan.Shards {
 			t.Fatalf("Owner(%d) = %d, out of range for %d shards", v, o, plan.Shards)
 		}
-		if plan.BlockOwner(plan.BlockOf(v)) != o {
+		b := plan.BlockOf(v)
+		if plan.BlockOwner(b) != o {
 			t.Fatalf("BlockOwner disagrees with Owner at %d", v)
 		}
-	}
-	// The explicit moves landed.
-	if got := plan.Owner(0); got != 1 {
-		t.Fatalf("block 0 owner %d, want 1 (last move wins)", got)
-	}
-	lo, _ := plan.BlockRange(1 << 20)
-	if got := plan.Owner(graph.VertexID(lo)); got != 1 {
-		t.Fatalf("beyond-space block owner %d, want 1", got)
+		if !plan.InGroup(b, o) {
+			t.Fatalf("Owner(%d) = %d is outside block %d's replica group", v, o, b)
+		}
 	}
 
 	// The top block of the uint32 space must not wrap: its range covers
 	// the topmost vertex IDs (hi = 2^32 is representable only as uint64).
 	topV := ^graph.VertexID(0)
-	topBlock := plan.BlockOf(topV)
-	tlo, thi := plan.BlockRange(topBlock)
+	tlo, thi := plan.BlockRange(plan.BlockOf(topV))
 	if thi <= tlo {
 		t.Fatalf("top block range wrapped: [%d, %d)", tlo, thi)
 	}
@@ -72,109 +80,67 @@ func TestShardPlanOverlayTotality(t *testing.T) {
 	}
 }
 
-// TestShardPlanOverlayValidation pins WithOverlay's guard rails: an
-// overlay entry is the one mechanism that could break totality, so
-// out-of-range owners and non-monotonic epochs must be impossible to
-// install, and moving a block back home must erase its entry rather
-// than pin a redundant one.
-func TestShardPlanOverlayValidation(t *testing.T) {
+// TestShardPlanDeadMaskValidation pins WithDown/WithUp's guard rails:
+// out-of-range shards and non-monotonic epochs are refused, the
+// receiver is never mutated (plans are immutable values), and a
+// failback restores base ownership.
+func TestShardPlanDeadMaskValidation(t *testing.T) {
 	plan := NewShardPlan(100, 4)
-	if _, err := plan.WithOverlay(2, 4, 1); err == nil {
-		t.Fatal("owner == Shards accepted")
+	plan.Replicas = 2
+	for _, s := range []int{-1, 4, 64} {
+		if _, err := plan.WithDown(s, 1); err == nil {
+			t.Fatalf("WithDown(%d) accepted", s)
+		}
+		if _, err := plan.WithUp(s, 1); err == nil {
+			t.Fatalf("WithUp(%d) accepted", s)
+		}
 	}
-	if _, err := plan.WithOverlay(2, -1, 1); err == nil {
-		t.Fatal("negative owner accepted")
-	}
-	p1, err := plan.WithOverlay(2, 3, 1)
+	p1, err := plan.WithDown(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.WithOverlay(5, 1, 1); err == nil {
-		t.Fatal("stale epoch accepted")
+	if _, err := p1.WithDown(1, 1); err == nil {
+		t.Fatal("stale epoch accepted by WithDown")
 	}
-	// The original value is untouched (plans are immutable values).
-	if plan.Epoch != 0 || plan.Overlay != nil {
+	if _, err := p1.WithUp(2, 1); err == nil {
+		t.Fatal("stale epoch accepted by WithUp")
+	}
+	if plan.Epoch != 0 || plan.DeadMask != 0 {
 		t.Fatalf("receiver mutated: %+v", plan)
 	}
-	// Moving block 2 home again (base owner 2) erases the entry.
-	p2, err := p1.WithOverlay(2, 2, 2)
+	v := graph.VertexID(2 * p1.RangeSize) // block 2, base owner 2
+	if got := p1.Owner(v); got != 3 {
+		t.Fatalf("dead base owner's vertex served by %d, want replica 3", got)
+	}
+	p2, err := p1.WithUp(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Overlay != nil {
-		t.Fatalf("home move left overlay %v", p2.Overlay)
-	}
-	if p2.Owner(graph.VertexID(2*p2.RangeSize)) != 2 {
-		t.Fatal("home move did not restore base ownership")
+	if p2.DeadMask != 0 || p2.Owner(v) != 2 {
+		t.Fatalf("failback did not restore base ownership: %+v owner %d", p2, p2.Owner(v))
 	}
 }
 
-// TestVisitCounterGrowthWithOverlay replays the PR-2 regression shape
-// through the overlay path: a walker tallying visits at vertices the
-// live feed minted (beyond every pre-sized structure) while the plan
-// carries an overlay must neither panic nor misroute.
-func TestVisitCounterGrowthWithOverlay(t *testing.T) {
+// TestVisitCounterGrowthWithDeadMask replays the frozen-size regression
+// shape under a masked plan: a walker tallying visits at vertices the
+// live feed minted (beyond every pre-sized structure) while a shard is
+// masked dead must neither panic nor misroute.
+func TestVisitCounterGrowthWithDeadMask(t *testing.T) {
 	plan := NewShardPlan(64, 4)
-	plan, err := plan.WithOverlay(plan.BlockOf(1000), 0, 1)
+	plan.Replicas = 2
+	plan, err := plan.WithDown(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vc := newVisitCounter(64)
 	for _, v := range []graph.VertexID{0, 63, 64, 999, 1000, 5000} {
-		if o := plan.Owner(v); o < 0 || o >= plan.Shards {
-			t.Fatalf("Owner(%d) out of range: %d", v, o)
+		if o := plan.Owner(v); o < 0 || o >= plan.Shards || o == 0 {
+			t.Fatalf("Owner(%d) = %d: out of range or the masked shard", v, o)
 		}
 		vc.bump(v)
 	}
 	counts := vc.snapshot()
 	if counts[5000] != 1 || counts[1000] != 1 {
 		t.Fatal("grown visit tallies lost")
-	}
-}
-
-// TestHelloOverlayGobRoundTrip pins the wire form of plan v2: a session
-// Hello carrying a migrated plan's overlay must gob round-trip intact
-// (the tcpgob fabric ships Hello as a frame, and a daemon reconstructs
-// its plan from it).
-func TestHelloOverlayGobRoundTrip(t *testing.T) {
-	plan := NewShardPlan(600, 4)
-	var err error
-	for i, mv := range []struct {
-		b  uint64
-		to int
-	}{{0, 3}, {9, 1}, {1 << 40, 2}} {
-		plan, err = plan.WithOverlay(mv.b, mv.to, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := fabric.Hello{
-		Shards: 4, Shard: 2,
-		RangeSize:   plan.RangeSize,
-		NumVertices: 600,
-		PlanEpoch:   plan.Epoch,
-		Overlay:     plan.Overlay,
-		Session:     42,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&h); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var got fabric.Hello
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.PlanEpoch != plan.Epoch || len(got.Overlay) != len(plan.Overlay) {
-		t.Fatalf("overlay lost: %+v", got)
-	}
-	rebuilt := PlanFromHello(got)
-	for b, want := range plan.Overlay {
-		if rebuilt.BlockOwner(b) != want {
-			t.Fatalf("block %d owner %d after round-trip, want %d", b, rebuilt.BlockOwner(b), want)
-		}
-	}
-	// A vertex far past the space still resolves in range.
-	if o := rebuilt.Owner(4_000_000_000); o < 0 || o >= rebuilt.Shards {
-		t.Fatalf("round-tripped plan lost totality: owner %d", o)
 	}
 }

@@ -53,12 +53,12 @@ func (c ReaderConfig) withDefaults() ReaderConfig {
 // retire resolution are that one front end's — over a fabric.ReadPort
 // (which stamps the reader's session nonce so shards route retires and
 // replies back here), and keeps the front end's plan valid by consuming
-// the write-coordinator's broadcast stream — plan epoch, ownership
-// overlay, dead-mask, routed-update watermarks, applied stamp. What is
+// the write-coordinator's broadcast stream — plan epoch, dead-mask,
+// routed-update watermarks, applied stamp. What is
 // the reader's own is the read side: that broadcast follower, the
 // applied-stamp wait, and the hub-view cache that serves a walk's first
 // hops before anything is launched. It never touches ingest: Feed, Sync,
-// migrations, and credit flow stay with the write session.
+// replica priming, and credit flow stay with the write session.
 //
 // Scaling model: N readers share one shard set. Each serves walk hops
 // from its own hub-view cache when a valid cached view covers the
@@ -224,8 +224,7 @@ func (r *ReaderService) eventLoop() {
 // are full-state and idempotent: applied iff not behind the newest seen
 // (duplicated per-daemon delivery and cross-link reordering are both
 // harmless). An epoch or dead-mask flip drops the whole view cache —
-// the conservative invalidation matching the shard nodes' failover rule;
-// migrations are additionally covered by the watermark advance.
+// the conservative invalidation matching the shard nodes' failover rule.
 func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 	if b == nil || b.Seq < r.lastSeq.Load() {
 		return
@@ -238,7 +237,6 @@ func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 		Shards:    r.shards,
 		RangeSize: b.RangeSize,
 		Epoch:     b.Epoch,
-		Overlay:   b.Overlay, // immutable by the Broadcast contract
 		Replicas:  b.Replicas,
 		DeadMask:  b.DeadMask,
 	}

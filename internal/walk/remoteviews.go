@@ -25,11 +25,10 @@ import (
 // by at most the watermark propagation delay, the same freshness class
 // as a walker hand-off racing the feed.
 //
-// Two extra rules guard block migration: a reply is installed only when its
-// sender is the vertex's *current* owner (ownerOf — a straggler reply
-// from a block's old donor would otherwise install a view the new
-// owner's updates never invalidate), and dropBlock purges everything
-// cached for a block the moment its ownership commit arrives.
+// A reply is installed only when its sender is the vertex's *current*
+// owner (ownerOf): after a liveness flip re-chains a block to another
+// replica, a straggler reply from the old owner would carry a stamp
+// measured against the wrong shard's watermark.
 //
 // Churn-aware admission: a vertex whose views keep dying young — pruned
 // by a watermark before serving churnYoungHits hops — earns strikes, and
@@ -181,11 +180,11 @@ func (rv *remoteViews) install(rp *fabric.ViewReply) bool {
 	defer rv.mu.Unlock()
 	delete(rv.inflight, rp.Vertex)
 	if rv.ownerOf != nil && rv.ownerOf(rp.Vertex) != rp.From {
-		// A straggler from a migrated block's previous owner — checked
-		// before the Hub branch on purpose: a post-extraction donor
-		// answers Hub=false (its rows are gone), and recording that in
-		// the negative cache would suppress requests toward the *new*
-		// owner until the cache's wholesale reset.
+		// A straggler from the block's previous owner — checked before
+		// the Hub branch on purpose: a Hub=false answer from a shard that
+		// no longer owns the vertex says nothing about the current owner,
+		// and recording it in the negative cache would suppress requests
+		// toward that owner until the cache's wholesale reset.
 		return false
 	}
 	if !rp.Hub {
@@ -224,46 +223,6 @@ func (rv *remoteViews) clearInflight(u graph.VertexID) {
 	rv.mu.Lock()
 	delete(rv.inflight, u)
 	rv.mu.Unlock()
-}
-
-// dropBlock purges everything cached for ownership block b (views,
-// crossing counts, in-flight markers, negative entries): the block just
-// changed owners, so every stamp and judgment predating the flip is
-// void. Migration is not churn — strikes are left alone.
-func (rv *remoteViews) dropBlock(rangeSize int, b uint64) {
-	// uint64 bounds: the top block's hi is 2^32, beyond graph.VertexID.
-	lo := b * uint64(rangeSize)
-	hi := lo + uint64(rangeSize)
-	in := func(v graph.VertexID) bool { return uint64(v) >= lo && uint64(v) < hi }
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	for u := range rv.views {
-		if in(u) {
-			delete(rv.views, u)
-		}
-	}
-	live := rv.order[:0]
-	for _, k := range rv.order {
-		if cur, ok := rv.views[k.v]; ok && cur.seq == k.seq {
-			live = append(live, k)
-		}
-	}
-	rv.order = live
-	for u := range rv.crossings {
-		if in(u) {
-			delete(rv.crossings, u)
-		}
-	}
-	for u := range rv.inflight {
-		if in(u) {
-			delete(rv.inflight, u)
-		}
-	}
-	for u := range rv.notHub {
-		if in(u) {
-			delete(rv.notHub, u)
-		}
-	}
 }
 
 // dropAll purges the entire cache — views, crossing counts, in-flight

@@ -24,45 +24,37 @@ import (
 // future vertex across the existing shards in balanced blocks, without
 // ever reassigning a vertex the plan already placed.
 //
-// Plan v2 layers a versioned *ownership overlay* on the block-cyclic
-// base: Overlay maps individual block indices to owners that committed
-// migrations chose, and Epoch counts the flips. The base map stays total over the
-// whole ID space — an overlay can only redirect a block to another
-// existing shard (WithOverlay enforces the range), never un-own one — so
-// totality survives any overlay combined with any amount of growth.
-// Plans are immutable values: WithOverlay returns a new plan with a
-// fresh map, so a plan captured by a walker crew or a wire frame never
-// mutates underneath its reader; versioned consumers swap whole plans
-// and compare Epoch.
+// Plans are versioned by Epoch, which counts liveness flips: a
+// replicated plan (Replicas > 1) carries a dead-mask, and a masked
+// shard's blocks are served by the next live member of each block's
+// replica group. The mask only re-chains ownership inside a group —
+// every shard still resolves in range — so totality survives any flip
+// combined with any amount of growth. Plans are immutable values:
+// WithDown and WithUp return a new plan, so a plan captured by a walker
+// crew or a wire frame never mutates underneath its reader; versioned
+// consumers swap whole plans and compare Epoch.
 type ShardPlan struct {
 	// Shards is the partition count (≥ 1).
 	Shards int
 	// RangeSize is the contiguous block length (≥ 1).
 	RangeSize int
-	// Epoch versions the ownership overlay: 0 is the pure block-cyclic
-	// base plan, each committed migration increments it.
+	// Epoch versions the dead-mask: 0 is the plan a session starts from,
+	// each liveness flip increments it.
 	Epoch uint64
-	// Overlay maps block indices to owners that differ from the
-	// block-cyclic base (nil = no block has migrated). Treated as
-	// immutable: never written after the plan value is constructed.
-	Overlay map[uint64]int
-	// Replicas is the block replication factor (plan v3). 0 and 1 both
-	// mean "no replication". With Replicas = R > 1, block b is held by
-	// the R consecutive shards starting at its base owner — the replica
-	// group group(b) = {(b%Shards + k) % Shards : k < R} — and every
-	// routed update for b is published to every live group member, so
-	// followers replay the identical per-source stream the primary does.
-	// Replication composes with the dead-mask, not with the migration
-	// overlay: a replicated plan keeps Overlay nil (the coordinator's
-	// Migrate refuses replicated plans).
+	// Replicas is the block replication factor. 0 and 1 both mean "no
+	// replication". With Replicas = R > 1, block b is held by the R
+	// consecutive shards starting at its base owner — the replica group
+	// group(b) = {(b%Shards + k) % Shards : k < R} — and every routed
+	// update for b is published to every live group member, so followers
+	// replay the identical per-source stream the primary does.
 	Replicas int
 	// DeadMask is the liveness bit-set (bit i = shard i presumed dead),
-	// versioned by Epoch like the overlay. Ownership chains through it:
-	// a dead base owner's blocks are served by the first live member of
-	// each block's replica group. The uint64 width caps replicated plans
-	// at 64 shards — ample for the process-per-shard topology and the
-	// cheapest value-semantics representation (plans stay copyable
-	// immutable values).
+	// versioned by Epoch. Ownership chains through it: a dead base
+	// owner's blocks are served by the first live member of each block's
+	// replica group. The uint64 width caps replicated plans at 64 shards —
+	// ample for the process-per-shard topology and the cheapest
+	// value-semantics representation (plans stay copyable immutable
+	// values).
 	DeadMask uint64
 }
 
@@ -80,43 +72,21 @@ func NewShardPlan(numVertices, shards int) ShardPlan {
 }
 
 // PlanFromHello is the plan a shard node serves a session under: the
-// geometry, ownership overlay, replication factor and liveness mask the
-// coordinator's Hello carries.
+// geometry and replication factor the coordinator's Hello carries, every
+// shard live at epoch 0. A daemon that joins after liveness flips learns
+// them from the PlanState that heads its ingest stream.
 func PlanFromHello(h fabric.Hello) ShardPlan {
-	return ShardPlan{
-		Shards: h.Shards, RangeSize: h.RangeSize,
-		Epoch: h.PlanEpoch, Overlay: h.Overlay,
-		Replicas: h.Replicas, DeadMask: h.DeadMask,
-	}
+	return ShardPlan{Shards: h.Shards, RangeSize: h.RangeSize, Replicas: h.Replicas}
 }
 
 // Owner returns the shard owning vertex v. It is defined for every
 // possible vertex ID, including IDs beyond the space the plan was derived
-// from (see the type comment), under any overlay and any dead-mask: with
-// replication, a dead base owner's block chains to the first live member
-// of its replica group, and a fully-dead group falls back to the base
-// owner (the caller is about to fail anyway; totality is preserved).
+// from (see the type comment), under any dead-mask: with replication, a
+// dead base owner's block chains to the first live member of its replica
+// group, and a fully-dead group falls back to the base owner (the caller
+// is about to fail anyway; totality is preserved).
 func (p ShardPlan) Owner(v graph.VertexID) int {
-	b := uint64(v) / uint64(p.RangeSize)
-	if p.Overlay != nil {
-		if o, ok := p.Overlay[b]; ok {
-			return o
-		}
-	}
-	base := int(b % uint64(p.Shards))
-	if p.DeadMask == 0 || !p.dead(base) {
-		return base
-	}
-	r := p.Replicas
-	if r < 1 {
-		r = 1
-	}
-	for k := 1; k < r; k++ {
-		if s := (base + k) % p.Shards; !p.dead(s) {
-			return s
-		}
-	}
-	return base
+	return p.BlockOwner(uint64(v) / uint64(p.RangeSize))
 }
 
 // dead reports whether shard s is masked dead.
@@ -129,9 +99,8 @@ func (p ShardPlan) Alive(s int) bool { return !p.dead(s) }
 
 // InGroup reports whether shard s is in block b's replica group — the
 // Replicas consecutive shards starting at the block's base owner. With
-// no replication the group is just the base owner. The migration
-// overlay never applies to replicated plans, so the group is computed on
-// the block-cyclic base alone.
+// no replication the group is just the base owner. The group is fixed by
+// the block-cyclic base; the dead-mask only decides which member serves.
 func (p ShardPlan) InGroup(b uint64, s int) bool {
 	r := p.Replicas
 	if r < 1 {
@@ -161,10 +130,9 @@ func (p ShardPlan) GroupMembers(b uint64) []int {
 
 // WithDown returns a new plan with shard s marked dead at the given
 // epoch. Ownership of s's base blocks chains to their next live replica
-// the instant the plan is installed; no overlay entries are written (the
-// mask is the failover mechanism precisely because WithOverlay's
-// redundancy-erasure makes overlay entries unusable for "temporarily
-// elsewhere" semantics).
+// the instant the plan is installed, and flip back with WithUp once s
+// has been re-primed: the mask records "temporarily elsewhere" without
+// touching the block-cyclic base.
 func (p ShardPlan) WithDown(s int, epoch uint64) (ShardPlan, error) {
 	if s < 0 || s >= p.Shards || s >= 64 {
 		return p, fmt.Errorf("walk: dead-mask shard %d out of range for %d shards", s, p.Shards)
@@ -202,22 +170,16 @@ func (p ShardPlan) BlockOf(v graph.VertexID) uint64 {
 // BlockRange returns the vertex-ID range [lo, hi) block b covers. The
 // bounds are uint64 on purpose: the top block of the uint32 ID space has
 // hi = 2³², which a graph.VertexID cannot represent — truncating it
-// would make the topmost vertices (IDs near 2³²−1, first-class citizens
-// since the PR-2 overflow fix) unreachable by migration and view
-// invalidation.
+// would make the topmost vertices (IDs near 2³²−1) unreachable by
+// replica priming.
 func (p ShardPlan) BlockRange(b uint64) (lo, hi uint64) {
 	lo = b * uint64(p.RangeSize)
 	return lo, lo + uint64(p.RangeSize)
 }
 
-// BlockOwner returns the shard owning block b under the current overlay
-// and dead-mask (the block-index form of Owner).
+// BlockOwner returns the shard owning block b under the current
+// dead-mask (the block-index form of Owner).
 func (p ShardPlan) BlockOwner(b uint64) int {
-	if p.Overlay != nil {
-		if o, ok := p.Overlay[b]; ok {
-			return o
-		}
-	}
 	base := int(b % uint64(p.Shards))
 	if p.DeadMask == 0 || !p.dead(base) {
 		return base
@@ -232,38 +194,6 @@ func (p ShardPlan) BlockOwner(b uint64) int {
 		}
 	}
 	return base
-}
-
-// WithOverlay returns a new plan in which block b is owned by shard `to`,
-// at the given epoch. The receiver is unchanged (plans are immutable
-// values); the overlay map is copied. An owner outside [0, Shards) or a
-// non-monotonic epoch is rejected — overlay entries must never be able to
-// break ownership totality (the PR-2 out-of-range bug class).
-func (p ShardPlan) WithOverlay(b uint64, to int, epoch uint64) (ShardPlan, error) {
-	if to < 0 || to >= p.Shards {
-		return p, fmt.Errorf("walk: overlay owner %d out of range for %d shards", to, p.Shards)
-	}
-	if epoch <= p.Epoch {
-		return p, fmt.Errorf("walk: overlay epoch %d not beyond current %d", epoch, p.Epoch)
-	}
-	over := make(map[uint64]int, len(p.Overlay)+1)
-	for k, v := range p.Overlay {
-		over[k] = v
-	}
-	if to == int(b%uint64(p.Shards)) {
-		// Moving a block home again erases its entry; the base map is
-		// authoritative wherever the overlay is silent.
-		delete(over, b)
-	} else {
-		over[b] = to
-	}
-	if len(over) == 0 {
-		over = nil
-	}
-	next := p
-	next.Epoch = epoch
-	next.Overlay = over
-	return next, nil
 }
 
 // PartitionCSR splits a snapshot's edges into per-shard insert batches:

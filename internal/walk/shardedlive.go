@@ -124,7 +124,7 @@ func (c ShardedLiveConfig) withDefaults(shards int) ShardedLiveConfig {
 // Coordinator-side counters are current as of the call: Queries, Steps,
 // Transfers, and Local fold in when a walker retires (a walk in flight
 // has contributed nothing yet), Batches when the router takes a batch,
-// and Migration, Failover, and Backpressure as their events happen.
+// and Failover and Backpressure as their events happen.
 // Shard-side counters — Updates, Dropped, ShardSteps, Cache — are each
 // shard's cumulative tallies from its latest barrier ack, i.e. as of the
 // last Sync (DumpEdges refreshes them too). A caller that wants the two
@@ -144,8 +144,6 @@ type ShardedLiveStats struct {
 	// service, when one is attached (see CorpusService.ShardedStats; the
 	// raw service leaves it zero).
 	Corpus fabric.CorpusTallies
-	// Migration tallies live block migrations.
-	Migration MigrationTallies
 	// Failover tallies replica-failover activity (replicated sessions).
 	Failover FailoverTallies
 	// Backpressure reports the credit window's activity.
@@ -173,16 +171,6 @@ type BackpressureTallies struct {
 	// for credits (the time Feed callers were held back).
 	MaxOutstanding int64
 	Stalled        time.Duration
-}
-
-// MigrationTallies reports the session's cumulative block migrations.
-type MigrationTallies struct {
-	// Migrations counts completed block migrations; MovedEdges the edges
-	// they shipped.
-	Migrations, MovedEdges int64
-	// PlanEpoch is the live plan's overlay version (0 = no block ever
-	// migrated).
-	PlanEpoch uint64
 }
 
 // TransferRatio is walker hand-offs per sampled hop — the share of walk
@@ -332,8 +320,8 @@ func (s *ShardedLiveService) Shards() int { return s.coord.plan.Shards }
 // Plan returns the construction-time partition geometry.
 func (s *ShardedLiveService) Plan() ShardPlan { return s.coord.plan }
 
-// LivePlan returns the live ownership plan (migration overlay and
-// dead-mask included).
+// LivePlan returns the live ownership plan (epoch and dead-mask
+// included).
 func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
 
 // NumVertices returns the widest vertex space observed across the shards
@@ -402,7 +390,6 @@ func (s *ShardedLiveService) Stats() ShardedLiveStats {
 		Transfers:  c.transfers.Load(),
 		Local:      c.local.Load(),
 		ShardSteps: make([]int64, c.plan.Shards),
-		Migration:  c.migrationTallies(),
 		Failover:   c.failoverTallies(),
 	}
 	c.mu.Lock()
@@ -427,7 +414,7 @@ func (s *ShardedLiveService) AppliedStamp() int64 { return s.coord.appliedStamp(
 // AttachReader attaches a read-coordinator to this service's shard set:
 // the returned ReaderService serves Query and DeepWalk against the same
 // shards while this service (the write session) keeps exclusive ownership
-// of ingest, credit flow, and migrations. Any number of readers may
+// of ingest, credit flow, and replica priming. Any number of readers may
 // attach; each detaches independently with Close, and all fail over to
 // ErrFabricDown when the write session closes.
 func (s *ShardedLiveService) AttachReader(cfg ReaderConfig) (*ReaderService, error) {

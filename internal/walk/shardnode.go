@@ -36,14 +36,15 @@ import (
 //     stream. A hop at a cached non-owned hub is served locally instead
 //     of costing a walker hand-off.
 //
-// Ownership migration. The node is also one endpoint of the live
-// block-migration protocol (see DESIGN.md, "Live block migration"): its
-// ownership plan is an atomic pointer the ingester swaps on MigrateOffer
-// (donor: flip, then extract and ship the block) and MigrateCommit
-// (recipient: wait for the block, install, then flip; bystander: just
-// flip), while crews reload it every hop — a walker that lands on a moved
-// vertex is re-routed to whatever owner the node's current plan names,
-// never lost.
+// Liveness and replica priming. The node's ownership plan is an atomic
+// pointer the ingester swaps on liveness flips (ShardDown) and plan
+// snapshots (PlanState), while crews reload it every hop — a walker on a
+// vertex whose block re-chained to another replica is re-routed to
+// whatever owner the node's current plan names, never lost. The node is
+// also one endpoint of the replica-priming copy protocol (see DESIGN.md,
+// "Replica priming"): as a donor it snapshots a block on MigrateOffer
+// and ships it, as a rejoiner it installs the shipped rows on
+// MigrateCommit.
 type shardNode struct {
 	e     LiveEngine
 	planv atomic.Pointer[ShardPlan]
@@ -82,8 +83,8 @@ type shardNode struct {
 	// what flow control needs, nothing else.
 	credited atomic.Int64
 
-	// migratedIn counts edges installed from migration blocks (kept out
-	// of `updates`/`consumed`: installs are not routed-update events, and
+	// migratedIn counts edges installed from copied blocks (kept out of
+	// `updates`/`consumed`: installs are not routed-update events, and
 	// inflating `consumed` would let hub views stamped after an install
 	// survive watermarks covering routed updates they do not contain).
 	migratedIn atomic.Int64
@@ -96,7 +97,7 @@ type shardNode struct {
 	// only their own tallies — per-shard labels stay meaningful.
 	procWide bool
 
-	// stash holds migration blocks that arrived ahead of the commit the
+	// stash holds copied blocks that arrived ahead of the commit the
 	// ingester is currently blocked on, keyed by (block, epoch). Replica
 	// priming copies blocks from *several* donors concurrently, and their
 	// peer streams interleave arbitrarily on the single block mailbox —
@@ -114,10 +115,11 @@ func (n *shardNode) planNow() ShardPlan { return *n.planv.Load() }
 // setPlan installs a new ownership plan.
 func (n *shardNode) setPlan(p ShardPlan) { n.planv.Store(&p) }
 
-// RangeExtractor is the optional LiveEngine capability block migration
-// requires on donors: atomically remove a vertex range's rows and return
-// updates that reconstruct them (concurrent.Engine implements it). A donor
-// without it refuses the move (see handleOffer).
+// RangeExtractor is the optional LiveEngine capability a copy install
+// uses to wipe the block's range before applying the shipped rows:
+// atomically remove a vertex range's rows (concurrent.Engine implements
+// it). A recipient without it installs without the wipe (see
+// installCopy).
 type RangeExtractor interface {
 	// ExtractRange takes uint64 bounds: the top ownership block of the
 	// uint32 ID space ends at 2^32, which a graph.VertexID cannot hold.
@@ -131,7 +133,7 @@ type RangeSnapshotter interface {
 	SnapshotRange(lo, hi uint64) ([]graph.Update, error)
 }
 
-// blockKey identifies one in-flight migration or copy block.
+// blockKey identifies one in-flight copied block.
 type blockKey struct {
 	block uint64
 	epoch uint64
@@ -160,9 +162,9 @@ func startShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPo
 			n.ve = ve
 			n.rv = newRemoteViews(plan.Shards, cache.RemoteSize, cache.RequestAfter)
 			// Replies are validated against the *current* owner: after a
-			// migration, a straggler reply from the old owner must not
-			// install a view the new owner's updates would never
-			// invalidate.
+			// liveness flip, a straggler reply from the old owner must
+			// not install a view stamped against the wrong shard's
+			// update stream.
 			n.rv.ownerOf = func(v graph.VertexID) int { return n.planNow().Owner(v) }
 		}
 	}
@@ -255,7 +257,7 @@ func (n *shardNode) crewLoop() {
 			var seg struct{ steps, transfers, local, remote int64 }
 			retire = retire[:0]
 			// Reload the plan every round (= every hop): the ingester
-			// swaps it when a block migrates, and the stale-window cost is
+			// swaps it on a liveness flip, and the stale-window cost is
 			// only an extra hand-off (the receiving owner re-routes).
 			plan := n.planNow()
 			// Partition walkers on owned vertices to the front — the
@@ -277,11 +279,12 @@ func (n *shardNode) crewLoop() {
 				drop[i] = false
 				if !f.ok[i] {
 					if n.planNow().Owner(wk.Cur) != n.shard {
-						// Not a dead end — the block migrated out between
-						// the ownership check and the sample (extraction
-						// emptied the row). Keep the walker live: the next
-						// round forwards it to the new owner, which holds
-						// the rows.
+						// Possibly not a dead end: a liveness flip (a
+						// failback re-chaining the block to its rejoined
+						// base owner) landed between the ownership check
+						// and the sample. Keep the walker live: the next
+						// round forwards it to the current owner, which
+						// holds the rows.
 						continue
 					}
 					wk.Rng = f.rng[i].State()
@@ -548,8 +551,8 @@ func (n *shardNode) ingestLoop() {
 
 // installPlanState adopts the coordinator's plan snapshot — the first
 // element on a rejoined daemon's ingest stream, catching it up on every
-// overlay flip and liveness flip it missed while down. Geometry fields
-// come from the node's own plan (the snapshot carries none).
+// liveness flip it missed while down. Geometry fields come from the
+// node's own plan (the snapshot carries none).
 func (n *shardNode) installPlanState(ps *fabric.PlanState) {
 	plan := n.planNow()
 	if plan.Epoch >= ps.Epoch {
@@ -557,13 +560,6 @@ func (n *shardNode) installPlanState(ps *fabric.PlanState) {
 	}
 	plan.Epoch = ps.Epoch
 	plan.DeadMask = ps.DeadMask
-	plan.Overlay = nil
-	if len(ps.Overlay) > 0 {
-		plan.Overlay = make(map[uint64]int, len(ps.Overlay))
-		for b, o := range ps.Overlay {
-			plan.Overlay[b] = o
-		}
-	}
 	n.setPlan(plan)
 	if n.rv != nil {
 		n.rv.dropAll()
@@ -598,186 +594,53 @@ func (n *shardNode) handleDown(sd *fabric.ShardDown) {
 	}
 }
 
-// handleOffer is the donor half of a block migration. Its position in
-// the ingest stream is the linearization point: every routed update
-// published to this shard before the offer has already been applied (the
-// single ingester runs them in order), so the extracted rows are exactly
-// the block's state as of the router's flip. The plan flips *before*
-// extraction — from the store on, crews forward the block's walkers to
-// the recipient, and a crew that raced the flip and sampled an emptied
-// row re-dispatches on the dead-end recheck instead of retiring short.
+// handleOffer is the donor half of replica priming: snapshot the block's
+// rows and ship them to the rejoining shard *without* giving anything
+// up — no plan flip, the donor keeps serving the block. The offer's FIFO
+// position is the linearization point: the snapshot reflects exactly the
+// routed updates published to this donor before the offer, and the
+// coordinator starts fanning the routed stream out to the recipient at
+// the same instant it sends the offer, so snapshot + direct stream
+// covers every update with no loss and no duplication. Copy epochs never
+// touch plan.Epoch, so no epoch guard applies.
 func (n *shardNode) handleOffer(of *fabric.MigrateOffer) {
-	if of.Copy {
-		n.handleCopyOffer(of)
-		return
-	}
-	plan := n.planNow()
-	if plan.Epoch >= of.Epoch {
-		return // replayed offer; the flip already happened
-	}
-	next, err := plan.WithOverlay(of.Block, of.To, of.Epoch)
-	if err != nil {
-		n.setErr(err)
-		return
-	}
-	ex, ok := n.e.(RangeExtractor)
-	if !ok {
-		// Nothing checks for extraction before a migration is scripted,
-		// so this refusal is the guard: keep the rows (no flip) and
-		// report the error, but complete the handshake so the
-		// recipient's ingest stream is not wedged waiting for a block.
-		n.setErr(fmt.Errorf("walk: shard %d engine cannot extract rows; migration of block %d refused", n.shard, of.Block))
-		n.sendBlock(of, n.consumed.Load(), nil)
-		return
-	}
 	wm := n.consumed.Load()
-	n.setPlan(next)
-	lo, hi := plan.BlockRange(of.Block)
-	rows, err := ex.ExtractRange(lo, hi)
-	if err != nil {
-		n.setErr(err)
-	}
-	n.sendBlock(of, wm, rows)
-}
-
-// handleCopyOffer is the donor half of replica priming: snapshot the
-// block's rows and ship them to the rejoining shard *without* giving
-// anything up — no plan flip, the donor keeps serving the block. The
-// FIFO position is still the linearization point: the snapshot reflects
-// exactly the routed updates published to this donor before the offer,
-// and the coordinator starts fanning the routed stream out to the
-// recipient at the same instant it sends the offer, so snapshot + direct
-// stream covers every update with no loss and no duplication. Copy
-// epochs live in their own number space (they never touch plan.Epoch),
-// so no epoch guard applies.
-func (n *shardNode) handleCopyOffer(of *fabric.MigrateOffer) {
-	sn, ok := n.e.(RangeSnapshotter)
-	if !ok {
+	var rows []graph.Update
+	if sn, ok := n.e.(RangeSnapshotter); !ok {
 		n.setErr(fmt.Errorf("walk: shard %d engine cannot snapshot rows; copy of block %d refused", n.shard, of.Block))
-		n.sendBlock(of, n.consumed.Load(), nil)
-		return
+	} else {
+		lo, hi := n.planNow().BlockRange(of.Block)
+		var err error
+		if rows, err = sn.SnapshotRange(lo, hi); err != nil {
+			n.setErr(err)
+		}
 	}
-	wm := n.consumed.Load()
-	lo, hi := n.planNow().BlockRange(of.Block)
-	rows, err := sn.SnapshotRange(lo, hi)
-	if err != nil {
-		n.setErr(err)
-	}
-	n.sendBlock(of, wm, rows)
-}
-
-func (n *shardNode) sendBlock(of *fabric.MigrateOffer, wm int64, rows []graph.Update) {
+	// The block ships even when empty or refused, so the recipient's
+	// ingest stream is never wedged waiting for it. A failed send means
+	// the recipient died again mid-priming: the coordinator sees its own
+	// EvShardDown and re-runs the rejoin; poisoning the donor would turn
+	// one flaky rejoiner into a session failure.
 	mb := &fabric.MigrateBlock{Block: of.Block, From: n.shard, Epoch: of.Epoch, Watermark: wm, Rows: rows}
-	if err := n.port.SendBlock(of.To, mb); err != nil {
-		if of.Copy || n.planNow().Replicas > 1 {
-			// The recipient died again mid-priming (or a replicated
-			// session's peer stream hiccuped): the coordinator sees its
-			// own EvShardDown and re-runs the rejoin; poisoning the donor
-			// would turn one flaky rejoiner into a session failure.
-			return
-		}
-		n.setErr(err)
-	}
+	_ = n.port.SendBlock(of.To, mb)
 }
 
-// handleCommit installs a block migration's ownership flip. The
-// recipient blocks its ingest stream on the donor's MigrateBlock first —
-// routed updates for the moved block are queued *behind* this commit
-// (the router flips before publishing it), so they apply onto installed
-// rows and per-source order holds across the flip. Everyone drops cached
-// remote views of the moved block: their Applied stamps name the donor's
-// update stream, which the new owner's updates would never invalidate.
+// handleCommit is the recipient half of replica priming: only the shard
+// the commit names acts. Nobody flips ownership — the donor keeps the
+// block, and the coordinator restores the rejoiner's liveness with a
+// ShardDown Up-flip once every copy landed.
 func (n *shardNode) handleCommit(cm *fabric.MigrateCommit) {
-	if cm.Copy {
-		// Copy commits install only — no plan flips anywhere (the donor
-		// keeps the block; liveness is restored later by a ShardDown
-		// Up-flip once every copy landed), and only the recipient acts.
-		if cm.To == n.shard {
-			n.installCopy(cm)
-		}
-		return
-	}
 	if cm.To == n.shard {
-		n.installBlock(cm)
-	} else if plan := n.planNow(); plan.Epoch < cm.Epoch {
-		// Bystander (or the donor replaying a commit it already applied
-		// at the offer): flip to the announced ownership.
-		next, err := plan.WithOverlay(cm.Block, cm.To, cm.Epoch)
-		if err != nil {
-			n.setErr(err)
-		} else {
-			n.setPlan(next)
-		}
-	}
-	if n.rv != nil {
-		n.rv.dropBlock(n.planNow().RangeSize, cm.Block)
-	}
-}
-
-// installBlock is the recipient half: wait for the donor's rows, install
-// them, then flip the plan (in that order — crews must not find the block
-// owned here before its rows exist; until the flip they keep forwarding
-// its walkers toward the donor, which bounces them back post-offer, a
-// bounded hand-off loop that ends at the flip below).
-func (n *shardNode) installBlock(cm *fabric.MigrateCommit) {
-	done := &fabric.MigrateDone{Shard: n.shard, Block: cm.Block, Epoch: cm.Epoch}
-	mb, ok := n.takeBlock(cm.Block, cm.Epoch)
-	switch {
-	case !ok:
-		// Session ended mid-migration; the coordinator's death handling
-		// owns the fallout.
-		n.setErr(ErrFabricDown)
-		return
-	case mb.Watermark < cm.MinWatermark:
-		// The donor extracted before applying every update the router
-		// counted toward it at the offer — the FIFO ordering the whole
-		// protocol rests on did not hold.
-		done.Err = fmt.Sprintf("walk: block %d shipped at donor watermark %d below commit minimum %d",
-			cm.Block, mb.Watermark, cm.MinWatermark)
-	default:
-		if len(mb.Rows) > 0 {
-			// Installs bypass the routed-update counters on purpose: they
-			// are not feed events, and inflating `consumed` would corrupt
-			// the hub views' watermark stamps (see the field comments).
-			if err := n.e.ApplyUpdates(mb.Rows); err != nil {
-				done.Err = err.Error()
-			} else {
-				n.migratedIn.Add(int64(len(mb.Rows)))
-				done.Edges = int64(len(mb.Rows))
-			}
-		}
-	}
-	if done.Err != "" {
-		n.setErr(errors.New(done.Err))
-	}
-	// The plan flips even when the install failed: the coordinator and
-	// the donor have already flipped (router before commit, donor at the
-	// offer), so refusing here would leave donor and recipient pointing
-	// at each other and turn the documented bounded walker bounce into a
-	// livelock. A failed install is a recorded data error (Err above,
-	// surfaced through the MigrateDone and the session Err) on a block
-	// that now serves whatever rows landed — never a hang.
-	if plan := n.planNow(); plan.Epoch < cm.Epoch {
-		next, err := plan.WithOverlay(cm.Block, cm.To, cm.Epoch)
-		if err != nil {
-			n.setErr(err)
-		} else {
-			n.setPlan(next)
-		}
-	}
-	if err := n.port.Migrated(done); err != nil {
-		n.setErr(err)
+		n.installCopy(cm)
 	}
 }
 
 // takeBlock returns the block payload matching (block, epoch), blocking
-// on the block mailbox until it arrives. A migration ships one block at
-// a time per recipient, but replica priming copies from *several* donors
-// whose peer streams interleave arbitrarily — payloads for commits the
-// ingester has not reached yet are parked in the stash, and a commit
-// whose payload already arrived is served from it without touching the
-// mailbox. Copy epochs and plan epochs live in disjoint number spaces,
-// so the (block, epoch) key never collides across the two protocols.
+// on the block mailbox until it arrives. Replica priming copies from
+// *several* donors whose peer streams interleave arbitrarily — payloads
+// for commits the ingester has not reached yet are parked in the stash,
+// and a commit whose payload already arrived is served from it without
+// touching the mailbox. Copy epochs are unique within a session, so the
+// (block, epoch) key names one copy.
 func (n *shardNode) takeBlock(block, epoch uint64) (*fabric.MigrateBlock, bool) {
 	key := blockKey{block, epoch}
 	if mb, ok := n.stash[key]; ok {
@@ -796,15 +659,13 @@ func (n *shardNode) takeBlock(block, epoch uint64) (*fabric.MigrateBlock, bool) 
 	}
 }
 
-// installCopy is the recipient half of replica priming: wait for the
-// donor's snapshot and install it. No plan flips (the coordinator
-// restores this shard's liveness with an Up-flip after every block
-// landed), no walker-bounce concerns (nothing routes walkers here while
-// the shard is still masked dead). Routed updates for the block queue
-// behind this commit on the FIFO stream and apply onto the installed
-// rows, exactly like a migration install.
+// installCopy waits for the donor's snapshot and installs it. Nothing
+// routes walkers here while the shard is still masked dead, so no
+// walker can see a half-installed block. Routed updates for the block
+// queue behind this commit on the FIFO stream and apply onto the
+// installed rows.
 func (n *shardNode) installCopy(cm *fabric.MigrateCommit) {
-	done := &fabric.MigrateDone{Shard: n.shard, Block: cm.Block, Epoch: cm.Epoch, Copy: true}
+	done := &fabric.MigrateDone{Shard: n.shard, Block: cm.Block, Epoch: cm.Epoch}
 	mb, ok := n.takeBlock(cm.Block, cm.Epoch)
 	switch {
 	case !ok:
@@ -826,8 +687,10 @@ func (n *shardNode) installCopy(cm *fabric.MigrateCommit) {
 			}
 		}
 		if done.Err == "" && len(mb.Rows) > 0 {
-			// Same counter discipline as migration installs: snapshot rows
-			// are not feed events (see installBlock).
+			// Installs bypass the routed-update counters on purpose:
+			// snapshot rows are not feed events, and inflating `consumed`
+			// would corrupt the hub views' watermark stamps (see the field
+			// comments).
 			if err := n.e.ApplyUpdates(mb.Rows); err != nil {
 				done.Err = err.Error()
 			} else {
@@ -897,8 +760,8 @@ func (n *shardNode) viewLoop() {
 type ShardNodeStats struct {
 	Steps, Transfers, Local int64
 	Updates, Dropped        int64
-	// MigratedEdges counts edges this node installed from ownership
-	// blocks migrated onto it.
+	// MigratedEdges counts edges this node installed from blocks copied
+	// onto it while re-priming after a rejoin.
 	MigratedEdges int64
 	Vertices      int
 	Edges         int64
