@@ -15,6 +15,7 @@ import (
 
 	"github.com/bingo-rw/bingo/internal/baseline"
 	"github.com/bingo-rw/bingo/internal/bench"
+	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/gen"
 	"github.com/bingo-rw/bingo/internal/graph"
@@ -140,15 +141,30 @@ func BenchmarkBingoStreamingInsertDelete(b *testing.B) {
 	}
 }
 
+// batchArms are the two ApplyBatch entry points the batch benchmarks
+// compare: the bare sampler, and the same sampler behind the
+// walk-while-ingest wrapper (default stripes), whose batches apply
+// stripe-major under the stripe write locks.
+var batchArms = []struct {
+	name string
+	wrap func(s *core.Sampler) func([]graph.Update) (core.BatchResult, error)
+}{
+	{"core", func(s *core.Sampler) func([]graph.Update) (core.BatchResult, error) { return s.ApplyBatch }},
+	{"concurrent", func(s *core.Sampler) func([]graph.Update) (core.BatchResult, error) {
+		return concurrent.Wrap(s, concurrent.Config{}).ApplyBatch
+	}},
+}
+
 // BenchmarkBingoBatch measures one ApplyBatch of 27 000 mixed
 // insert/delete events on LJ×0.03 (the repository benchmark's batch-rounds
-// batch), at 1 and 2 batch workers. Every iteration builds a fresh engine
-// and applies one untimed warm-up batch first, as batch-rounds does before
-// its timed rounds, so the timed batch meets rows that have grown once
-// rather than the exact-capacity rows of a fresh build. A forced GC then
-// finishes the collection the build started, which would otherwise take a
-// core from the timed batch. upd/s is the batch rate; the ratio of the two
-// arms is the batched workflow's scaling.
+// batch), at 1 and 2 batch workers, through each of batchArms. Every
+// iteration builds a fresh engine and applies one untimed warm-up batch
+// first, as batch-rounds does before its timed rounds, so the timed batch
+// meets rows that have grown once rather than the exact-capacity rows of
+// a fresh build. A forced GC then finishes the collection the build
+// started, which would otherwise take a core from the timed batch. upd/s
+// is the batch rate; the ratio of the two worker counts is the batched
+// workflow's scaling.
 func BenchmarkBingoBatch(b *testing.B) {
 	const batch = 27000
 	w, err := gen.BuildWorkload(benchLJ(b), gen.UpdMixed, batch, 2, 43)
@@ -156,28 +172,68 @@ func BenchmarkBingoBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	warm, timed := w.Batches()[0], w.Batches()[1]
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := core.NewFromCSR(w.Initial, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.ApplyBatch(slices.Clone(warm)); err != nil {
-					b.Fatal(err)
-				}
-				ups := slices.Clone(timed)
-				runtime.GC()
-				b.StartTimer()
-				if _, err := s.ApplyBatch(ups); err != nil {
-					b.Fatal(err)
-				}
+	benchBatchArms(b, w.Initial, func(b *testing.B, apply func([]graph.Update) (core.BatchResult, error)) int {
+		if _, err := apply(slices.Clone(warm)); err != nil {
+			b.Fatal(err)
+		}
+		ups := slices.Clone(timed)
+		runtime.GC()
+		b.StartTimer()
+		if _, err := apply(ups); err != nil {
+			b.Fatal(err)
+		}
+		return batch
+	})
+}
+
+// BenchmarkBingoBatchDrain measures the serving drain's shape: 30 batches
+// of 1 024 mixed events applied back to back to a freshly built LJ×0.03
+// engine, as a serving session's drain feeds them, at 1 and 2 batch
+// workers through each of batchArms. Each iteration
+// builds a fresh engine and forces a GC before its timed batches.
+func BenchmarkBingoBatchDrain(b *testing.B) {
+	const batch, rounds = 1024, 30
+	w, err := gen.BuildWorkload(benchLJ(b), gen.UpdMixed, batch, rounds, 44)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBatchArms(b, w.Initial, func(b *testing.B, apply func([]graph.Update) (core.BatchResult, error)) int {
+		batches := make([][]graph.Update, rounds)
+		for i, bt := range w.Batches() {
+			batches[i] = slices.Clone(bt)
+		}
+		runtime.GC()
+		b.StartTimer()
+		for _, ups := range batches {
+			if _, err := apply(ups); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "upd/s")
-		})
+		}
+		return batch * rounds
+	})
+}
+
+// benchBatchArms runs iter once per iteration for every arm × workers
+// 1, 2, on an engine freshly built from g with the timer stopped; iter
+// starts the timer and returns how many updates it timed.
+func benchBatchArms(b *testing.B, g *graph.CSR, iter func(b *testing.B, apply func([]graph.Update) (core.BatchResult, error)) int) {
+	for _, arm := range batchArms {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", arm.name, workers), func(b *testing.B) {
+				cfg := core.DefaultConfig()
+				cfg.Workers = workers
+				var updates int
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s, err := core.NewFromCSR(g, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					updates += iter(b, arm.wrap(s))
+				}
+				b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "upd/s")
+			})
+		}
 	}
 }
 

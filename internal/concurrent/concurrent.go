@@ -169,12 +169,14 @@ func New(numVertices int, ccfg core.Config, cfg Config) (*Engine, error) {
 	return Wrap(s, cfg), nil
 }
 
-// stripeOf hashes u onto its stripe. The multiplicative mix spreads
+// stripeIndex hashes u onto its stripe. The multiplicative mix spreads
 // contiguous vertex IDs (the common ID assignment) across stripes.
-func (e *Engine) stripeOf(u graph.VertexID) *stripe {
+func (e *Engine) stripeIndex(u graph.VertexID) int {
 	h := uint32(u) * 2654435761 // Knuth's golden-ratio multiplier
-	return &e.stripes[(h^(h>>16))&e.mask]
+	return int((h ^ (h >> 16)) & e.mask)
 }
+
+func (e *Engine) stripeOf(u graph.VertexID) *stripe { return &e.stripes[e.stripeIndex(u)] }
 
 // Stripes returns the stripe count.
 func (e *Engine) Stripes() int { return len(e.stripes) }
@@ -614,11 +616,13 @@ func (e *Engine) ensureSpace(n int) {
 // ApplyBatch ingests a batch through the §5.2 per-vertex workflow while
 // walkers keep running: updates are validated, then the shared
 // core.ApplyPerSource orchestration (stable O(n) source reorder,
-// per-vertex runs, chunked worker fan-out) applies each run with only the
-// stripe of the vertex it touches held. Concurrent Sample calls on
-// untouched stripes are never blocked; samples on a touched vertex
-// serialize with that vertex's application, observing either the pre- or
-// post-batch row, never a torn one.
+// per-vertex runs) applies the runs stripe-major — each worker claims a
+// whole stripe, so two workers never contend for one, and holds its write
+// lock and epoch pair over pieces of at most 64 runs, releasing it
+// between pieces. A reader on a touched stripe waits behind at most one
+// piece, and observes each vertex's pre- or post-batch row, never a torn
+// one; Sample calls on untouched stripes are never blocked. View versions
+// still bump per vertex, so only views of rewritten rows invalidate.
 func (e *Engine) ApplyBatch(ups []graph.Update) (core.BatchResult, error) {
 	if len(ups) == 0 {
 		return core.BatchResult{}, nil
@@ -628,18 +632,31 @@ func (e *Engine) ApplyBatch(ups []graph.Update) (core.BatchResult, error) {
 		return core.BatchResult{}, err
 	}
 	e.ensureSpace(int(maxV) + 1)
-	res := e.s.ApplyPerSource(ups, e.workers, func(u graph.VertexID, ops []graph.Update, sc *core.Scratch) core.BatchResult {
-		st := e.stripeOf(u)
-		st.mu.Lock()
-		st.epoch.Add(1)
+	res := e.s.ApplyPerSource(ups, e.workers, (*stripeGroups)(e), func(u graph.VertexID, ops []graph.Update, sc *core.Scratch) core.BatchResult {
 		e.bumpView(u)
 		r := e.s.ApplyVertexUpdates(u, ops, sc)
 		e.bumpView(u)
-		st.epoch.Add(1)
-		st.mu.Unlock()
 		return r
 	})
 	return res, nil
+}
+
+// stripeGroups is the Engine seen as ApplyBatch's core.RunGroups: one
+// group per stripe, each piece bracketed by the stripe's write lock and
+// epoch pair.
+type stripeGroups Engine
+
+func (g *stripeGroups) Groups() int                  { return len(g.stripes) }
+func (g *stripeGroups) GroupOf(u graph.VertexID) int { return (*Engine)(g).stripeIndex(u) }
+
+func (g *stripeGroups) Enter(i int) {
+	g.stripes[i].mu.Lock()
+	g.stripes[i].epoch.Add(1)
+}
+
+func (g *stripeGroups) Exit(i int) {
+	g.stripes[i].epoch.Add(1)
+	g.stripes[i].mu.Unlock()
 }
 
 // ApplyUpdates adapts ApplyBatch to the walk.Dynamic signature (tolerant

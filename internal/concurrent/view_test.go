@@ -56,10 +56,11 @@ func TestViewEpochValidation(t *testing.T) {
 }
 
 // TestViewSurvivesUnrelatedWrites pins the per-vertex grain of view
-// validation: writes to other vertices — wherever they hash — must NOT
-// invalidate a cached view, while a stop-the-world event (growth,
-// Quiesce) retires every view via the generation. This is the property
-// that keeps hub caches alive under sustained non-hub ingest.
+// validation: writes to other vertices — wherever they hash, one batch
+// writing several rows of their stripe included — must NOT invalidate a
+// cached view, while a stop-the-world event (growth, Quiesce) retires
+// every view via the generation. This is the property that keeps hub
+// caches alive under sustained non-hub ingest.
 func TestViewSurvivesUnrelatedWrites(t *testing.T) {
 	e := newViewTestEngine(t)
 	vw := e.ViewOf(0)
@@ -84,6 +85,7 @@ func TestViewSurvivesUnrelatedWrites(t *testing.T) {
 	if !e.ValidateView(vw) {
 		t.Fatal("writes to unrelated vertices invalidated a cached view")
 	}
+	batchSharingOneStripe(t)
 	// A stop-the-world event retires the generation: everything drops.
 	e.Quiesce(func(*core.Sampler) {})
 	if e.ValidateView(vw) {
@@ -99,6 +101,58 @@ func TestViewSurvivesUnrelatedWrites(t *testing.T) {
 	}
 	if e.ValidateView(vw2) {
 		t.Fatal("view survived vertex-space growth")
+	}
+}
+
+// batchSharingOneStripe applies one batch with several runs on one stripe,
+// which the stripe-major apply writes under a single lock bracket: views
+// of the rows it rewrote fail, and views of the stripe's other vertices
+// still validate.
+func batchSharingOneStripe(t *testing.T) {
+	t.Helper()
+	const n = 32
+	e, err := New(n, core.DefaultConfig(), Config{Stripes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var same []graph.VertexID // vertices on vertex 0's stripe
+	for u := graph.VertexID(0); u < n; u++ {
+		if err := e.Insert(u, (u+1)%n, 1); err != nil {
+			t.Fatal(err)
+		}
+		if e.stripeIndex(u) == e.stripeIndex(0) {
+			same = append(same, u)
+		}
+	}
+	if len(same) < 4 {
+		t.Fatalf("only %d of %d vertices on one of 4 stripes", len(same), n)
+	}
+	touched, untouched := same[:len(same)/2], same[len(same)/2:]
+	views := map[graph.VertexID]*core.VertexView{}
+	for _, u := range same {
+		views[u] = e.ViewOf(u)
+	}
+	var ups []graph.Update
+	for _, u := range touched {
+		ups = append(ups, graph.Update{Op: graph.OpInsert, Src: u, Dst: (u + 2) % n, Bias: 5})
+	}
+	for u := graph.VertexID(0); u < n; u++ {
+		if e.stripeIndex(u) != e.stripeIndex(0) {
+			ups = append(ups, graph.Update{Op: graph.OpDelete, Src: u, Dst: (u + 1) % n})
+		}
+	}
+	if _, err := e.ApplyBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range touched {
+		if e.ValidateView(views[u]) {
+			t.Errorf("view of vertex %d survived the batch that rewrote its row", u)
+		}
+	}
+	for _, u := range untouched {
+		if !e.ValidateView(views[u]) {
+			t.Errorf("view of vertex %d, untouched on a stripe the batch wrote, was invalidated", u)
+		}
 	}
 }
 

@@ -44,27 +44,45 @@ func (s *Sampler) ApplyBatch(ups []graph.Update) (BatchResult, error) {
 		return res, err
 	}
 	s.ensureVertex(maxV)
-	return s.ApplyPerSource(ups, s.cfg.Workers, s.ApplyVertexUpdates), nil
+	return s.ApplyPerSource(ups, s.cfg.Workers, nil, s.ApplyVertexUpdates), nil
 }
 
 // applyChunk is how many consecutive per-source runs a batch worker claims
 // from the shared cursor at a time: enough that one atomic add is
 // amortised over ~100 µs of vertex work, few enough that the workers'
-// last chunks finish close together.
+// last chunks finish close together. With RunGroups it also caps the runs
+// applied inside one Enter/Exit bracket.
 const applyChunk = 64
+
+// RunGroups partitions ApplyPerSource's per-source runs into groups that
+// must not be applied by two workers at once, and brackets the
+// application (internal/concurrent: a lock stripe and its write lock).
+type RunGroups interface {
+	// Groups is the group count; GroupOf maps a source into [0, Groups()).
+	Groups() int
+	GroupOf(u graph.VertexID) int
+	// Enter and Exit bracket each piece of at most applyChunk
+	// consecutive runs of group g; a worker enters one group at a time.
+	Enter(g int)
+	Exit(g int)
+}
 
 // ApplyPerSource is the batched workflow's orchestration, shared with
 // external coordinators (internal/concurrent): sort ups by source in
 // place (graph.SortUpdatesBySrc, O(n) and stable), partition them into
 // per-source runs, and apply the runs on up to workers goroutines, the
-// caller's included. Workers claim applyChunk runs at a time through one
-// atomic cursor; a batch of at most one chunk runs on the caller's
-// goroutine alone. apply is called exactly once per source, with that
-// source's updates in their submission order, and receives a per-worker
-// Scratch whose conversion stats are flushed once per worker. The
-// updates must already have passed ValidateUpdates and the vertex space
-// must cover every referenced ID.
-func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult) BatchResult {
+// caller's included. Workers claim units of work through one atomic
+// cursor: applyChunk runs at a time, or, when groups is non-nil, one
+// whole group at a time. Grouped runs are ordered group-major by a stable
+// counting pass (ascending source within a group), so two workers never
+// share a group, and each group is applied in pieces of at most
+// applyChunk runs, each inside one groups.Enter/Exit bracket. A batch of
+// at most one chunk runs on the caller's goroutine alone. apply is called
+// exactly once per source, with that source's updates in their submission
+// order, and receives a per-worker Scratch whose conversion stats are
+// flushed once per worker. The updates must already have passed
+// ValidateUpdates and the vertex space must cover every referenced ID.
+func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, groups RunGroups, apply func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult) BatchResult {
 	var res BatchResult
 	if len(ups) == 0 {
 		return res
@@ -75,29 +93,47 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u g
 	}
 	graph.SortUpdatesBySrc(ups)
 
-	// Partition into per-vertex runs.
-	type run struct{ lo, hi int }
-	var runs []run
+	// Partition into per-vertex runs, then into the cursor's units.
+	var runs []srcRun
 	lo := 0
 	for i := 1; i <= len(ups); i++ {
 		if i == len(ups) || ups[i].Src != ups[lo].Src {
-			runs = append(runs, run{lo, i})
+			runs = append(runs, srcRun{lo, i})
 			lo = i
 		}
+	}
+	var units []int // unit c is runs[units[c]:units[c+1]]
+	if groups == nil {
+		for lo := 0; lo < len(runs); lo += applyChunk {
+			units = append(units, lo)
+		}
+		units = append(units, len(runs))
+	} else {
+		runs, units = groupMajor(ups, runs, groups)
 	}
 	if s.cfg.Instrument {
 		s.reorderNs.Add(time.Since(t0).Nanoseconds())
 	}
 
-	chunks := (len(runs) + applyChunk - 1) / applyChunk
 	var next atomic.Int64
 	var mu sync.Mutex
 	work := func() {
 		var local BatchResult
 		sc := NewScratch()
-		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			for _, rn := range runs[c*applyChunk : min((c+1)*applyChunk, len(runs))] {
-				local.add(apply(ups[rn.lo].Src, ups[rn.lo:rn.hi], sc))
+		for c := int(next.Add(1) - 1); c < len(units)-1; c = int(next.Add(1) - 1) {
+			for lo, hi := units[c], units[c+1]; lo < hi; lo += applyChunk {
+				piece := runs[lo:min(lo+applyChunk, hi)]
+				g := 0
+				if groups != nil {
+					g = groups.GroupOf(ups[piece[0].lo].Src)
+					groups.Enter(g)
+				}
+				for _, rn := range piece {
+					local.add(apply(ups[rn.lo].Src, ups[rn.lo:rn.hi], sc))
+				}
+				if groups != nil {
+					groups.Exit(g)
+				}
 			}
 		}
 		s.FlushScratch(sc)
@@ -105,8 +141,9 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u g
 		res.add(local)
 		mu.Unlock()
 	}
+	chunks := (len(runs) + applyChunk - 1) / applyChunk
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, chunks); w++ {
+	for w := 1; w < min(workers, chunks, len(units)-1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -116,6 +153,33 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, apply func(u g
 	work()
 	wg.Wait()
 	return res
+}
+
+// srcRun is one source's updates, ups[lo:hi].
+type srcRun struct{ lo, hi int }
+
+// groupMajor reorders runs (ascending by source) group-major by a stable
+// counting pass and returns them with the unit bounds of the non-empty
+// groups.
+func groupMajor(ups []graph.Update, runs []srcRun, groups RunGroups) ([]srcRun, []int) {
+	count := make([]int, groups.Groups()+1)
+	for _, rn := range runs {
+		count[groups.GroupOf(ups[rn.lo].Src)+1]++
+	}
+	units := []int{0}
+	for g := 1; g < len(count); g++ {
+		if count[g] > 0 {
+			units = append(units, count[g-1]+count[g])
+		}
+		count[g] += count[g-1]
+	}
+	out := make([]srcRun, len(runs))
+	for _, rn := range runs {
+		g := groups.GroupOf(ups[rn.lo].Src)
+		out[count[g]] = rn
+		count[g]++
+	}
+	return out, units
 }
 
 func (r *BatchResult) add(o BatchResult) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -285,11 +286,14 @@ func TestBatchParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestApplyPerSourceCoversEveryRunOnce checks the chunked fan-out alone,
-// with a stand-in apply: on either side of one chunk and for several
-// worker counts, every source is applied exactly once with its updates in
-// submission order, no Scratch is shared by two goroutines at once, and
-// the result sums equal the serial path's.
+// TestApplyPerSourceCoversEveryRunOnce checks the fan-out alone, with a
+// stand-in apply, ungrouped and grouped (by recordingGroups): on either
+// side of one chunk and for several worker counts, every source is applied
+// exactly once with its updates in submission order, no Scratch is shared
+// by two goroutines at once, and the result sums equal the serial path's.
+// Grouped, every run is applied inside a bracket of its own group, no two
+// goroutines are inside one group at once, no bracket spans more than
+// applyChunk runs, and a group's runs come in ascending source order.
 func TestApplyPerSourceCoversEveryRunOnce(t *testing.T) {
 	s, err := New(1, DefaultConfig())
 	if err != nil {
@@ -329,49 +333,125 @@ func TestApplyPerSourceCoversEveryRunOnce(t *testing.T) {
 				want.Deleted++
 			}
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			var mu sync.Mutex
-			calls := map[graph.VertexID]int{}
-			busy := map[*Scratch]bool{}
-			in := append([]graph.Update(nil), ups...)
-			got := s.ApplyPerSource(in, workers, func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult {
-				mu.Lock()
-				if busy[sc] {
-					t.Errorf("workers=%d: Scratch %p used by two goroutines at once", workers, sc)
+		for _, nGroups := range []int{0, 1, 3, 16} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				name := fmt.Sprintf("runs=%d groups=%d workers=%d", nRuns, nGroups, workers)
+				var groups RunGroups
+				var rec *recordingGroups
+				if nGroups > 0 {
+					rec = newRecordingGroups(t, name, nGroups)
+					groups = rec
 				}
-				busy[sc] = true
-				calls[u]++
-				mu.Unlock()
-				var res BatchResult
-				if len(ops) != perSrc[u] {
-					t.Errorf("workers=%d: source %d applied with %d updates, want %d", workers, u, len(ops), perSrc[u])
-				}
-				for i, op := range ops {
-					if op.Src != u || op.Dst != graph.VertexID(i) {
-						t.Errorf("workers=%d: source %d update %d is %+v: out of order or misrouted", workers, u, i, op)
+				var mu sync.Mutex
+				calls := map[graph.VertexID]int{}
+				busy := map[*Scratch]bool{}
+				in := append([]graph.Update(nil), ups...)
+				got := s.ApplyPerSource(in, workers, groups, func(u graph.VertexID, ops []graph.Update, sc *Scratch) BatchResult {
+					mu.Lock()
+					if busy[sc] {
+						t.Errorf("%s: Scratch %p used by two goroutines at once", name, sc)
 					}
-					if op.Op == graph.OpInsert {
-						res.Inserted++
-					} else {
-						res.Deleted++
+					busy[sc] = true
+					calls[u]++
+					mu.Unlock()
+					if rec != nil {
+						rec.applied(u)
+					}
+					var res BatchResult
+					if len(ops) != perSrc[u] {
+						t.Errorf("%s: source %d applied with %d updates, want %d", name, u, len(ops), perSrc[u])
+					}
+					for i, op := range ops {
+						if op.Src != u || op.Dst != graph.VertexID(i) {
+							t.Errorf("%s: source %d update %d is %+v: out of order or misrouted", name, u, i, op)
+						}
+						if op.Op == graph.OpInsert {
+							res.Inserted++
+						} else {
+							res.Deleted++
+						}
+					}
+					mu.Lock()
+					busy[sc] = false
+					mu.Unlock()
+					return res
+				})
+				if len(calls) != nRuns {
+					t.Errorf("%s: %d sources applied", name, len(calls))
+				}
+				for u, c := range calls {
+					if c != 1 {
+						t.Errorf("%s: source %d applied %d times", name, u, c)
 					}
 				}
-				mu.Lock()
-				busy[sc] = false
-				mu.Unlock()
-				return res
-			})
-			if len(calls) != nRuns {
-				t.Errorf("runs=%d workers=%d: %d sources applied", nRuns, workers, len(calls))
-			}
-			for u, c := range calls {
-				if c != 1 {
-					t.Errorf("runs=%d workers=%d: source %d applied %d times", nRuns, workers, u, c)
+				if got != want {
+					t.Errorf("%s: result %+v, want the serial sums %+v", name, got, want)
+				}
+				if rec != nil {
+					rec.checkClosed()
 				}
 			}
-			if got != want {
-				t.Errorf("runs=%d workers=%d: result %+v, want the serial sums %+v", nRuns, workers, got, want)
-			}
+		}
+	}
+}
+
+// recordingGroups is a RunGroups that checks ApplyPerSource's grouped
+// contract as it runs: groups are source mod n.
+type recordingGroups struct {
+	t      *testing.T
+	name   string
+	mu     sync.Mutex
+	inside []int            // goroutines inside each group's bracket
+	runs   []int            // runs applied in each group's open bracket
+	last   []graph.VertexID // last source applied in each group
+	seen   []bool
+}
+
+func newRecordingGroups(t *testing.T, name string, n int) *recordingGroups {
+	return &recordingGroups{t: t, name: name, inside: make([]int, n), runs: make([]int, n), last: make([]graph.VertexID, n), seen: make([]bool, n)}
+}
+
+func (g *recordingGroups) Groups() int { return len(g.inside) }
+func (g *recordingGroups) GroupOf(u graph.VertexID) int {
+	return int(u % graph.VertexID(len(g.inside)))
+}
+
+func (g *recordingGroups) Enter(i int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.inside[i]++; g.inside[i] > 1 {
+		g.t.Errorf("%s: two goroutines inside group %d at once", g.name, i)
+	}
+}
+
+func (g *recordingGroups) Exit(i int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.runs[i] > applyChunk {
+		g.t.Errorf("%s: one bracket of group %d spanned %d runs, more than %d", g.name, i, g.runs[i], applyChunk)
+	}
+	g.inside[i]--
+	g.runs[i] = 0
+}
+
+func (g *recordingGroups) applied(u graph.VertexID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	i := g.GroupOf(u)
+	if g.inside[i] != 1 {
+		g.t.Errorf("%s: source %d applied outside a bracket of its group %d", g.name, u, i)
+	}
+	if g.seen[i] && u <= g.last[i] {
+		g.t.Errorf("%s: group %d applied source %d after %d: not ascending", g.name, i, u, g.last[i])
+	}
+	g.seen[i], g.last[i] = true, u
+	g.runs[i]++
+}
+
+func (g *recordingGroups) checkClosed() {
+	for i, n := range g.inside {
+		if n != 0 {
+			g.t.Errorf("%s: group %d left with %d open brackets", g.name, i, n)
 		}
 	}
 }
