@@ -237,6 +237,32 @@ func benchBatchArms(b *testing.B, g *graph.CSR, iter func(b *testing.B, apply fu
 	}
 }
 
+// BenchmarkServeShardedSetup measures how long cutting a 2-shard
+// in-process service from an LJ×0.03 engine takes: Engine.ServeSharded
+// plus Close, with the engine built once outside the timer and a forced
+// GC before each timed iteration. B/op is the bootstrap's allocation.
+func BenchmarkServeShardedSetup(b *testing.B) {
+	s, err := core.NewFromCSR(benchLJ(b), core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := &Engine{s: s}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		sw, err := eng.ServeSharded(2, ShardedOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEngineSampleComparison(b *testing.B) {
 	g := benchGraph(b, 20000, 200000)
 	engines := map[string]walk.Engine{}

@@ -456,6 +456,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		port, err := tcpgob.DialWith(addrs, fabric.Hello{
 			RangeSize:   plan.RangeSize,
 			NumVertices: w.Initial.NumVertices(),
+			Sampler:     core.DefaultConfig(),
 			Cache:       cacheSpec,
 			Replicas:    plan.Replicas,
 		}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
@@ -469,14 +470,14 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		fmt.Printf("live: %d shard daemons over the TCP fabric (range size %d), feeding %d updates in batches of %d\n",
 			plan.Shards, plan.RangeSize, len(w.Updates), batchSize)
 	} else if shards > 1 {
-		sharded, err = walk.ServeSharded(w.Initial, shards, replicas, func() (walk.LiveEngine, error) {
-			s, err := core.New(w.Initial.NumVertices(), core.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
+		src, err := core.NewFromCSR(w.Initial, core.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		sharded, err = walk.ServeSharded(src, shards, replicas, func(s *core.Sampler) walk.LiveEngine {
 			e := concurrent.Wrap(s, concurrent.Config{})
 			shardEngines = append(shardEngines, e)
-			return e, nil
+			return e
 		}, scfg)
 		if err != nil {
 			return err

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
-	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
+	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
 
@@ -96,11 +96,13 @@ type CorpusWalker struct {
 	floatMode bool
 }
 
-// ServeCorpus snapshots the engine's graph, builds the serving backend
-// (an unsharded concurrent engine, or a shards-way sharded live service
-// for shards > 1), grows the initial corpus, and starts the refresh
-// loop. The original Engine remains usable but further mutations to it
-// are not reflected — feed them through the returned walker.
+// ServeCorpus copies the engine's graph into the serving backend (an
+// unsharded concurrent engine, or a shards-way sharded live service for
+// shards > 1 — either way built by copying the engine's factorized
+// records, not by re-inserting its edges), grows the initial corpus, and
+// starts the refresh loop. The original Engine remains usable but
+// further mutations to it are not reflected — feed them through the
+// returned walker.
 func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error) {
 	cfg := walk.CorpusConfig{
 		WalksPerVertex:  o.Walks,
@@ -113,19 +115,15 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		Cache:           o.HubCache.spec(),
 	}
 	floatMode := e.s.Config().FloatBias
-	g := e.s.Snapshot()
 	if shards <= 1 {
-		s, err := core.NewFromCSR(g, e.s.Config())
-		if err != nil {
-			return nil, err
-		}
+		s := e.s.CopyRows(func(graph.VertexID) bool { return true })
 		corpus, err := walk.NewCorpusService(concurrent.Wrap(s, o.Concurrency.internal()), cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &CorpusWalker{corpus: corpus, floatMode: floatMode}, nil
 	}
-	svc, err := walk.ServeSharded(g, shards, 1, e.shardEngines(g.NumVertices(), o.Concurrency), walk.ShardedLiveConfig{
+	svc, err := walk.ServeSharded(e.s, shards, 1, wrapShard(o.Concurrency), walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
@@ -134,7 +132,7 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := walk.NewShardedCorpusService(svc, g.NumVertices(), cfg)
+	corpus, err := walk.NewShardedCorpusService(svc, e.s.NumVertices(), cfg)
 	if err != nil {
 		svc.Close()
 		return nil, err

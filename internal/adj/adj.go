@@ -273,6 +273,32 @@ func (l *Lists) Grow(u uint32, extra int) {
 	}
 }
 
+// CopyRow makes u's row a copy of src's row u, slot for slot: destinations,
+// biases, remainders and the hash index, each sized to the row's degree.
+// u's row must be empty, and src must share the store's float mode.
+func (l *Lists) CopyRow(src *Lists, u uint32) {
+	l.dst[u] = exact(src.dst[u])
+	l.bias[u] = exact(src.bias[u])
+	if l.floatMode {
+		l.rem[u] = exact(src.rem[u])
+	}
+	if m := src.idx[u]; m != nil {
+		c := m.Clone()
+		l.idx[u] = &c
+	}
+	atomic.AddInt64(&l.edges, int64(len(l.dst[u])))
+}
+
+// exact returns a copy of s whose capacity is its length (nil for nil).
+func exact[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
 // Footprint returns the bytes held by the store, including hash indices.
 func (l *Lists) Footprint() int64 {
 	var b int64

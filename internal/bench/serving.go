@@ -40,17 +40,14 @@ func hubStarts(g *graph.CSR) []graph.VertexID {
 // per-peer streams `bingowalk -shard-serve` daemons speak — so the cell
 // isolates wire cost without fork/exec noise.
 func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, error) {
-	newEngine := func(numVertices int) (walk.LiveEngine, error) {
-		s, err := core.New(numVertices, o.bingoConfig())
+	switch transport {
+	case "inproc":
+		src, err := core.NewFromCSR(g, o.bingoConfig())
 		if err != nil {
 			return nil, err
 		}
-		return concurrent.Wrap(s, concurrent.Config{}), nil
-	}
-	switch transport {
-	case "inproc":
-		return walk.ServeSharded(g, shards, 1, func() (walk.LiveEngine, error) {
-			return newEngine(g.NumVertices())
+		return walk.ServeSharded(src, shards, 1, func(s *core.Sampler) walk.LiveEngine {
+			return concurrent.Wrap(s, concurrent.Config{})
 		}, cfg)
 	case "tcp":
 		plan := walk.NewShardPlan(g.NumVertices(), shards)
@@ -71,18 +68,18 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 				if err != nil {
 					return
 				}
-				e, err := newEngine(hello.NumVertices)
+				s, err := core.New(hello.NumVertices, o.bingoConfig())
 				if err != nil {
 					sc.Close()
 					return
 				}
-				walk.RunShardNode(e, walk.PlanFromHello(hello), i, sc, crew, hello.Cache)
+				walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), walk.PlanFromHello(hello), i, sc, crew, hello.Cache)
 			}(i)
 		}
 		port, err := tcpgob.Dial(addrs, fabric.Hello{
 			RangeSize:   plan.RangeSize,
 			NumVertices: g.NumVertices(),
-			FloatBias:   o.bingoConfig().FloatBias,
+			Sampler:     o.bingoConfig(),
 			Cache:       cache,
 		})
 		if err != nil {

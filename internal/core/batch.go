@@ -258,7 +258,7 @@ func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *bat
 			var ib uint64
 			var rem float32
 			if s.cfg.FloatBias {
-				ib, rem = splitFloatBias(float64(ops[i].Bias)+ops[i].FBias, s.lambda)
+				ib, rem = splitFloatBias(float64(ops[i].Bias)+ops[i].FBias, s.cfg.Lambda)
 			} else {
 				ib = ops[i].Bias
 			}
@@ -379,7 +379,7 @@ func (s *Sampler) applySingleOp(u graph.VertexID, op *graph.Update, cc *convCoun
 		var ib uint64
 		var rem float32
 		if s.cfg.FloatBias {
-			ib, rem = splitFloatBias(float64(op.Bias)+op.FBias, s.lambda)
+			ib, rem = splitFloatBias(float64(op.Bias)+op.FBias, s.cfg.Lambda)
 		} else {
 			ib = op.Bias
 		}

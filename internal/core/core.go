@@ -73,7 +73,8 @@ type Config struct {
 	FloatBias bool
 
 	// Lambda is the §4.3 amortization factor. Zero selects an automatic
-	// power of two targeting W_D/(W_I+W_D) < 1/d on the initial snapshot.
+	// power of two targeting W_D/(W_I+W_D) < 1/d on the initial snapshot;
+	// a float-mode Sampler's Config reports the λ it chose.
 	Lambda float64
 
 	// IndexThreshold is the adjacency-row degree at which hash-indexed

@@ -56,13 +56,13 @@ func (s *Sampler) ValidateUpdates(ups []graph.Update) (maxV graph.VertexID, err 
 				if w <= 0 {
 					return maxV, fmt.Errorf("%w: batch insert (%d,%d)", ErrZeroBias, up.Src, up.Dst)
 				}
-				if err := checkFloatWeight(w, s.lambda); err != nil {
+				if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
 					return maxV, fmt.Errorf("batch insert (%d,%d): %w", up.Src, up.Dst, err)
 				}
 				// λ-underflow leaves no integer digits and a remainder that
 				// rounds to zero in float32 — the edge would carry no mass.
-				if ib, rem := splitFloatBias(w, s.lambda); ib == 0 && rem == 0 {
-					return maxV, fmt.Errorf("%w: batch insert (%d,%d) weight %v underflows λ=%v", ErrZeroBias, up.Src, up.Dst, w, s.lambda)
+				if ib, rem := splitFloatBias(w, s.cfg.Lambda); ib == 0 && rem == 0 {
+					return maxV, fmt.Errorf("%w: batch insert (%d,%d) weight %v underflows λ=%v", ErrZeroBias, up.Src, up.Dst, w, s.cfg.Lambda)
 				}
 			} else if up.Bias == 0 {
 				return maxV, fmt.Errorf("%w: batch insert (%d,%d)", ErrZeroBias, up.Src, up.Dst)
@@ -89,7 +89,7 @@ func (s *Sampler) AppendRowUpdates(u graph.VertexID, buf []graph.Update) []graph
 	for i := int32(0); i < int32(d); i++ {
 		up := graph.Update{Op: graph.OpInsert, Src: u, Dst: s.adjs.Dst(u, i)}
 		if s.cfg.FloatBias {
-			w := (float64(s.adjs.Bias(u, i)) + float64(s.adjs.Rem(u, i))) / s.lambda
+			w := (float64(s.adjs.Bias(u, i)) + float64(s.adjs.Rem(u, i))) / s.cfg.Lambda
 			up.Bias = uint64(w)
 			up.FBias = w - float64(up.Bias)
 		} else {

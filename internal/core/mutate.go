@@ -42,7 +42,7 @@ func (s *Sampler) UpdateBiasFloat(u, dst graph.VertexID, w float64) error {
 	if w <= 0 {
 		return fmt.Errorf("%w: update (%d,%d) weight %v", ErrZeroBias, u, dst, w)
 	}
-	if err := checkFloatWeight(w, s.lambda); err != nil {
+	if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
 		return err
 	}
 	if int(u) >= len(s.vx) {
@@ -52,7 +52,7 @@ func (s *Sampler) UpdateBiasFloat(u, dst graph.VertexID, w float64) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeNotFound, u, dst)
 	}
-	ib, rem := splitFloatBias(w, s.lambda)
+	ib, rem := splitFloatBias(w, s.cfg.Lambda)
 	s.rewriteBias(u, idx, ib, rem)
 	return nil
 }

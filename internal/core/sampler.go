@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -116,10 +117,9 @@ func (vx *vertex) compactGroups() {
 // require external serialization with respect to sampling (the paper's
 // engine likewise orders updates before each walk computation).
 type Sampler struct {
-	cfg    Config
-	lambda float64
-	adjs   *adj.Lists
-	vx     []vertex
+	cfg  Config // effective: Lambda holds the λ in use
+	adjs *adj.Lists
+	vx   []vertex
 
 	// cc accumulates group-conversion statistics (Table 4). Batch workers
 	// accumulate locally and merge, so only streaming updates touch this
@@ -209,16 +209,14 @@ func New(numVertices int, cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{
+	if cfg.FloatBias && cfg.Lambda == 0 {
+		cfg.Lambda = 1024 // no snapshot to calibrate against
+	}
+	return &Sampler{
 		cfg:  cfg,
 		adjs: adj.New(numVertices, cfg.FloatBias, cfg.IndexThreshold),
 		vx:   make([]vertex, numVertices),
-	}
-	s.lambda = cfg.Lambda
-	if cfg.FloatBias && s.lambda == 0 {
-		s.lambda = 1024 // no snapshot to calibrate against
-	}
-	return s, nil
+	}, nil
 }
 
 // NewFromCSR creates a sampler initialized with a snapshot. In float-bias
@@ -230,24 +228,21 @@ func NewFromCSR(g *graph.CSR, cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{
-		cfg:  cfg,
-		adjs: adj.New(g.NumVertices(), cfg.FloatBias, cfg.IndexThreshold),
-		vx:   make([]vertex, g.NumVertices()),
-	}
-	s.lambda = cfg.Lambda
-	if cfg.FloatBias && s.lambda == 0 {
+	if cfg.FloatBias && cfg.Lambda == 0 {
 		maxDeg := 0
 		for u := 0; u < g.NumVertices(); u++ {
 			if d := g.Degree(graph.VertexID(u)); d > maxDeg {
 				maxDeg = d
 			}
 		}
-		s.lambda = float64(bitutil.NextPow2(uint64(maxDeg)))
-		if s.lambda < 1024 {
-			s.lambda = 1024
-		}
+		cfg.Lambda = max(float64(bitutil.NextPow2(uint64(maxDeg))), 1024)
 	}
+	s := &Sampler{
+		cfg:  cfg,
+		adjs: adj.New(g.NumVertices(), cfg.FloatBias, cfg.IndexThreshold),
+		vx:   make([]vertex, g.NumVertices()),
+	}
+	bb := newBulkBuild(cfg.RadixBits)
 	for u := 0; u < g.NumVertices(); u++ {
 		vid := graph.VertexID(u)
 		dsts := g.Neighbors(vid)
@@ -262,10 +257,10 @@ func NewFromCSR(g *graph.CSR, cfg Config) (*Sampler, error) {
 				if fb != nil {
 					w += fb[i]
 				}
-				if err := checkFloatWeight(w, s.lambda); err != nil {
+				if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
 					return nil, fmt.Errorf("edge (%d,%d): %w", u, dsts[i], err)
 				}
-				ib, rem = splitFloatBias(w, s.lambda)
+				ib, rem = splitFloatBias(w, s.cfg.Lambda)
 			} else {
 				ib = biases[i]
 			}
@@ -274,49 +269,66 @@ func NewFromCSR(g *graph.CSR, cfg Config) (*Sampler, error) {
 			}
 			s.adjs.Append(vid, dsts[i], ib, rem)
 		}
-		s.bulkBuildVertex(vid)
+		s.bulkBuildVertex(vid, bb)
 	}
 	return s, nil
+}
+
+// bulkBuild is bulkBuildVertex's scratch, reused across one NewFromCSR:
+// slot[gid] counts a group's members during the count pass and holds its
+// position in the vertex's groups during the fill pass; touched lists the
+// gids in use, so resetting slot costs O(groups), not O(gid space).
+type bulkBuild struct {
+	slot    []int32
+	touched []int16
+}
+
+func newBulkBuild(radixBits int) *bulkBuild {
+	perPos := 1<<radixBits - 1
+	positions := (64 + radixBits - 1) / radixBits
+	return &bulkBuild{slot: make([]int32, positions*perPos)}
 }
 
 // bulkBuildVertex constructs a vertex's groups from its adjacency row in
 // one pass, classifying each group once (exact Equation 9) — the O(d·K)
 // initial construction.
-func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
+func (s *Sampler) bulkBuildVertex(u graph.VertexID, bb *bulkBuild) {
 	vx := &s.vx[u]
 	biasRow := s.adjs.BiasRow(u)
 	d := len(biasRow)
 	b := s.cfg.RadixBits
 	// Count pass.
-	counts := map[int16]int32{}
 	for _, w := range biasRow {
 		n := bitutil.NumDigits(w, b)
 		for j := 0; j < n; j++ {
 			if v := bitutil.Digit(w, j, b); v != 0 {
-				counts[gidOf(j, v, b)]++
+				gid := gidOf(j, v, b)
+				if bb.slot[gid] == 0 {
+					bb.touched = append(bb.touched, gid)
+				}
+				bb.slot[gid]++
 			}
 		}
 	}
-	vx.groups = make([]group, 0, len(counts))
-	for gid, c := range counts {
+	slices.Sort(bb.touched)
+	vx.groups = make([]group, len(bb.touched))
+	for i, gid := range bb.touched {
+		c := bb.slot[gid]
 		kind := KindRegular
 		if s.cfg.Adaptive {
 			kind = classify(c, d, s.cfg.AlphaPct, s.cfg.BetaPct)
 		}
-		g := vx.ensureGroup(gid)
-		g.kind = kind
-		g.count = c
-		g.one = -1
-	}
-	// Fill pass for representations that carry members.
-	for i := range vx.groups {
 		g := &vx.groups[i]
-		if g.kind == KindSparse || g.kind == KindRegular {
-			g.list = make([]int32, 0, g.count)
+		*g = group{gid: gid, kind: kind, one: -1}
+		// Representations that carry members get their storage here; count
+		// is re-accumulated in the fill pass.
+		if kind == KindSparse || kind == KindRegular {
+			g.list = make([]int32, 0, c)
 			g.initIndex(d)
 		}
-		g.count = 0 // re-accumulated below via add
+		bb.slot[gid] = int32(i)
 	}
+	// Fill pass.
 	for idx := int32(0); idx < int32(d); idx++ {
 		w := biasRow[idx]
 		n := bitutil.NumDigits(w, b)
@@ -325,8 +337,7 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 			if v == 0 {
 				continue
 			}
-			i, _ := vx.findGroup(gidOf(j, v, b))
-			g := &vx.groups[i]
+			g := &vx.groups[bb.slot[gidOf(j, v, b)]]
 			switch g.kind {
 			case KindDense:
 				g.count++
@@ -338,6 +349,10 @@ func (s *Sampler) bulkBuildVertex(u graph.VertexID) {
 			}
 		}
 	}
+	for _, gid := range bb.touched {
+		bb.slot[gid] = 0
+	}
+	bb.touched = bb.touched[:0]
 	if s.cfg.FloatBias && d > 0 {
 		dec := vx.decimal()
 		dec.growInv(d)
@@ -394,9 +409,10 @@ func (s *Sampler) Neighbor(u graph.VertexID, i int32) graph.VertexID {
 
 // Lambda returns the float-bias amortization factor in use (0 in integer
 // mode with no calibration).
-func (s *Sampler) Lambda() float64 { return s.lambda }
+func (s *Sampler) Lambda() float64 { return s.cfg.Lambda }
 
-// Config returns the sampler's effective configuration.
+// Config returns the sampler's effective configuration, λ included:
+// New(n, s.Config()) starts an empty sampler that factorizes as s does.
 func (s *Sampler) Config() Config { return s.cfg }
 
 // TotalBias returns the total sampling mass at u (scaled mass in float
@@ -439,12 +455,12 @@ func (s *Sampler) InsertFloat(u, dst graph.VertexID, w float64) error {
 	if w <= 0 {
 		return fmt.Errorf("%w: insert (%d,%d) weight %v", ErrZeroBias, u, dst, w)
 	}
-	if err := checkFloatWeight(w, s.lambda); err != nil {
+	if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
 		return err
 	}
-	ib, rem := splitFloatBias(w, s.lambda)
+	ib, rem := splitFloatBias(w, s.cfg.Lambda)
 	if ib == 0 && rem == 0 {
-		return fmt.Errorf("%w: insert (%d,%d) weight %v underflows λ=%v", ErrZeroBias, u, dst, w, s.lambda)
+		return fmt.Errorf("%w: insert (%d,%d) weight %v underflows λ=%v", ErrZeroBias, u, dst, w, s.cfg.Lambda)
 	}
 	s.ensureVertex(u)
 	s.ensureVertex(dst)

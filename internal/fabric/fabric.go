@@ -620,9 +620,12 @@ type Hello struct {
 	// NumVertices sizes the shard engine's initial vertex space; the
 	// feed grows it live like any other engine.
 	NumVertices int
-	// FloatBias selects the engine's float-bias mode (§4.3); update
-	// batches carry FBias fractions only in this mode.
-	FloatBias bool
+	// Sampler is the shard engines' sampler configuration: the
+	// coordinator engine's effective core.Config, its calibrated λ
+	// included, so every shard factorizes biases exactly as that engine
+	// does (Workers = 0 lets each daemon size batch parallelism to its
+	// own cores).
+	Sampler core.Config
 	// Peers are the daemon addresses indexed by shard, for direct
 	// shard-to-shard walker transfer.
 	Peers []string

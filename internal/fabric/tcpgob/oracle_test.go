@@ -161,7 +161,11 @@ func oracleFrames() []oracleCase {
 	return []oracleCase{
 		{"hello_coord", frame{kind: kHelloCoord, hello: &fabric.Hello{
 			Role: fabric.RoleRead, Shards: 4, Shard: 2, RangeSize: 1009,
-			NumVertices: 4_000_000_001, FloatBias: true,
+			NumVertices: 4_000_000_001,
+			Sampler: core.Config{
+				RadixBits: 4, Adaptive: true, AlphaPct: 37.5, BetaPct: 12.5, FloatBias: true,
+				Lambda: 4096, IndexThreshold: 24, Workers: 3, Instrument: true,
+			},
 			Peers:    []string{"127.0.0.1:1", "127.0.0.1:2", "", "[::1]:4"},
 			Session:  0xDEADBEEFCAFE,
 			Cache:    fabric.CacheSpec{Off: true, Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
@@ -332,6 +336,7 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{fabric.Credit{}, 2},
 		{fabric.Broadcast{}, 8},
 		{fabric.Hello{}, 10},
+		{core.Config{}, 9},
 		{fabric.CacheSpec{}, 5},
 		{graph.Update{}, 5},
 		{graph.Edge{}, 4},

@@ -40,7 +40,7 @@ import (
 // first payload byte and a daemon refuses any other value: the layout has
 // no self-description, so two builds that disagree on it must not talk.
 // Bump it on every change to any message layout.
-const wireVersion = 4
+const wireVersion = 5
 
 var le = binary.LittleEndian
 
@@ -984,6 +984,8 @@ func appendMigrateDone(b []byte, d *fabric.MigrateDone) []byte {
 const (
 	helloFloatBias = 1 << iota
 	helloCacheOff
+	helloAdaptive
+	helloInstrument
 )
 
 func appendHello(b []byte, h *fabric.Hello) []byte {
@@ -993,13 +995,25 @@ func appendHello(b []byte, h *fabric.Hello) []byte {
 	b = appendInt(b, h.RangeSize)
 	b = appendInt(b, h.NumVertices)
 	var fl uint8
-	if h.FloatBias {
+	if h.Sampler.FloatBias {
 		fl |= helloFloatBias
 	}
 	if h.Cache.Off {
 		fl |= helloCacheOff
 	}
+	if h.Sampler.Adaptive {
+		fl |= helloAdaptive
+	}
+	if h.Sampler.Instrument {
+		fl |= helloInstrument
+	}
 	b = append(b, fl)
+	b = appendInt(b, h.Sampler.RadixBits)
+	b = appendF64(b, h.Sampler.AlphaPct)
+	b = appendF64(b, h.Sampler.BetaPct)
+	b = appendF64(b, h.Sampler.Lambda)
+	b = appendInt(b, h.Sampler.IndexThreshold)
+	b = appendInt(b, h.Sampler.Workers)
 	b = le.AppendUint32(b, uint32(len(h.Peers)))
 	for _, p := range h.Peers {
 		b = appendString(b, p)
@@ -1016,8 +1030,12 @@ func (c *cursor) hello(h *fabric.Hello) {
 	h.Role = c.str()
 	h.Shards, h.Shard, h.RangeSize = c.int(), c.int(), c.int()
 	h.NumVertices = c.int()
-	fl := c.flags(helloFloatBias | helloCacheOff)
-	h.FloatBias, h.Cache.Off = fl&helloFloatBias != 0, fl&helloCacheOff != 0
+	fl := c.flags(helloFloatBias | helloCacheOff | helloAdaptive | helloInstrument)
+	h.Sampler.FloatBias, h.Cache.Off = fl&helloFloatBias != 0, fl&helloCacheOff != 0
+	h.Sampler.Adaptive, h.Sampler.Instrument = fl&helloAdaptive != 0, fl&helloInstrument != 0
+	h.Sampler.RadixBits = c.int()
+	h.Sampler.AlphaPct, h.Sampler.BetaPct, h.Sampler.Lambda = c.f64(), c.f64(), c.f64()
+	h.Sampler.IndexThreshold, h.Sampler.Workers = c.int(), c.int()
 	if n := c.count(4); n > 0 {
 		h.Peers = make([]string, n)
 		for i := range h.Peers {

@@ -106,10 +106,10 @@ func TestBarrierAndAckFrameRoundTrip(t *testing.T) {
 func TestHelloFrameRoundTrip(t *testing.T) {
 	h := fabric.Hello{
 		Shards: 4, Shard: 2, RangeSize: 1009, NumVertices: 4036,
-		FloatBias: true,
-		Peers:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"},
-		Session:   0xDEADBEEFCAFE,
-		Cache:     fabric.CacheSpec{Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
+		Sampler: core.Config{RadixBits: 2, Adaptive: true, AlphaPct: 40, BetaPct: 10, FloatBias: true, Lambda: 2048},
+		Peers:   []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"},
+		Session: 0xDEADBEEFCAFE,
+		Cache:   fabric.CacheSpec{Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
 	}
 	got := roundTrip(t, &frame{kind: kHelloCoord, hello: &h})
 	if got.kind != kHelloCoord || !reflect.DeepEqual(*got.hello, h) {

@@ -54,6 +54,15 @@ func (m *Map) Footprint() int64 {
 	return int64(len(m.keys))*4 + int64(len(m.vals))*4
 }
 
+// Clone returns a deep copy: the same slots, tombstones included, so every
+// probe and every duplicate-key choice of the copy matches the original's.
+func (m *Map) Clone() Map {
+	c := Map{keys: make([]uint32, len(m.keys)), vals: make([]int32, len(m.vals)), live: m.live, dead: m.dead}
+	copy(c.keys, m.keys)
+	copy(c.vals, m.vals)
+	return c
+}
+
 // Reset drops all entries but keeps the allocated slots.
 func (m *Map) Reset() {
 	for i := range m.vals {

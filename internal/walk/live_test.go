@@ -126,13 +126,15 @@ func TestLiveServiceBulkKernels(t *testing.T) {
 	if res.Walkers != 128 || res.Steps != 128*10 {
 		t.Fatalf("Bulk DeepWalk: %d walkers / %d steps, want 128 / 1280", res.Walkers, res.Steps)
 	}
-	// The same bulk kernel through the sharded runtime, over a snapshot of
-	// the same graph.
-	var g *graph.CSR
-	e.Quiesce(func(s *core.Sampler) { g = s.Snapshot() })
-	sh, err := walk.ServeSharded(g, 4, 1, func() (walk.LiveEngine, error) {
-		return concurrent.New(128, core.DefaultConfig(), concurrent.Config{})
-	}, walk.ShardedLiveConfig{Seed: 3})
+	// The same bulk kernel through the sharded runtime, over copies of the
+	// same graph's records.
+	var sh *walk.ShardedLiveService
+	var err error
+	e.Quiesce(func(s *core.Sampler) {
+		sh, err = walk.ServeSharded(s, 4, 1, func(s *core.Sampler) walk.LiveEngine {
+			return concurrent.Wrap(s, concurrent.Config{})
+		}, walk.ShardedLiveConfig{Seed: 3})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 )
@@ -198,63 +199,51 @@ func (p ShardPlan) BlockOwner(b uint64) int {
 
 // PartitionCSR splits a snapshot's edges into per-shard insert batches:
 // edge u→dst lands in the batch of Owner(u), preserving the snapshot's
-// per-source adjacency order. Feeding batch i into shard i's engine
-// reconstructs exactly the rows that shard owns — the bootstrap step of a
-// sharded live service. Under replication every member of the source's
-// replica group receives the row, so followers start from the same state
-// the primary does.
+// per-source adjacency order. It is how a dialed shard set is bootstrapped
+// through the fabric (ServeShardedOver), whose router fans each batch out
+// to every member of its block's replica group.
 func (p ShardPlan) PartitionCSR(g *graph.CSR) [][]graph.Update {
 	parts := make([][]graph.Update, p.Shards)
 	for u := 0; u < g.NumVertices(); u++ {
 		vid := graph.VertexID(u)
 		dsts := g.Neighbors(vid)
-		if len(dsts) == 0 {
-			continue
-		}
 		biases := g.Biases(vid)
 		fb := g.FBiases(vid)
-		holders := p.holdersOf(vid)
+		owner := p.Owner(vid)
 		for i := range dsts {
 			up := graph.Update{Op: graph.OpInsert, Src: vid, Dst: dsts[i], Bias: biases[i]}
 			if fb != nil {
 				up.FBias = fb[i]
 			}
-			for _, s := range holders {
-				parts[s] = append(parts[s], up)
-			}
+			parts[owner] = append(parts[owner], up)
 		}
 	}
 	return parts
 }
 
-// holdersOf returns every shard that must hold vertex v's row: the
-// replica group under replication, otherwise just the owner.
-func (p ShardPlan) holdersOf(v graph.VertexID) []int {
-	if p.Replicas > 1 {
-		return p.GroupMembers(p.BlockOf(v))
+// BootstrapShards cuts the per-shard engine set of a sharded live service
+// from src: shard i's sampler is src.CopyRows over exactly the vertices
+// whose block's replica group holds i (just the owner without
+// replication; followers start from the primary's records), and wrap
+// makes each copy a live engine (that is where concurrency choices live).
+// The copies run one goroutine per shard; wrap is called on the caller's
+// goroutine in shard order. src must not be mutated during the call.
+func BootstrapShards(src *core.Sampler, plan ShardPlan, wrap func(*core.Sampler) LiveEngine) []LiveEngine {
+	samplers := make([]*core.Sampler, plan.Shards)
+	var wg sync.WaitGroup
+	for i := range samplers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			samplers[i] = src.CopyRows(func(v graph.VertexID) bool { return plan.InGroup(plan.BlockOf(v), i) })
+		}()
 	}
-	return []int{p.Owner(v)}
-}
-
-// BootstrapShards builds the per-shard engine set of a sharded live
-// service from a snapshot: newEngine constructs one empty live engine
-// (that is where config choices live), and each engine is fed exactly the
-// rows plan assigns to its shard — the bootstrap half of ServeSharded.
-func BootstrapShards(g *graph.CSR, plan ShardPlan, newEngine func() (LiveEngine, error)) ([]LiveEngine, error) {
+	wg.Wait()
 	engines := make([]LiveEngine, plan.Shards)
-	for i, part := range plan.PartitionCSR(g) {
-		e, err := newEngine()
-		if err != nil {
-			return nil, err
-		}
-		if len(part) > 0 {
-			if err := e.ApplyUpdates(part); err != nil {
-				return nil, fmt.Errorf("walk: bootstrapping shard %d: %w", i, err)
-			}
-		}
-		engines[i] = e
+	for i, s := range samplers {
+		engines[i] = wrap(s)
 	}
-	return engines, nil
+	return engines
 }
 
 // visitCounter is a growable atomic visit tally. Fixed-size visit slices

@@ -65,14 +65,13 @@ func TestShardPlanOwnerTotal(t *testing.T) {
 	}
 }
 
-// exactShardedService serves a snapshot of s through the sharded runtime
-// with the hub caches off, so every hop is sampled by the shard owning
-// its vertex and the transfer tallies are exact.
+// exactShardedService serves copies of s's records through the sharded
+// runtime with the hub caches off, so every hop is sampled by the shard
+// owning its vertex and the transfer tallies are exact.
 func exactShardedService(t *testing.T, s *core.Sampler, shards int) *ShardedLiveService {
 	t.Helper()
-	g := s.Snapshot()
-	svc, err := ServeSharded(g, shards, 1, func() (LiveEngine, error) {
-		return concurrent.New(g.NumVertices(), core.DefaultConfig(), concurrent.Config{})
+	svc, err := ServeSharded(s, shards, 1, func(s *core.Sampler) LiveEngine {
+		return concurrent.Wrap(s, concurrent.Config{})
 	}, ShardedLiveConfig{WalkersPerShard: 2, Cache: fabric.CacheSpec{Off: true}})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/inproc"
 	"github.com/bingo-rw/bingo/internal/graph"
@@ -252,20 +253,17 @@ func newShardedLiveService(port fabric.CoordPort, attach func() (fabric.ReadPort
 }
 
 // ServeSharded is the local-engines way a sharded service comes to
-// exist, written once: derive the plan for the snapshot (replicas > 1
-// turns on block replication), build one engine per shard holding exactly
-// its rows (newEngine is where engine config choices live), start the
-// service.
-func ServeSharded(g *graph.CSR, shards, replicas int, newEngine func() (LiveEngine, error), cfg ShardedLiveConfig) (*ShardedLiveService, error) {
-	plan := NewShardPlan(g.NumVertices(), shards)
+// exist, written once: derive the plan for src's vertex space (replicas
+// > 1 turns on block replication), cut one engine per shard from src by
+// copying the factorized records of exactly its rows (BootstrapShards;
+// wrap is where concurrency choices live), start the service. src is
+// only read, and stays the caller's.
+func ServeSharded(src *core.Sampler, shards, replicas int, wrap func(*core.Sampler) LiveEngine, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	plan := NewShardPlan(src.NumVertices(), shards)
 	if replicas > 1 {
 		plan.Replicas = replicas
 	}
-	engines, err := BootstrapShards(g, plan, newEngine)
-	if err != nil {
-		return nil, err
-	}
-	return NewShardedLiveService(engines, plan, cfg)
+	return NewShardedLiveService(BootstrapShards(src, plan, wrap), plan, cfg)
 }
 
 // ServeShardedOver is the dialed-port way a sharded service comes to
@@ -296,13 +294,9 @@ const bootstrapChunk = 1 << 16
 // routed ledger and the shards' update tallies, so a bootstrapped
 // session's Updates counter reflects feed events alone.
 func (s *ShardedLiveService) bootstrap(g *graph.CSR) error {
-	// Partition with replication stripped: each row must reach the router
-	// exactly once — the router's boot path itself fans every update out
-	// to all of its block's holders (PartitionCSR would otherwise
-	// duplicate the rows a second time).
-	base := s.coord.plan
-	base.Replicas = 1
-	for _, part := range base.PartitionCSR(g) {
+	// Each row reaches the router exactly once; the router's boot path
+	// itself fans every update out to all of its block's holders.
+	for _, part := range s.coord.plan.PartitionCSR(g) {
 		for len(part) > 0 {
 			n := min(len(part), bootstrapChunk)
 			if err := s.coord.feedBoot(part[:n]); err != nil {

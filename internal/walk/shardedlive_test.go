@@ -48,22 +48,29 @@ func ringCSR(t *testing.T, n int) *graph.CSR {
 }
 
 // serveTransport brings a sharded service over g into existence on the
-// chosen construction: "inproc" takes local engines (walk.ServeSharded),
-// "tcpgob" dials loopback shard nodes speaking the daemon protocol and
-// ships the snapshot through the fabric (walk.ServeShardedOver), its
-// read-port constructor dialing the same listeners.
+// chosen construction: "inproc" cuts local engines from a sampler built
+// over g (walk.ServeSharded), "tcpgob" dials loopback shard nodes
+// speaking the daemon protocol and ships the snapshot through the fabric
+// (walk.ServeShardedOver), its read-port constructor dialing the same
+// listeners.
 func serveTransport(t *testing.T, transport string, g *graph.CSR, shards int, cfg walk.ShardedLiveConfig) *walk.ShardedLiveService {
 	t.Helper()
 	n := g.NumVertices()
-	newEngine := func() (walk.LiveEngine, error) {
-		return concurrent.New(n, core.DefaultConfig(), concurrent.Config{})
-	}
 	if transport == "inproc" {
-		svc, err := walk.ServeSharded(g, shards, 1, newEngine, cfg)
+		src, err := core.NewFromCSR(g, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := walk.ServeSharded(src, shards, 1, func(s *core.Sampler) walk.LiveEngine {
+			return concurrent.Wrap(s, concurrent.Config{})
+		}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return svc
+	}
+	newEngine := func() (walk.LiveEngine, error) {
+		return concurrent.New(n, core.DefaultConfig(), concurrent.Config{})
 	}
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {

@@ -386,16 +386,19 @@ type ShardedLiveWalker struct {
 
 // ServeSharded partitions the engine's current graph into shards vertex
 // ranges (block-cyclic, so ownership stays total while the live feed grows
-// the vertex space), builds one concurrent engine per shard, and starts
-// the sharded serving runtime. The engine's graph is snapshotted at this
-// call; the original Engine remains usable but further mutations to it are
-// not reflected in the service — feed them through the service instead.
+// the vertex space), cuts one concurrent engine per shard from it, and
+// starts the sharded serving runtime. Each shard engine is built by
+// copying the engine's factorized records for the vertices it holds —
+// adjacency, radix groups, alias tables, the engine's Config and λ — not
+// by re-inserting their edges, so a shard draws exactly what the engine
+// draws. The copy is taken at this call; the original Engine remains
+// usable but further mutations to it are not reflected in the service —
+// feed them through the service instead.
 func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	g := e.s.Snapshot()
-	svc, err := walk.ServeSharded(g, shards, o.Replicas, e.shardEngines(g.NumVertices(), o.Concurrency), walk.ShardedLiveConfig{
+	svc, err := walk.ServeSharded(e.s, shards, o.Replicas, wrapShard(o.Concurrency), walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
 		QueueDepth:      o.QueueDepth,
 		WalkLength:      o.WalkLength,
@@ -409,17 +412,10 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	return &ShardedLiveWalker{svc: svc, floatMode: e.s.Config().FloatBias}, nil
 }
 
-// shardEngines returns the constructor of one empty shard engine — the
-// engine's own sampler config over a numVertices space, wrapped for
-// concurrent use — that the sharded bootstrap calls once per shard.
-func (e *Engine) shardEngines(numVertices int, cc ConcurrentConfig) func() (walk.LiveEngine, error) {
-	return func() (walk.LiveEngine, error) {
-		s, err := core.New(numVertices, e.s.Config())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, cc.internal()), nil
-	}
+// wrapShard returns how the sharded bootstrap makes each copied shard
+// sampler a live engine: wrapped for concurrent use.
+func wrapShard(cc ConcurrentConfig) func(*core.Sampler) walk.LiveEngine {
+	return func(s *core.Sampler) walk.LiveEngine { return concurrent.Wrap(s, cc.internal()) }
 }
 
 // Shards returns the partition count.
@@ -541,11 +537,14 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if o.Replication > 1 {
 		plan.Replicas = o.Replication
 	}
-	floatMode := e.s.Config().FloatBias
+	// The daemons factorize with this engine's config and λ; each sizes
+	// its batch parallelism to its own cores.
+	cfg := e.s.Config()
+	cfg.Workers = 0
 	port, err := tcpgob.DialWith(addrs, fabric.Hello{
 		RangeSize:   plan.RangeSize,
 		NumVertices: g.NumVertices(),
-		FloatBias:   floatMode,
+		Sampler:     cfg,
 		Cache:       o.HubCache.spec(),
 		Replicas:    plan.Replicas,
 	}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
@@ -562,7 +561,7 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if err != nil {
 		return nil, fmt.Errorf("bingo: %w", err)
 	}
-	return &RemoteWalker{svc: svc, floatMode: floatMode}, nil
+	return &RemoteWalker{svc: svc, floatMode: cfg.FloatBias}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -772,9 +771,7 @@ func ServeShard(addr string, shard, shards int, o ShardServeOptions) (ShardServe
 // serveOneShardSession builds a session-scoped engine from the Hello and
 // runs the shard node until the coordinator ends the session.
 func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o ShardServeOptions) (ShardServeStats, error) {
-	cfg := core.DefaultConfig()
-	cfg.FloatBias = hello.FloatBias
-	s, err := core.New(hello.NumVertices, cfg)
+	s, err := core.New(hello.NumVertices, hello.Sampler)
 	if err != nil {
 		sc.Close()
 		return ShardServeStats{}, err
