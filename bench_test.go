@@ -263,6 +263,76 @@ func BenchmarkServeShardedSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRemoteSetup measures how long bootstrapping two TCP shard
+// daemons from an LJ×0.03 engine takes: Engine.ServeRemote alone, against
+// two ServeShard daemons in this process on loopback. The engine and the
+// daemons are set up outside the timer, and each timed iteration follows
+// a forced GC and is followed by an untimed Close. B/op covers both
+// sides: the coordinator's row stream and the daemons' decode and build.
+func BenchmarkServeRemoteSetup(b *testing.B) {
+	s, err := core.NewFromCSR(benchLJ(b), core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := &Engine{s: s}
+	const shards = 2
+	addrs := make([]string, shards)
+	listening := make(chan struct{}, shards)
+	done := make(chan error, shards)
+	for i := range addrs {
+		go func() {
+			_, err := ServeShard("127.0.0.1:0", i, shards, ShardServeOptions{
+				Walkers:  1,
+				Sessions: b.N,
+				OnListen: func(addr string) { addrs[i] = addr; listening <- struct{}{} },
+			})
+			done <- err
+		}()
+	}
+	for range addrs {
+		<-listening
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		rw, err := eng.ServeRemote(addrs, RemoteOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := rw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	for range addrs {
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewFromCSR measures building an LJ×0.03 engine from its
+// snapshot on GOMAXPROCS workers (the default config), a forced GC before
+// each timed iteration.
+func BenchmarkNewFromCSR(b *testing.B) {
+	g := benchLJ(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if _, err := core.NewFromCSR(g, core.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEngineSampleComparison(b *testing.B) {
 	g := benchGraph(b, 20000, 200000)
 	engines := map[string]walk.Engine{}

@@ -448,6 +448,14 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		CreditWindow: creditWin,
 	}
 	if connect != "" {
+		src, err := core.NewFromCSR(w.Initial, core.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		// The daemons factorize with the source's config; each sizes its
+		// batch parallelism to its own cores.
+		cfg := src.Config()
+		cfg.Workers = 0
 		addrs := strings.Split(connect, ",")
 		plan := walk.NewShardPlan(w.Initial.NumVertices(), len(addrs))
 		if replicas > 1 {
@@ -456,7 +464,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		port, err := tcpgob.DialWith(addrs, fabric.Hello{
 			RangeSize:   plan.RangeSize,
 			NumVertices: w.Initial.NumVertices(),
-			Sampler:     core.DefaultConfig(),
+			Sampler:     cfg,
 			Cache:       cacheSpec,
 			Replicas:    plan.Replicas,
 		}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
@@ -464,7 +472,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 			return err
 		}
 		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-		if sharded, err = walk.ServeShardedOver(port, attach, w.Initial, plan, scfg); err != nil {
+		if sharded, err = walk.ServeShardedOver(port, attach, src, plan, scfg); err != nil {
 			return err
 		}
 		fmt.Printf("live: %d shard daemons over the TCP fabric (range size %d), feeding %d updates in batches of %d\n",

@@ -61,8 +61,8 @@ func main() {
 	}
 	fmt.Printf("spawned %d shard daemons: %s\n", shards, strings.Join(addrs, ", "))
 
-	// Bootstrap: a follow graph among the launch-day users, snapshotted
-	// and shipped shard-by-shard over the fabric by ServeRemote.
+	// Bootstrap: a follow graph among the launch-day users, streamed
+	// row by row to its shards over the fabric by ServeRemote.
 	r := bingo.NewRand(21)
 	var edges []bingo.Edge
 	for i := 0; i < 6*seedUsers; i++ {

@@ -133,8 +133,30 @@ func (l *Lists) Append(u, dst uint32, bias uint64, rem float32) int32 {
 	return i
 }
 
+// SetRow fills u's empty row in one step with the given columns, which the
+// store takes over: dst and bias (and rem in float mode) must have equal
+// lengths, and should have capacity equal to it. The edge count moves once
+// by the row's degree, and a row above the index threshold gets its hash
+// index built once, at its final size — whole-row construction instead of
+// an Append per edge, which rehashes the index at every doubling.
+func (l *Lists) SetRow(u uint32, dst []uint32, bias []uint64, rem []float32) {
+	if len(l.dst[u]) != 0 {
+		panic(fmt.Sprintf("adj: SetRow on vertex %d of degree %d", u, len(l.dst[u])))
+	}
+	l.dst[u], l.bias[u] = dst, bias
+	if l.floatMode {
+		l.rem[u] = rem
+	}
+	l.idx[u] = nil
+	if len(dst) > l.threshold {
+		l.buildIndex(u)
+	}
+	atomic.AddInt64(&l.edges, int64(len(dst)))
+}
+
 func (l *Lists) buildIndex(u uint32) {
 	m := &ihash.Map{}
+	m.Reserve(len(l.dst[u]))
 	for i, d := range l.dst[u] {
 		m.Add(d, int32(i))
 	}

@@ -241,3 +241,61 @@ func BenchmarkAppendDelete(b *testing.B) {
 		l.SwapDelete(0, int32(r.Intn(l.Degree(0))))
 	}
 }
+
+// TestSetRowMatchesAppend fills rows of every size around the index
+// threshold both ways: SetRow must leave the columns, the edge count,
+// every lookup and the footprint exactly as Grow plus an Append per edge
+// does, and refuse a row that is not empty.
+func TestSetRowMatchesAppend(t *testing.T) {
+	for _, float := range []bool{false, true} {
+		r := xrand.New(31)
+		const rows = 80
+		a, s := New(rows, float, 0), New(rows, float, 0)
+		for u := uint32(0); u < rows; u++ {
+			d := int(u) * 3 // 0 … 237: below, at and far above the threshold
+			dst := make([]uint32, d)
+			bias := make([]uint64, d)
+			var rem []float32
+			if float {
+				rem = make([]float32, d)
+			}
+			a.Grow(u, d)
+			for i := range dst {
+				dst[i], bias[i] = uint32(r.Intn(4*d+1)), uint64(1+r.Intn(100))
+				var rm float32
+				if float {
+					rem[i] = float32(r.Float64())
+					rm = rem[i]
+				}
+				a.Append(u, dst[i], bias[i], rm)
+			}
+			if d > 0 {
+				s.SetRow(u, dst, bias, rem)
+			}
+		}
+		if a.NumEdges() != s.NumEdges() || a.Footprint() != s.Footprint() {
+			t.Fatalf("float=%v: edges %d vs %d, footprint %d vs %d", float, a.NumEdges(), s.NumEdges(), a.Footprint(), s.Footprint())
+		}
+		for u := uint32(0); u < rows; u++ {
+			for i := 0; i < a.Degree(u); i++ {
+				if a.Dst(u, int32(i)) != s.Dst(u, int32(i)) || a.Bias(u, int32(i)) != s.Bias(u, int32(i)) || a.Rem(u, int32(i)) != s.Rem(u, int32(i)) {
+					t.Fatalf("float=%v: row %d slot %d differs", float, u, i)
+				}
+			}
+			for k := uint32(0); k < uint32(12*rows); k++ {
+				fa, fs := a.Find(u, k), s.Find(u, k)
+				if (fa < 0) != (fs < 0) || fs >= 0 && s.Dst(u, fs) != k {
+					t.Fatalf("float=%v: row %d Find(%d) = %d vs %d", float, u, k, fa, fs)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetRow on a non-empty row did not panic")
+		}
+	}()
+	l := New(1, false, 0)
+	l.Append(0, 1, 1, 0)
+	l.SetRow(0, []uint32{2}, []uint64{1}, nil)
+}

@@ -50,6 +50,10 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 			return concurrent.Wrap(s, concurrent.Config{})
 		}, cfg)
 	case "tcp":
+		src, err := core.NewFromCSR(g, o.bingoConfig())
+		if err != nil {
+			return nil, err
+		}
 		plan := walk.NewShardPlan(g.NumVertices(), shards)
 		listeners := make([]*tcpgob.Listener, shards)
 		addrs := make([]string, shards)
@@ -68,7 +72,7 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 				if err != nil {
 					return
 				}
-				s, err := core.New(hello.NumVertices, o.bingoConfig())
+				s, err := core.New(hello.NumVertices, hello.Sampler)
 				if err != nil {
 					sc.Close()
 					return
@@ -79,14 +83,14 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 		port, err := tcpgob.Dial(addrs, fabric.Hello{
 			RangeSize:   plan.RangeSize,
 			NumVertices: g.NumVertices(),
-			Sampler:     o.bingoConfig(),
+			Sampler:     src.Config(),
 			Cache:       cache,
 		})
 		if err != nil {
 			return nil, err
 		}
 		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-		return walk.ServeShardedOver(port, attach, g, plan, cfg)
+		return walk.ServeShardedOver(port, attach, src, plan, cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown transport %q", transport)
 	}

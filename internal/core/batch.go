@@ -115,12 +115,12 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, groups RunGrou
 		s.reorderNs.Add(time.Since(t0).Nanoseconds())
 	}
 
-	var next atomic.Int64
 	var mu sync.Mutex
-	work := func() {
+	chunks := (len(runs) + applyChunk - 1) / applyChunk
+	parallelClaim(min(workers, chunks), len(units)-1, func(claim func() (int, bool)) {
 		var local BatchResult
 		sc := NewScratch()
-		for c := int(next.Add(1) - 1); c < len(units)-1; c = int(next.Add(1) - 1) {
+		for c, ok := claim(); ok; c, ok = claim() {
 			for lo, hi := units[c], units[c+1]; lo < hi; lo += applyChunk {
 				piece := runs[lo:min(lo+applyChunk, hi)]
 				g := 0
@@ -140,19 +140,32 @@ func (s *Sampler) ApplyPerSource(ups []graph.Update, workers int, groups RunGrou
 		mu.Lock()
 		res.add(local)
 		mu.Unlock()
+	})
+	return res
+}
+
+// parallelClaim runs worker on up to workers goroutines, the caller's
+// included, and returns when all of them have. The workers share one
+// atomic cursor over the units [0, units): claim returns the next
+// unclaimed unit, so units are handed out in ascending order, each
+// exactly once, and false once none is left. Per-worker state lives in
+// worker's frame.
+func parallelClaim(workers, units int, worker func(claim func() (int, bool))) {
+	var next atomic.Int64
+	claim := func() (int, bool) {
+		c := int(next.Add(1) - 1)
+		return c, c < units
 	}
-	chunks := (len(runs) + applyChunk - 1) / applyChunk
 	var wg sync.WaitGroup
-	for w := 1; w < min(workers, chunks, len(units)-1); w++ {
+	for w := 1; w < min(workers, units); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			worker(claim)
 		}()
 	}
-	work()
+	worker(claim)
 	wg.Wait()
-	return res
 }
 
 // srcRun is one source's updates, ups[lo:hi].
@@ -201,6 +214,7 @@ type batchScratch struct {
 	ins     []insRec
 	surv    []int32
 	holes   []int32
+	bulk    *bulkBuild // bulkInsert's; nil until a worker first needs it
 }
 
 type insRec struct {
@@ -218,23 +232,21 @@ func newBatchScratch() *batchScratch {
 }
 
 // applyVertexBatch processes one vertex's events: insert → delete →
-// rebuild (paper Figure 10(a) steps (i)-(iii)).
+// rebuild (paper Figure 10(a) steps (i)-(iii)), or, when they are all
+// inserts into an empty record, one bulk build.
 func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *batchScratch) BatchResult {
-	var res BatchResult
-	cc := &sc.cc
 	var t0 time.Time
 	if s.cfg.Instrument {
 		t0 = time.Now()
 	}
-	vx := &s.vx[u]
-	vx.dirty = true
+	s.vx[u].dirty = true
 
 	// Fast path: a single event needs no staging at all — the common
 	// case when a batch spreads across many vertices. The streaming
 	// mutators already maintain conversions and index sizes, so only the
 	// inter-group alias rebuild remains.
 	if len(ops) == 1 {
-		res = s.applySingleOp(u, &ops[0], cc)
+		res := s.applySingleOp(u, &ops[0], &sc.cc)
 		if s.cfg.Instrument {
 			mid := time.Now()
 			s.insDelNs.Add(mid.Sub(t0).Nanoseconds())
@@ -247,6 +259,19 @@ func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *bat
 		return res
 	}
 
+	if s.emptyRecord(u) && allInserts(ops) {
+		return s.bulkInsert(u, ops, sc, t0)
+	}
+	return s.applyIncremental(u, ops, sc, t0)
+}
+
+// applyIncremental is the general per-vertex workflow: stage the
+// insertions against the existing record, then the deletions, then one
+// rebuild. t0 is the phase timer's start.
+func (s *Sampler) applyIncremental(u graph.VertexID, ops []graph.Update, sc *batchScratch, t0 time.Time) BatchResult {
+	var res BatchResult
+	cc := &sc.cc
+	vx := &s.vx[u]
 	b := s.cfg.RadixBits
 
 	// ---- Step (i): insertions -------------------------------------------
@@ -368,6 +393,66 @@ func (s *Sampler) applyVertexBatch(u graph.VertexID, ops []graph.Update, sc *bat
 		s.rebuildNs.Add(time.Since(t0).Nanoseconds())
 	}
 	return res
+}
+
+// emptyRecord reports whether u holds nothing a batch would have to
+// carry over: no edges, no groups, and no members in its decimal group.
+func (s *Sampler) emptyRecord(u graph.VertexID) bool {
+	vx := &s.vx[u]
+	return s.adjs.Degree(u) == 0 && len(vx.groups) == 0 && (vx.dec == nil || vx.dec.count() == 0)
+}
+
+func allInserts(ops []graph.Update) bool {
+	for i := range ops {
+		if ops[i].Op != graph.OpInsert {
+			return false
+		}
+	}
+	return true
+}
+
+// bulkInsert applies a batch of inserts to a vertex whose record is empty
+// the way NewFromCSR builds one: the row is filled in one step and the
+// record is built in one pass that classifies each group once, by its
+// final count (the batched rule of §5.2 applied to the whole row). Its
+// record equals the one the incremental insert → rebuild path builds —
+// same group kinds, member order and alias buckets, so the same draws —
+// at no larger footprint, and it counts the same Table 4 touches: one
+// visit to each group while it was still empty, and no conversion.
+func (s *Sampler) bulkInsert(u graph.VertexID, ops []graph.Update, sc *batchScratch, t0 time.Time) BatchResult {
+	d := len(ops)
+	dst := make([]uint32, d)
+	bias := make([]uint64, d)
+	var rem []float32
+	if s.cfg.FloatBias {
+		rem = make([]float32, d)
+	}
+	for i := range ops {
+		dst[i] = ops[i].Dst
+		if s.cfg.FloatBias {
+			bias[i], rem[i] = splitFloatBias(float64(ops[i].Bias)+ops[i].FBias, s.cfg.Lambda)
+		} else {
+			bias[i] = ops[i].Bias
+		}
+	}
+	s.adjs.SetRow(u, dst, bias, rem)
+	// Drop the emptied record's leftovers: the decimal group's drifted sum
+	// and whatever storage its last deletions left behind.
+	s.vx[u] = vertex{dirty: true}
+	if s.cfg.Instrument {
+		mid := time.Now()
+		s.insDelNs.Add(mid.Sub(t0).Nanoseconds())
+		t0 = mid
+	}
+	if sc.bulk == nil || len(sc.bulk.slot) < gidSpace(s.cfg.RadixBits) {
+		sc.bulk = newBulkBuild(s.cfg.RadixBits)
+	}
+	s.bulkBuildVertex(u, sc.bulk)
+	sc.cc.touches[KindEmpty] += int64(len(s.vx[u].groups))
+	if s.cfg.Instrument {
+		s.rebuildNs.Add(time.Since(t0).Nanoseconds())
+	}
+	return BatchResult{Inserted: d}
 }
 
 // applySingleOp applies one event through the streaming machinery (minus

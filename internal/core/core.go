@@ -81,7 +81,8 @@ type Config struct {
 	// edge lookup is enabled; zero selects adj.DefaultIndexThreshold.
 	IndexThreshold int
 
-	// Workers bounds batch-update parallelism; zero selects GOMAXPROCS.
+	// Workers bounds the parallelism of batch updates and of
+	// NewFromCSR's build; zero selects GOMAXPROCS.
 	Workers int
 
 	// Instrument enables per-phase timing of batched updates

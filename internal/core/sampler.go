@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -222,7 +223,10 @@ func New(numVertices int, cfg Config) (*Sampler, error) {
 // NewFromCSR creates a sampler initialized with a snapshot. In float-bias
 // mode the snapshot's integer and fractional bias columns are combined into
 // w = Bias + FBias and scaled by λ (auto-calibrated from the snapshot when
-// Config.Lambda is zero, targeting W_D/(W_I+W_D) < 1/d as in §4.4).
+// Config.Lambda is zero, targeting W_D/(W_I+W_D) < 1/d as in §4.4). Rows
+// are built on Config.Workers goroutines; the records do not depend on
+// how many, and an invalid edge is reported for the lowest failing vertex
+// and slot.
 func NewFromCSR(g *graph.CSR, cfg Config) (*Sampler, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -237,41 +241,79 @@ func NewFromCSR(g *graph.CSR, cfg Config) (*Sampler, error) {
 		}
 		cfg.Lambda = max(float64(bitutil.NextPow2(uint64(maxDeg))), 1024)
 	}
+	n := g.NumVertices()
 	s := &Sampler{
 		cfg:  cfg,
-		adjs: adj.New(g.NumVertices(), cfg.FloatBias, cfg.IndexThreshold),
-		vx:   make([]vertex, g.NumVertices()),
+		adjs: adj.New(n, cfg.FloatBias, cfg.IndexThreshold),
+		vx:   make([]vertex, n),
 	}
-	bb := newBulkBuild(cfg.RadixBits)
-	for u := 0; u < g.NumVertices(); u++ {
-		vid := graph.VertexID(u)
-		dsts := g.Neighbors(vid)
-		biases := g.Biases(vid)
-		fb := g.FBiases(vid)
-		s.adjs.Grow(vid, len(dsts))
-		for i := range dsts {
-			var ib uint64
-			var rem float32
-			if cfg.FloatBias {
-				w := float64(biases[i])
-				if fb != nil {
-					w += fb[i]
-				}
-				if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
-					return nil, fmt.Errorf("edge (%d,%d): %w", u, dsts[i], err)
-				}
-				ib, rem = splitFloatBias(w, s.cfg.Lambda)
-			} else {
-				ib = biases[i]
+	// Vertices are built in chunks of applyChunk on cfg.Workers goroutines.
+	// A worker stops claiming after its first error; every chunk below a
+	// failing one was claimed before it and runs to completion, so the
+	// lowest failing vertex (and, within it, slot) is the one reported.
+	var mu sync.Mutex
+	errAt, firstErr := n, error(nil)
+	var failed atomic.Bool
+	parallelClaim(cfg.Workers, (n+applyChunk-1)/applyChunk, func(claim func() (int, bool)) {
+		bb := newBulkBuild(cfg.RadixBits)
+		for !failed.Load() {
+			c, ok := claim()
+			if !ok {
+				return
 			}
-			if ib == 0 && rem == 0 {
-				return nil, fmt.Errorf("%w: edge (%d,%d)", ErrZeroBias, u, dsts[i])
+			for u := c * applyChunk; u < min(n, (c+1)*applyChunk); u++ {
+				if err := s.buildRowFromCSR(g, graph.VertexID(u), bb); err != nil {
+					mu.Lock()
+					if u < errAt {
+						errAt, firstErr = u, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+					return
+				}
 			}
-			s.adjs.Append(vid, dsts[i], ib, rem)
 		}
-		s.bulkBuildVertex(vid, bb)
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return s, nil
+}
+
+// buildRowFromCSR validates and scales u's snapshot row, fills the
+// adjacency row with it in one step and bulk-builds the record.
+func (s *Sampler) buildRowFromCSR(g *graph.CSR, u graph.VertexID, bb *bulkBuild) error {
+	dsts := g.Neighbors(u)
+	biases := g.Biases(u)
+	fb := g.FBiases(u)
+	d := len(dsts)
+	bias := make([]uint64, d)
+	var rem []float32
+	if s.cfg.FloatBias {
+		rem = make([]float32, d)
+	}
+	for i := range dsts {
+		if s.cfg.FloatBias {
+			w := float64(biases[i])
+			if fb != nil {
+				w += fb[i]
+			}
+			if err := checkFloatWeight(w, s.cfg.Lambda); err != nil {
+				return fmt.Errorf("edge (%d,%d): %w", u, dsts[i], err)
+			}
+			bias[i], rem[i] = splitFloatBias(w, s.cfg.Lambda)
+		} else {
+			bias[i] = biases[i]
+		}
+		if bias[i] == 0 && (rem == nil || rem[i] == 0) {
+			return fmt.Errorf("%w: edge (%d,%d)", ErrZeroBias, u, dsts[i])
+		}
+	}
+	if d > 0 {
+		s.adjs.SetRow(u, exact(dsts), bias, rem)
+	}
+	s.bulkBuildVertex(u, bb)
+	return nil
 }
 
 // bulkBuild is bulkBuildVertex's scratch, reused across one NewFromCSR:
@@ -284,9 +326,14 @@ type bulkBuild struct {
 }
 
 func newBulkBuild(radixBits int) *bulkBuild {
+	return &bulkBuild{slot: make([]int32, gidSpace(radixBits))}
+}
+
+// gidSpace is the number of group ids a radix width addresses.
+func gidSpace(radixBits int) int {
 	perPos := 1<<radixBits - 1
 	positions := (64 + radixBits - 1) / radixBits
-	return &bulkBuild{slot: make([]int32, positions*perPos)}
+	return positions * perPos
 }
 
 // bulkBuildVertex constructs a vertex's groups from its adjacency row in

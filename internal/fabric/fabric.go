@@ -111,9 +111,9 @@ type Ingest struct {
 	// Commit.To to install the in-flight MigrateBlock before continuing
 	// its ingest stream.
 	Commit MigrateCommit
-	// Boot marks a bootstrap element: Ups carries CSR snapshot rows
-	// shipped at session start (or replica priming) rather than live feed
-	// events. A shard applies them like any insert batch but does not
+	// Boot marks a bootstrap element: Ups carries whole rows read from
+	// the source engine at session start (or replica priming) rather than
+	// live feed events. A shard applies them like any insert batch but does not
 	// count them in its Updates/consumed ingest tallies — bootstrap rows
 	// are initial state, not stream history, and watermark arithmetic
 	// (view invalidation, copy FIFO checks) must see the same

@@ -90,6 +90,15 @@ func (m *Map) grow(atLeast int) {
 	}
 }
 
+// Reserve sizes the table for n live entries, so the next Adds up to that
+// count never rehash: a map filled from a known row size is built at its
+// final size in one allocation.
+func (m *Map) Reserve(n int) {
+	if (m.live+m.dead+n)*maxLoadDen >= len(m.vals)*maxLoadNum {
+		m.grow(m.live + n)
+	}
+}
+
 // Add inserts a (key, val) entry. val must be non-negative. Duplicate keys
 // are permitted; each Add creates an independent entry.
 func (m *Map) Add(key uint32, val int32) {

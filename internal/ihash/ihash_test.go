@@ -238,3 +238,28 @@ func BenchmarkAddFindRemove(b *testing.B) {
 		m.Remove(k, int32(i&0x7fffffff))
 	}
 }
+
+// TestReserve checks that a reserved map takes its n entries without
+// rehashing and ends at the size incremental growth reaches.
+func TestReserve(t *testing.T) {
+	for _, n := range []int{1, 5, 6, 17, 100, 1000, 4096} {
+		var grown, reserved Map
+		reserved.Reserve(n)
+		slots := reserved.Cap()
+		for i := 0; i < n; i++ {
+			grown.Add(uint32(i*7), int32(i))
+			reserved.Add(uint32(i*7), int32(i))
+		}
+		if reserved.Cap() != slots {
+			t.Errorf("n=%d: reserved map rehashed from %d to %d slots", n, slots, reserved.Cap())
+		}
+		if reserved.Cap() != grown.Cap() {
+			t.Errorf("n=%d: reserved %d slots, incremental growth %d", n, reserved.Cap(), grown.Cap())
+		}
+		for i := 0; i < n; i++ {
+			if reserved.FindAny(uint32(i*7)) != int32(i) {
+				t.Fatalf("n=%d: key %d lost", n, i*7)
+			}
+		}
+	}
+}

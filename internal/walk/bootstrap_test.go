@@ -10,6 +10,7 @@ import (
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
+	"github.com/bingo-rw/bingo/internal/fabric/inproc"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
@@ -220,4 +221,156 @@ func checkBootstrapExact(t *testing.T, float bool, shards, replicas int) {
 	}
 	wg.Wait()
 	check("after source churn")
+}
+
+// TestServeShardedOverBuildsRecordsExactly is the exact oracle of the
+// dialed-port bootstrap: ServeShardedOver streams a NewFromCSR source's
+// rows to shard nodes over the in-process fabric, into empty engines made
+// with the config ServeRemote sends (the source's, Workers left to the
+// host), and every shard must then hold exactly the rows its plan assigns
+// — the hub's longer than one bootstrap batch included — with the
+// source's records: the same rows, the same fixed-seed draws, the same
+// Config and λ, invariants intact. A bulk-built source is what makes
+// this exact: each row reaches its holders whole, in one batch, onto an
+// empty record, so they bulk-build the record the source holds.
+func TestServeShardedOverBuildsRecordsExactly(t *testing.T) {
+	for _, float := range []bool{false, true} {
+		src := dialedBootstrapSource(t, float)
+		want := captureRows(src)
+		for _, shards := range []int{2, 3} {
+			for _, replicas := range []int{1, 2} {
+				t.Run(fmt.Sprintf("float=%v/shards=%d/replicas=%d", float, shards, replicas), func(t *testing.T) {
+					t.Parallel() // src is only read
+					checkDialedBootstrapExact(t, src, want, shards, replicas)
+				})
+			}
+		}
+	}
+}
+
+// dialedBootstrapSource builds a sampler straight from a snapshot whose
+// hub (vertex 0) has more edges than one bootstrap batch carries. Integer
+// weights are a power of two plus a small remainder, so a row has sparse
+// groups (one per power) beside dense ones (the low bits).
+func dialedBootstrapSource(t *testing.T, float bool) *core.Sampler {
+	t.Helper()
+	const n, hubDeg = 600, bootstrapChunk + 4000
+	rng := xrand.New(0xD1A1)
+	weight := func() (uint64, float64) {
+		if float {
+			w := 0.05 + 200*rng.Float64()
+			return uint64(w), w - float64(uint64(w))
+		}
+		return uint64(1)<<(2+rng.Intn(20)) | uint64(rng.Intn(4)), 0
+	}
+	var edges []graph.Edge
+	for i := 0; i < hubDeg; i++ {
+		b, fb := weight()
+		edges = append(edges, graph.Edge{Src: 0, Dst: graph.VertexID(1 + rng.Intn(n-1)), Bias: b, FBias: fb})
+	}
+	for u := 1; u < n; u++ {
+		for k := rng.Intn(24); k > 0; k-- {
+			b, fb := weight()
+			edges = append(edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(rng.Intn(n)), Bias: b, FBias: fb})
+		}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	if float {
+		cfg.FloatBias = true
+		cfg.RadixBits = 2
+	}
+	s, err := core.NewFromCSR(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func checkDialedBootstrapExact(t *testing.T, src *core.Sampler, want []rowState, shards, replicas int) {
+	n := src.NumVertices()
+	plan := NewShardPlan(n, shards)
+	if replicas > 1 {
+		plan.Replicas = replicas
+	}
+	cfg := src.Config()
+	cfg.Workers = 0
+	fab := inproc.New(shards, 0)
+	engines := make([]*concurrent.Engine, shards)
+	var nodes sync.WaitGroup
+	for i := range engines {
+		s, err := core.New(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = concurrent.Wrap(s, concurrent.Config{})
+		nodes.Add(1)
+		go func() {
+			defer nodes.Done()
+			if _, err := RunShardNode(engines[i], plan, i, fab.ShardPort(i), 1, fabric.CacheSpec{Off: true}); err != nil {
+				t.Errorf("shard %d: %v", i, err)
+			}
+		}()
+	}
+	svc, err := ServeShardedOver(fab.CoordPort(), nil, src, plan, ShardedLiveConfig{Seed: 9, Cache: fabric.CacheSpec{Off: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodes.Wait()
+	defer svc.Close()
+	if st := svc.Stats(); st.Updates != 0 || st.Dropped != 0 {
+		t.Errorf("bootstrap counted as feed: %d updates, %d dropped", st.Updates, st.Dropped)
+	}
+	srcCfg := src.Config()
+	srcCfg.Workers = 0
+	// Bound on the shards' bytes: replica-many copies of the source plus
+	// a vertex space of headers on each other shard, and the append
+	// rounding of rows that arrive as a single insert — those take the
+	// streaming path, whose column appends round capacity up to the
+	// allocator's 8-byte class (one spare 4-byte slot in the destination
+	// and remainder columns).
+	r := int64(min(replicas, shards))
+	headers := src.CopyRows(func(graph.VertexID) bool { return false }).Footprint()
+	bound := r*src.Footprint() + (int64(shards)-r)*headers
+	for u := 0; u < n; u++ {
+		if src.Degree(graph.VertexID(u)) == 1 {
+			bound += r * 8
+		}
+	}
+	var footprint int64
+	for i, e := range engines {
+		e.Quiesce(func(s *core.Sampler) {
+			got := s.Config()
+			got.Workers = 0
+			if got != srcCfg || s.Lambda() != src.Lambda() {
+				t.Errorf("shard %d config %+v λ %v, source %+v λ %v", i, got, s.Lambda(), srcCfg, src.Lambda())
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Errorf("shard %d: %v", i, err)
+			}
+			rows := captureRows(s)
+			if len(rows) != n {
+				t.Errorf("shard %d has %d vertices, source %d", i, len(rows), n)
+				return
+			}
+			for u := range rows {
+				w := want[u]
+				held := slices.Contains(plan.GroupMembers(plan.BlockOf(graph.VertexID(u))), i)
+				if !held {
+					w = rowState{}
+				}
+				if !reflect.DeepEqual(rows[u], w) {
+					t.Errorf("shard %d vertex %d (degree %d, held %v): row/draws differ from the source's", i, u, src.Degree(graph.VertexID(u)), held)
+					return
+				}
+			}
+			footprint += s.Footprint()
+		})
+	}
+	if footprint > bound {
+		t.Errorf("shards hold %d B, above the %d B bound (%d source copies plus %d header sets)", footprint, bound, r, int64(shards)-r)
+	}
 }

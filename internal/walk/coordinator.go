@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -149,9 +150,9 @@ type coordinator struct {
 // coordMsg is one element of the coordinator's feed queue: an update
 // batch to route, or a barrier to push (the shared queue is what orders
 // barriers after every batch accepted before them). boot marks a
-// snapshot-bootstrap batch: fanned out to every holder replica and
-// credit-counted (it occupies queue space) but kept out of the routed
-// ledger and the shards' update tallies (it is not a feed event).
+// bootstrap batch (publishBoot): shipped whole to every holder of its
+// rows and credit-counted (it occupies queue space) but kept out of the
+// routed ledger and the shards' update tallies (it is not a feed event).
 type coordMsg struct {
 	ups  []graph.Update
 	boot bool
@@ -301,10 +302,13 @@ func (c *coordinator) routerLoop() {
 			if !ok {
 				return
 			}
-			if m.bar != nil {
+			switch {
+			case m.bar != nil:
 				c.publishBarrier(m.bar)
-			} else {
-				c.routeBatch(m)
+			case m.boot:
+				c.publishBoot(m.ups)
+			default:
+				c.routeBatch(m.ups)
 			}
 		}
 	}
@@ -316,18 +320,16 @@ func (c *coordinator) routerLoop() {
 // replica holds identical rows built from the identical routed stream —
 // the invariant that makes promotion a mask flip. Each per-shard publish
 // first passes the credit window.
-func (c *coordinator) routeBatch(m coordMsg) {
+func (c *coordinator) routeBatch(ups []graph.Update) {
 	plan := c.planNow()
 	replicated := plan.Replicas > 1
-	if !m.boot {
-		c.batches.Add(1)
-		coordIngestBatches.Inc()
-		coordIngestUpdates.Add(int64(len(m.ups)))
-	}
-	if replicated || m.boot {
+	c.batches.Add(1)
+	coordIngestBatches.Inc()
+	coordIngestUpdates.Add(int64(len(ups)))
+	if replicated {
 		// Track the vertex-ID horizon for replica re-priming.
 		hi := int64(-1)
-		for _, up := range m.ups {
+		for _, up := range ups {
 			if int64(up.Src) > hi {
 				hi = int64(up.Src)
 			}
@@ -341,11 +343,11 @@ func (c *coordinator) routeBatch(m coordMsg) {
 	}
 	parts := make([][]graph.Update, plan.Shards)
 	if !replicated {
-		for _, up := range m.ups {
+		for _, up := range ups {
 			parts[plan.Owner(up.Src)] = append(parts[plan.Owner(up.Src)], up)
 		}
 	} else {
-		for _, up := range m.ups {
+		for _, up := range ups {
 			for _, h := range plan.GroupMembers(plan.BlockOf(up.Src)) {
 				if plan.Alive(h) || c.priming[h] {
 					parts[h] = append(parts[h], up)
@@ -353,23 +355,55 @@ func (c *coordinator) routeBatch(m coordMsg) {
 			}
 		}
 	}
-	if !m.boot {
-		c.ledMu.Lock()
-		for i, p := range parts {
-			c.ledger[i] += int64(len(p))
-		}
-		c.ledMu.Unlock()
+	c.ledMu.Lock()
+	for i, p := range parts {
+		c.ledger[i] += int64(len(p))
 	}
+	c.ledMu.Unlock()
 	for i, p := range parts {
 		if len(p) == 0 {
 			continue
 		}
 		c.waitCredits(i, int64(len(p)))
-		if err := c.port.PublishUpdates(i, fabric.Ingest{Ups: p, Boot: m.boot, Watermarks: c.ledgerCopy()}); err != nil {
+		if err := c.port.PublishUpdates(i, fabric.Ingest{Ups: p, Watermarks: c.ledgerCopy()}); err != nil {
 			if replicated {
 				// A dead link announces itself through EvShardDown; the
 				// death path re-routes, so a failed publish is not fatal.
 				continue
+			}
+			c.setErr(err)
+		}
+	}
+}
+
+// publishBoot ships one bootstrap batch — whole rows of vertices that
+// share one replica group — to every live member of that group as is: no
+// split, no copy beyond one per extra holder (each holder's engine sorts
+// its batch in place). Like routeBatch it passes the credit window; unlike
+// it, it leaves the routed ledger and the batch tallies alone, because
+// bootstrap rows are initial state, not feed events. The rows' vertex
+// space is the construction-time one, which the coordinator already
+// knows.
+func (c *coordinator) publishBoot(ups []graph.Update) {
+	plan := c.planNow()
+	var holders []int
+	for _, h := range plan.GroupMembers(plan.BlockOf(ups[0].Src)) {
+		if plan.Alive(h) || c.priming[h] {
+			holders = append(holders, h)
+		}
+	}
+	batches := make([][]graph.Update, len(holders))
+	for k := range holders {
+		batches[k] = ups
+		if k > 0 {
+			batches[k] = slices.Clone(ups)
+		}
+	}
+	for k, h := range holders {
+		c.waitCredits(h, int64(len(ups)))
+		if err := c.port.PublishUpdates(h, fabric.Ingest{Ups: batches[k], Boot: true, Watermarks: c.ledgerCopy()}); err != nil {
+			if plan.Replicas > 1 {
+				continue // as in routeBatch: the death path owns a dead link
 			}
 			c.setErr(err)
 		}
@@ -947,10 +981,8 @@ func (c *coordinator) Feed(ups []graph.Update) error {
 	return nil
 }
 
-// feedBoot enqueues a snapshot-bootstrap batch: routed to every holder
-// replica, credit-gated like any batch (it occupies daemon queue space),
-// but excluded from the routed ledger and the shards' update tallies —
-// bootstrap rows are initial state, not feed events.
+// feedBoot enqueues a bootstrap batch for publishBoot: whole rows of
+// vertices that share one replica group, shipped to every holder.
 func (c *coordinator) feedBoot(ups []graph.Update) error {
 	c.sendMu.RLock()
 	defer c.sendMu.RUnlock()

@@ -78,7 +78,11 @@ func TestFailoverKillRestartDifferential(t *testing.T) {
 	for i := 0; i < fvShards; i++ {
 		nodeDone[i] = runChaosNode(t, plan, i, fab.ShardPort(i))
 	}
-	svc, err := walk.ServeShardedOver(fab.CoordPort(), nil, boot, plan, walk.ShardedLiveConfig{
+	src, err := core.NewFromCSR(boot, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := walk.ServeShardedOver(fab.CoordPort(), nil, src, plan, walk.ShardedLiveConfig{
 		WalkLength: 8,
 		Seed:       0xFA11,
 	})

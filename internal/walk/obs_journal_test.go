@@ -73,7 +73,11 @@ func TestJournalFailoverOrdering(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		nodeDone[i] = runNode(i, fab.ShardPort(i))
 	}
-	svc, err := ServeShardedOver(fab.CoordPort(), nil, g, plan, ShardedLiveConfig{WalkLength: 8, Seed: 11})
+	src, err := core.NewFromCSR(g, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ServeShardedOver(fab.CoordPort(), nil, src, plan, ShardedLiveConfig{WalkLength: 8, Seed: 11})
 	if err != nil {
 		t.Fatalf("ServeShardedOver: %v", err)
 	}

@@ -197,30 +197,6 @@ func (p ShardPlan) BlockOwner(b uint64) int {
 	return base
 }
 
-// PartitionCSR splits a snapshot's edges into per-shard insert batches:
-// edge u→dst lands in the batch of Owner(u), preserving the snapshot's
-// per-source adjacency order. It is how a dialed shard set is bootstrapped
-// through the fabric (ServeShardedOver), whose router fans each batch out
-// to every member of its block's replica group.
-func (p ShardPlan) PartitionCSR(g *graph.CSR) [][]graph.Update {
-	parts := make([][]graph.Update, p.Shards)
-	for u := 0; u < g.NumVertices(); u++ {
-		vid := graph.VertexID(u)
-		dsts := g.Neighbors(vid)
-		biases := g.Biases(vid)
-		fb := g.FBiases(vid)
-		owner := p.Owner(vid)
-		for i := range dsts {
-			up := graph.Update{Op: graph.OpInsert, Src: vid, Dst: dsts[i], Bias: biases[i]}
-			if fb != nil {
-				up.FBias = fb[i]
-			}
-			parts[owner] = append(parts[owner], up)
-		}
-	}
-	return parts
-}
-
 // BootstrapShards cuts the per-shard engine set of a sharded live service
 // from src: shard i's sampler is src.CopyRows over exactly the vertices
 // whose block's replica group holds i (just the owner without

@@ -267,17 +267,19 @@ func ServeSharded(src *core.Sampler, shards, replicas int, wrap func(*core.Sampl
 }
 
 // ServeShardedOver is the dialed-port way a sharded service comes to
-// exist, written once: start the service over the port, ship the snapshot
-// to the shard hosts through the fabric itself, and return once a
-// confirming barrier says every host holds exactly the rows it must. On
-// failure the session is closed.
-func ServeShardedOver(port fabric.CoordPort, attach func() (fabric.ReadPort, error), g *graph.CSR, plan ShardPlan, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
-	s, err := NewShardedLiveServiceOver(port, attach, plan, g.NumVertices(), cfg)
+// exist, written once: start the service over the port, stream src's rows
+// to the shard hosts through the fabric itself (bootstrap), and return
+// once a confirming barrier says every host holds exactly the rows it
+// must. src is read during this call; do not mutate it concurrently. The
+// hosts must factorize with src's Config for their records to equal
+// src's. On failure the session is closed.
+func ServeShardedOver(port fabric.CoordPort, attach func() (fabric.ReadPort, error), src *core.Sampler, plan ShardPlan, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	s, err := NewShardedLiveServiceOver(port, attach, plan, src.NumVertices(), cfg)
 	if err != nil {
 		port.Close()
 		return nil, err
 	}
-	if err := s.bootstrap(g); err != nil {
+	if err := s.bootstrap(src); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("walk: bootstrapping shards: %w", err)
 	}
@@ -289,23 +291,69 @@ func ServeShardedOver(port fabric.CoordPort, attach func() (fabric.ReadPort, err
 // still paces the stream.
 const bootstrapChunk = 1 << 16
 
-// bootstrap ships a snapshot to the shards as dedicated snapshot (Boot)
-// batches — fanned to every replica, credit-paced, but excluded from the
-// routed ledger and the shards' update tallies, so a bootstrapped
-// session's Updates counter reflects feed events alone.
-func (s *ShardedLiveService) bootstrap(g *graph.CSR) error {
-	// Each row reaches the router exactly once; the router's boot path
-	// itself fans every update out to all of its block's holders.
-	for _, part := range s.coord.plan.PartitionCSR(g) {
-		for len(part) > 0 {
-			n := min(len(part), bootstrapChunk)
-			if err := s.coord.feedBoot(part[:n]); err != nil {
-				return err
+// bootstrap streams src's rows to the shards as bootstrap (Boot) batches
+// — credit-paced, but excluded from the routed ledger and the shards'
+// update tallies, so a bootstrapped session's Updates counter reflects
+// feed events alone. Each batch holds whole rows of one owner's vertices,
+// read straight from src (AppendRowUpdates): at most bootstrapChunk
+// updates, unless a single row is longer and travels alone. A host thus
+// receives every row in one batch, onto an empty record, and bulk-builds
+// it in one pass instead of replaying it edge by edge. The owners'
+// batches are interleaved, so all hosts build while the next rows are
+// read.
+func (s *ShardedLiveService) bootstrap(src *core.Sampler) error {
+	plan := s.coord.plan
+	n := uint64(src.NumVertices())
+	// next[o] is the first vertex of owner o whose row has not been read
+	// (≥ n once o is done); owner o holds blocks o, o+Shards, ….
+	next := make([]uint64, plan.Shards)
+	for o := range next {
+		next[o], _ = plan.BlockRange(uint64(o))
+	}
+	for pending := true; pending; {
+		pending = false
+		for o := range next {
+			if next[o] >= n {
+				continue
 			}
-			part = part[n:]
+			var rows []graph.Update
+			rows, next[o] = ownerRows(src, plan, next[o], n)
+			if len(rows) > 0 {
+				if err := s.coord.feedBoot(rows); err != nil {
+					return err
+				}
+			}
+			pending = pending || next[o] < n
 		}
 	}
 	return s.Sync()
+}
+
+// ownerRows reads the rows of the vertices from v on that share v's owner,
+// in ascending order, into one bootstrap batch sized exactly, and returns
+// it with the vertex to resume from.
+func ownerRows(src *core.Sampler, plan ShardPlan, v, n uint64) ([]graph.Update, uint64) {
+	rangeSize, skip := uint64(plan.RangeSize), uint64(plan.Shards-1)*uint64(plan.RangeSize)
+	step := func(u uint64) uint64 {
+		if u++; u%rangeSize == 0 {
+			u += skip // past the other owners' blocks
+		}
+		return u
+	}
+	size, end := 0, v
+	for end < n && size < bootstrapChunk {
+		d := src.Degree(graph.VertexID(end))
+		if size > 0 && size+d > bootstrapChunk {
+			break
+		}
+		size += d
+		end = step(end)
+	}
+	rows := make([]graph.Update, 0, size)
+	for u := v; u != end; u = step(u) {
+		rows = src.AppendRowUpdates(graph.VertexID(u), rows)
+	}
+	return rows, end
 }
 
 // Shards returns the partition count.

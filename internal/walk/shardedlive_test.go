@@ -50,17 +50,17 @@ func ringCSR(t *testing.T, n int) *graph.CSR {
 // serveTransport brings a sharded service over g into existence on the
 // chosen construction: "inproc" cuts local engines from a sampler built
 // over g (walk.ServeSharded), "tcpgob" dials loopback shard nodes
-// speaking the daemon protocol and ships the snapshot through the fabric
-// (walk.ServeShardedOver), its read-port constructor dialing the same
-// listeners.
+// speaking the daemon protocol and streams the sampler's rows through the
+// fabric (walk.ServeShardedOver), its read-port constructor dialing the
+// same listeners.
 func serveTransport(t *testing.T, transport string, g *graph.CSR, shards int, cfg walk.ShardedLiveConfig) *walk.ShardedLiveService {
 	t.Helper()
 	n := g.NumVertices()
+	src, err := core.NewFromCSR(g, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if transport == "inproc" {
-		src, err := core.NewFromCSR(g, core.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		svc, err := walk.ServeSharded(src, shards, 1, func(s *core.Sampler) walk.LiveEngine {
 			return concurrent.Wrap(s, concurrent.Config{})
 		}, cfg)
@@ -99,7 +99,7 @@ func serveTransport(t *testing.T, transport string, g *graph.CSR, shards int, cf
 		t.Fatal(err)
 	}
 	attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-	svc, err := walk.ServeShardedOver(port, attach, g, plan, cfg)
+	svc, err := walk.ServeShardedOver(port, attach, src, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

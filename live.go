@@ -524,16 +524,17 @@ type RemoteWalker = ShardedLiveWalker
 // ServeRemote partitions the engine's current graph across one shard
 // daemon per address (each a `bingowalk -shard-serve` process, already
 // listening) and starts a serving session: every daemon receives the
-// partition geometry and engine spec, is fed exactly the rows it owns,
-// and the call returns once a sync barrier confirms the bootstrap landed.
-// The engine's graph is snapshotted at this call; feed later mutations
-// through the returned walker.
+// partition geometry and engine spec, is streamed exactly the rows it
+// holds, whole, and builds their records in one pass, and the call
+// returns once a sync barrier confirms the bootstrap landed. The engine's
+// graph is read during this call; do not mutate the engine concurrently,
+// and feed later mutations through the returned walker.
 func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bingo: ServeRemote needs at least one shard address")
 	}
-	g := e.s.Snapshot()
-	plan := walk.NewShardPlan(g.NumVertices(), len(addrs))
+	n := e.s.NumVertices()
+	plan := walk.NewShardPlan(n, len(addrs))
 	if o.Replication > 1 {
 		plan.Replicas = o.Replication
 	}
@@ -543,7 +544,7 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	cfg.Workers = 0
 	port, err := tcpgob.DialWith(addrs, fabric.Hello{
 		RangeSize:   plan.RangeSize,
-		NumVertices: g.NumVertices(),
+		NumVertices: n,
 		Sampler:     cfg,
 		Cache:       o.HubCache.spec(),
 		Replicas:    plan.Replicas,
@@ -552,7 +553,7 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 		return nil, err
 	}
 	attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-	svc, err := walk.ServeShardedOver(port, attach, g, plan, walk.ShardedLiveConfig{
+	svc, err := walk.ServeShardedOver(port, attach, e.s, plan, walk.ShardedLiveConfig{
 		QueueDepth:   o.QueueDepth,
 		WalkLength:   o.WalkLength,
 		Seed:         o.Seed,
