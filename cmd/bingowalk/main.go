@@ -54,11 +54,10 @@ import (
 	bingo "github.com/bingo-rw/bingo"
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
-	"github.com/bingo-rw/bingo/internal/fabric"
-	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/gen"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/obs"
+	"github.com/bingo-rw/bingo/internal/remote"
 	"github.com/bingo-rw/bingo/internal/walk"
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
@@ -429,14 +428,13 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		workers = 1 // the -workers contract: 0 = 1
 	}
 
-	cacheSpec := fabric.CacheSpec{Off: hubCache.Off, MinDegree: hubCache.MinDegree}
 	ccfg := walk.CorpusConfig{
 		WalksPerVertex: co.walks,
 		WalkLength:     length,
 		Seed:           seed,
 		StalenessBound: int64(co.stale),
 		CreditWindow:   creditWin,
-		Cache:          cacheSpec,
+		Cache:          hubCache,
 	}
 	var svc liveServer
 	var single *concurrent.Engine
@@ -444,7 +442,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	var corpus *walk.CorpusService
 	var shardEngines []*concurrent.Engine // in-process shards only
 	scfg := walk.ShardedLiveConfig{
-		WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: cacheSpec,
+		WalkersPerShard: workers, WalkLength: length, Seed: seed, Cache: hubCache,
 		CreditWindow: creditWin,
 	}
 	if connect != "" {
@@ -456,27 +454,11 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		// batch parallelism to its own cores.
 		cfg := src.Config()
 		cfg.Workers = 0
-		addrs := strings.Split(connect, ",")
-		plan := walk.NewShardPlan(w.Initial.NumVertices(), len(addrs))
-		if replicas > 1 {
-			plan.Replicas = replicas
-		}
-		port, err := tcpgob.DialWith(addrs, fabric.Hello{
-			RangeSize:   plan.RangeSize,
-			NumVertices: w.Initial.NumVertices(),
-			Sampler:     cfg,
-			Cache:       cacheSpec,
-			Replicas:    plan.Replicas,
-		}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
-		if err != nil {
-			return err
-		}
-		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-		if sharded, err = walk.ServeShardedOver(port, attach, src, plan, scfg); err != nil {
+		if sharded, err = remote.Open(strings.Split(connect, ","), src, replicas, cfg, scfg); err != nil {
 			return err
 		}
 		fmt.Printf("live: %d shard daemons over the TCP fabric (range size %d), feeding %d updates in batches of %d\n",
-			plan.Shards, plan.RangeSize, len(w.Updates), batchSize)
+			sharded.Shards(), sharded.Plan().RangeSize, len(w.Updates), batchSize)
 	} else if shards > 1 {
 		src, err := core.NewFromCSR(w.Initial, core.DefaultConfig())
 		if err != nil {
@@ -513,7 +495,7 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 			}
 			svc = corpus
 		} else {
-			svc = walk.NewLiveService(single, walk.LiveConfig{Walkers: workers, WalkLength: length, Seed: seed, Cache: cacheSpec})
+			svc = walk.NewLiveService(single, walk.LiveConfig{Walkers: workers, WalkLength: length, Seed: seed, Cache: hubCache})
 		}
 		fmt.Printf("live: %d pool walkers, %d lock stripes, feeding %d updates in batches of %d\n",
 			workers, single.Stripes(), len(w.Updates), batchSize)

@@ -9,16 +9,14 @@ package bingo
 // bounded-staleness guarantee. See DESIGN.md, "Standing walk corpus".
 
 import (
-	"time"
-
 	"github.com/bingo-rw/bingo/internal/concurrent"
-	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
 
 // CorpusOptions configure ServeCorpus. The zero value selects all
-// defaults.
+// defaults. The refresh loop coalesces touches for 2 ms before a cycle,
+// and a sharded refresh regrows with GOMAXPROCS concurrent queries.
 type CorpusOptions struct {
 	// Walks is K, the standing walks maintained per vertex (default 2).
 	Walks int
@@ -31,13 +29,6 @@ type CorpusOptions struct {
 	// may trail the feed by before falling back to a fresh walk (0 =
 	// default 4096; negative disables the fallback).
 	StalenessBound int
-	// RefreshInterval is the coalescing window between the first touch
-	// and the refresh that repairs it — longer windows batch more churn
-	// into one resample cycle (default 2ms).
-	RefreshInterval time.Duration
-	// RefreshWorkers bounds the sharded refresh's concurrent regrow
-	// queries (default GOMAXPROCS).
-	RefreshWorkers int
 	// CreditWindow bounds fed-but-unrefreshed touch events before Feed
 	// blocks — the corpus-side credited backpressure (0 = default 16384,
 	// negative disables).
@@ -48,44 +39,15 @@ type CorpusOptions struct {
 	// HubCache tunes the hub-view caches of the backend (sharded) or the
 	// regrow kernel (unsharded).
 	HubCache HubCacheOptions
-	// Concurrency tunes the per-shard concurrency wrappers (zero value =
-	// defaults).
-	Concurrency ConcurrentConfig
 }
 
-// CorpusStats snapshots a CorpusWalker's counters.
-type CorpusStats struct {
-	// Queries counts Query calls; CorpusServed those answered from the
-	// standing corpus; StaleServed the corpus-served subset lagging the
-	// feed within the bound; Fallbacks those served as fresh walks (bound
-	// blown, vertex outside the maintained space, or length beyond L).
-	Queries, CorpusServed, StaleServed, Fallbacks int64
-	// Refreshes counts refresh cycles; Resamples walks truncated and
-	// regrown; ResampledSteps the suffix hops sampled doing it;
-	// FullWalkEquivalentSteps the hops a per-update full recompute of
-	// every affected walk would have sampled instead.
-	Refreshes, Resamples, ResampledSteps int64
-	FullWalkEquivalentSteps              int64
-	// RefreshLagMs is the maximum observed touch-to-refresh latency.
-	RefreshLagMs int64
-	// FedEvents is the query watermark (update events accepted);
-	// CorpusWatermark the fed events fully incorporated; AppliedStamp
-	// the backend shards' summed applied-update ack stamps at the last
-	// refresh (sharded only) — the bounded-staleness evidence.
-	FedEvents, CorpusWatermark, AppliedStamp int64
-	// Walks is the corpus size (K × vertices).
-	Walks int64
-}
-
-// Amplification is ResampledSteps per full-recompute-equivalent step:
-// below 1 the incremental corpus out-amortizes re-walking (the bench
-// evidence gates on < 0.2, i.e. ≥ 5× fewer kernel steps).
-func (s CorpusStats) Amplification() float64 {
-	if s.FullWalkEquivalentSteps == 0 {
-		return 0
-	}
-	return float64(s.ResampledSteps) / float64(s.FullWalkEquivalentSteps)
-}
+// CorpusStats snapshots a CorpusWalker's counters: queries and how they
+// were served (corpus slices, stale-within-bound slices, fresh-walk
+// fallbacks), the refresh work (cycles, walks resampled, the suffix hops
+// sampled against FullWalkSteps — what re-walking every affected walk
+// would have cost — and their ratio, Amplification), and the watermarks
+// behind the bounded-staleness guarantee.
+type CorpusStats = walk.CorpusServiceStats
 
 // CorpusWalker serves walk queries from a standing corpus maintained
 // under the update feed. Queries inside the staleness bound are corpus
@@ -105,29 +67,27 @@ type CorpusWalker struct {
 // returned walker.
 func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error) {
 	cfg := walk.CorpusConfig{
-		WalksPerVertex:  o.Walks,
-		WalkLength:      o.WalkLength,
-		Seed:            o.Seed,
-		StalenessBound:  int64(o.StalenessBound),
-		RefreshInterval: o.RefreshInterval,
-		RefreshWorkers:  o.RefreshWorkers,
-		CreditWindow:    o.CreditWindow,
-		Cache:           o.HubCache.spec(),
+		WalksPerVertex: o.Walks,
+		WalkLength:     o.WalkLength,
+		Seed:           o.Seed,
+		StalenessBound: int64(o.StalenessBound),
+		CreditWindow:   o.CreditWindow,
+		Cache:          o.HubCache,
 	}
 	floatMode := e.s.Config().FloatBias
 	if shards <= 1 {
 		s := e.s.CopyRows(func(graph.VertexID) bool { return true })
-		corpus, err := walk.NewCorpusService(concurrent.Wrap(s, o.Concurrency.internal()), cfg)
+		corpus, err := walk.NewCorpusService(concurrent.Wrap(s, concurrent.Config{}), cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &CorpusWalker{corpus: corpus, floatMode: floatMode}, nil
 	}
-	svc, err := walk.ServeSharded(e.s, shards, 1, wrapShard(o.Concurrency), walk.ShardedLiveConfig{
+	svc, err := walk.ServeSharded(e.s, shards, 1, wrapShard, walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
-		Cache:           o.HubCache.spec(),
+		Cache:           o.HubCache,
 	})
 	if err != nil {
 		return nil, err
@@ -163,42 +123,12 @@ func (cw *CorpusWalker) Feed(ups []Update) error {
 func (cw *CorpusWalker) Sync() error { return cw.corpus.Sync() }
 
 // Stats snapshots the corpus counters.
-func (cw *CorpusWalker) Stats() CorpusStats {
-	st := cw.corpus.Stats()
-	return CorpusStats{
-		Queries:                 st.Queries,
-		CorpusServed:            st.CorpusServed,
-		StaleServed:             st.StaleServed,
-		Fallbacks:               st.Fallbacks,
-		Refreshes:               st.Refreshes,
-		Resamples:               st.Resamples,
-		ResampledSteps:          st.ResampledSteps,
-		FullWalkEquivalentSteps: st.FullWalkSteps,
-		RefreshLagMs:            st.RefreshLagMs,
-		FedEvents:               st.FedEvents,
-		CorpusWatermark:         st.CorpusWatermark,
-		AppliedStamp:            st.AppliedStamp,
-		Walks:                   st.Walks,
-	}
-}
+func (cw *CorpusWalker) Stats() CorpusStats { return cw.corpus.Stats() }
 
 // ServiceStats snapshots the backend service counters with the corpus
 // tallies riding in the Corpus field (backend counters are zero for an
 // unsharded corpus).
-func (cw *CorpusWalker) ServiceStats() ShardedLiveStats {
-	return fromShardedStats(cw.corpus.ShardedStats())
-}
-
-func fromCorpusTallies(t fabric.CorpusTallies) CorpusStats {
-	return CorpusStats{
-		Resamples:               t.Resamples,
-		ResampledSteps:          t.ResampledSteps,
-		FullWalkEquivalentSteps: t.FullWalkSteps,
-		RefreshLagMs:            t.RefreshLagMs,
-		StaleServed:             t.StaleServed,
-		Fallbacks:               t.Fallbacks,
-	}
-}
+func (cw *CorpusWalker) ServiceStats() ShardedLiveStats { return cw.corpus.ShardedStats() }
 
 // Close drains the touch queue through a final refresh, stops the
 // refresh loop and the backend, and returns the first error observed.

@@ -109,7 +109,7 @@ func TestFaultKillDaemonMidTape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := eng.ServeRemote(addrs, RemoteOptions{WalkLength: 16, Seed: 0xFA57, Replication: 2})
+	rw, err := eng.ServeRemote(addrs, RemoteOptions{WalkLength: 16, Seed: 0xFA57, Replicas: 2})
 	if err != nil {
 		t.Fatalf("ServeRemote: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/walk"
 	"github.com/bingo-rw/bingo/internal/xrand"
@@ -121,9 +120,8 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 	if crew < 1 {
 		crew = 1
 	}
-	cache := fabric.CacheSpec{}
-	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache}
-	svc, err := newShardedService(o, g, transport, cache, corpusShards, crew, cfg)
+	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed}
+	svc, err := newShardedService(o, g, transport, corpusShards, crew, cfg)
 	if err != nil {
 		return CorpusSeries{}, err
 	}

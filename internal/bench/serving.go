@@ -6,9 +6,9 @@ import (
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
-	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/graph"
+	"github.com/bingo-rw/bingo/internal/remote"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
 
@@ -38,59 +38,34 @@ func hubStarts(g *graph.CSR) []graph.VertexID {
 // the chosen transport. For tcp, the shard nodes run in-process but
 // behind real loopback sockets — the same frames, handshake, and
 // per-peer streams `bingowalk -shard-serve` daemons speak — so the cell
-// isolates wire cost without fork/exec noise.
-func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, error) {
+// isolates wire cost without fork/exec noise. The daemons build with the
+// source's Config, its -workers included.
+func newShardedService(o *Options, g *graph.CSR, transport string, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, error) {
+	src, err := core.NewFromCSR(g, o.bingoConfig())
+	if err != nil {
+		return nil, err
+	}
 	switch transport {
 	case "inproc":
-		src, err := core.NewFromCSR(g, o.bingoConfig())
-		if err != nil {
-			return nil, err
-		}
 		return walk.ServeSharded(src, shards, 1, func(s *core.Sampler) walk.LiveEngine {
 			return concurrent.Wrap(s, concurrent.Config{})
 		}, cfg)
 	case "tcp":
-		src, err := core.NewFromCSR(g, o.bingoConfig())
-		if err != nil {
-			return nil, err
-		}
-		plan := walk.NewShardPlan(g.NumVertices(), shards)
-		listeners := make([]*tcpgob.Listener, shards)
 		addrs := make([]string, shards)
-		for i := 0; i < shards; i++ {
+		for i := range addrs {
 			l, err := tcpgob.Listen("127.0.0.1:0", i, shards)
 			if err != nil {
 				return nil, err
 			}
-			listeners[i] = l
 			addrs[i] = l.Addr().String()
-		}
-		for i := 0; i < shards; i++ {
-			go func(i int) {
-				defer listeners[i].Close()
-				sc, hello, err := listeners[i].Accept()
-				if err != nil {
-					return
+			go func() {
+				defer l.Close()
+				if sc, hello, err := l.Accept(); err == nil {
+					remote.Serve(sc, hello, i, crew)
 				}
-				s, err := core.New(hello.NumVertices, hello.Sampler)
-				if err != nil {
-					sc.Close()
-					return
-				}
-				walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), walk.PlanFromHello(hello), i, sc, crew, hello.Cache)
-			}(i)
+			}()
 		}
-		port, err := tcpgob.Dial(addrs, fabric.Hello{
-			RangeSize:   plan.RangeSize,
-			NumVertices: g.NumVertices(),
-			Sampler:     src.Config(),
-			Cache:       cache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-		return walk.ServeShardedOver(port, attach, src, plan, cfg)
+		return remote.Open(addrs, src, 1, src.Config(), cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown transport %q", transport)
 	}

@@ -86,6 +86,20 @@ type Walker struct {
 	Origin uint64
 }
 
+const (
+	// QueueDepth is the buffer depth of every serving queue: a live
+	// service's query and feed queues, a coordinator's feed queue, and the
+	// in-process fabric's per-shard ingest streams. A full feed queue
+	// makes Feed block (backpressure).
+	QueueDepth = 256
+	// BootstrapChunk bounds one bootstrap (Boot) batch in updates, unless
+	// a single row is longer and travels alone: large enough to amortize
+	// framing, small enough that the credit window still paces the stream
+	// and that a full float-bias batch (25 B per update on the TCP wire,
+	// about 0.82 MB) fits the buffers a link keeps between frames.
+	BootstrapChunk = 1 << 15
+)
+
 // Ingest is one element of a shard's ordered ingest stream: a routed
 // sub-batch of updates, or (Ups nil, Barrier != 0) a sync barrier the
 // shard acknowledges with an Ack carrying the same sequence number.
@@ -646,19 +660,11 @@ type Hello struct {
 
 // CacheSpec configures the two hub-cache layers of a shard node. The
 // zero value means "enabled with defaults"; the walk layer resolves the
-// concrete defaults.
+// concrete defaults and fixes the cache sizes.
 type CacheSpec struct {
 	// Off disables both cache layers.
 	Off bool
-	// Size is each crew walker's local view-LRU capacity (0 = default).
-	Size int
 	// MinDegree is the hub admission threshold: only vertices of at
-	// least this degree are cached or served as views (0 = default).
+	// least this degree are cached or served as views (0 = default 8).
 	MinDegree int
-	// RemoteSize is the per-node remote-view cache capacity (0 =
-	// default).
-	RemoteSize int
-	// RequestAfter is how many walker hand-offs a node observes toward
-	// one non-owned vertex before requesting its view (0 = default).
-	RequestAfter int
 }

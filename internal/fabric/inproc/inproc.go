@@ -58,11 +58,9 @@ type Fabric struct {
 	lastBcast *fabric.Broadcast
 }
 
-// New builds a fabric for shards nodes with the given ingest-queue bound.
-func New(shards, queueDepth int) *Fabric {
-	if queueDepth <= 0 {
-		queueDepth = 256
-	}
+// New builds a fabric for shards nodes, each ingest stream buffered to
+// fabric.QueueDepth.
+func New(shards int) *Fabric {
 	f := &Fabric{
 		shards:     shards,
 		walkers:    make([]*fabric.Mailbox[*fabric.Walker], shards),
@@ -74,7 +72,7 @@ func New(shards, queueDepth int) *Fabric {
 	}
 	for i := range f.walkers {
 		f.walkers[i] = fabric.NewMailbox[*fabric.Walker]()
-		f.ingests[i] = make(chan *fabric.Ingest, queueDepth)
+		f.ingests[i] = make(chan *fabric.Ingest, fabric.QueueDepth)
 		f.views[i] = fabric.NewMailbox[*fabric.ViewMsg]()
 		f.blocks[i] = fabric.NewMailbox[*fabric.MigrateBlock]()
 	}

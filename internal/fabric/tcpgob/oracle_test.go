@@ -168,7 +168,7 @@ func oracleFrames() []oracleCase {
 			},
 			Peers:    []string{"127.0.0.1:1", "127.0.0.1:2", "", "[::1]:4"},
 			Session:  0xDEADBEEFCAFE,
-			Cache:    fabric.CacheSpec{Off: true, Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
+			Cache:    fabric.CacheSpec{Off: true, MinDegree: 4},
 			Replicas: 2,
 		}}},
 		{"hello_coord_zero", frame{kind: kHelloCoord, hello: &fabric.Hello{}}},
@@ -337,7 +337,7 @@ func TestCodecFieldCountGuard(t *testing.T) {
 		{fabric.Broadcast{}, 8},
 		{fabric.Hello{}, 10},
 		{core.Config{}, 9},
-		{fabric.CacheSpec{}, 5},
+		{fabric.CacheSpec{}, 2},
 		{graph.Update{}, 5},
 		{graph.Edge{}, 4},
 	} {

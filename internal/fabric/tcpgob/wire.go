@@ -40,7 +40,7 @@ import (
 // first payload byte and a daemon refuses any other value: the layout has
 // no self-description, so two builds that disagree on it must not talk.
 // Bump it on every change to any message layout.
-const wireVersion = 5
+const wireVersion = 6
 
 var le = binary.LittleEndian
 
@@ -1019,10 +1019,7 @@ func appendHello(b []byte, h *fabric.Hello) []byte {
 		b = appendString(b, p)
 	}
 	b = le.AppendUint64(b, h.Session)
-	b = appendInt(b, h.Cache.Size)
 	b = appendInt(b, h.Cache.MinDegree)
-	b = appendInt(b, h.Cache.RemoteSize)
-	b = appendInt(b, h.Cache.RequestAfter)
 	return appendInt(b, h.Replicas)
 }
 
@@ -1043,8 +1040,7 @@ func (c *cursor) hello(h *fabric.Hello) {
 		}
 	}
 	h.Session = c.u64()
-	h.Cache.Size, h.Cache.MinDegree = c.int(), c.int()
-	h.Cache.RemoteSize, h.Cache.RequestAfter = c.int(), c.int()
+	h.Cache.MinDegree = c.int()
 	h.Replicas = c.int()
 }
 

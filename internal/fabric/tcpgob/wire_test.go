@@ -109,7 +109,7 @@ func TestHelloFrameRoundTrip(t *testing.T) {
 		Sampler: core.Config{RadixBits: 2, Adaptive: true, AlphaPct: 40, BetaPct: 10, FloatBias: true, Lambda: 2048},
 		Peers:   []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"},
 		Session: 0xDEADBEEFCAFE,
-		Cache:   fabric.CacheSpec{Size: 128, MinDegree: 4, RemoteSize: 64, RequestAfter: 3},
+		Cache:   fabric.CacheSpec{MinDegree: 4},
 	}
 	got := roundTrip(t, &frame{kind: kHelloCoord, hello: &h})
 	if got.kind != kHelloCoord || !reflect.DeepEqual(*got.hello, h) {
@@ -297,5 +297,35 @@ func TestLoopbackFabricSession(t *testing.T) {
 			t.Fatalf("event stream did not close after shutdown (stuck on %+v)", ev)
 		default:
 		}
+	}
+}
+
+// TestBootBatchKeepsLinkBuffers pins the bootstrap stream's frame size: a
+// full float-bias boot batch encodes within bufChunk, so a link keeps its
+// encode and read buffers across boot frames instead of allocating both
+// afresh for every batch.
+func TestBootBatchKeepsLinkBuffers(t *testing.T) {
+	f := frame{kind: kUpdates, ingest: &fabric.Ingest{
+		Ups: updateBatch(fabric.BootstrapChunk, true), Boot: true, Watermarks: make([]int64, 64),
+	}}
+	if n := len(appendFrame(nil, &f)); n > bufChunk {
+		t.Fatalf("a full boot batch encodes to %d bytes, above the %d a link keeps", n, bufChunk)
+	}
+	l := newLink(&memConn{})
+	var wbuf, rbuf *byte
+	for i := 0; i < 2; i++ {
+		if err := l.write(&f); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := l.read(); err != nil || len(got.ingest.Ups) != fabric.BootstrapChunk {
+			t.Fatalf("read: %v", err)
+		}
+		if cap(l.wbuf) == 0 || cap(l.rbuf) == 0 {
+			t.Fatalf("frame %d: the link dropped a buffer (wbuf cap %d, rbuf cap %d)", i, cap(l.wbuf), cap(l.rbuf))
+		}
+		if i == 1 && (&l.wbuf[:1][0] != wbuf || &l.rbuf[:1][0] != rbuf) {
+			t.Fatal("the second boot frame reallocated the link's buffers")
+		}
+		wbuf, rbuf = &l.wbuf[:1][0], &l.rbuf[:1][0]
 	}
 }

@@ -254,7 +254,7 @@ func TestServeShardedOverBuildsRecordsExactly(t *testing.T) {
 // groups (one per power) beside dense ones (the low bits).
 func dialedBootstrapSource(t *testing.T, float bool) *core.Sampler {
 	t.Helper()
-	const n, hubDeg = 600, bootstrapChunk + 4000
+	const n, hubDeg = 600, fabric.BootstrapChunk + 4000
 	rng := xrand.New(0xD1A1)
 	weight := func() (uint64, float64) {
 		if float {
@@ -298,7 +298,7 @@ func checkDialedBootstrapExact(t *testing.T, src *core.Sampler, want []rowState,
 	}
 	cfg := src.Config()
 	cfg.Workers = 0
-	fab := inproc.New(shards, 0)
+	fab := inproc.New(shards)
 	engines := make([]*concurrent.Engine, shards)
 	var nodes sync.WaitGroup
 	for i := range engines {

@@ -12,10 +12,10 @@ import (
 // tape — every installed view is invalidated by a watermark before it
 // serves a single hop — and asserts the admission back-off caps the
 // request traffic at a small fraction of the no-backoff baseline (one
-// request per RequestAfter crossings), which is the mechanism that
+// request per DefaultViewRequestAfter crossings), which is the mechanism that
 // erases the measured hub-targeted-churn regression.
 func TestRemoteViewsChurnBackoff(t *testing.T) {
-	rv := newRemoteViews(2, 16, 2)
+	rv := newRemoteViews(2, 16)
 	const tape = 2000
 	requests := 0
 	wm := int64(0)
@@ -30,7 +30,7 @@ func TestRemoteViewsChurnBackoff(t *testing.T) {
 			rv.advance([]int64{0, wm})
 		}
 	}
-	// Without back-off: tape/RequestAfter = 1000 requests. With strikes
+	// Without back-off: tape/DefaultViewRequestAfter = 1000 requests. With strikes
 	// doubling the threshold up to the cap: 2+4+…+2<<6, then one per
 	// 128 crossings — a couple dozen.
 	if requests >= tape/10 {
@@ -72,7 +72,7 @@ func TestRemoteViewsChurnBackoff(t *testing.T) {
 // so a stale "not a hub" answer cannot suppress requests toward the new
 // owner — and the new owner's reply installs.
 func TestRemoteViewsRefuseNonOwnerReply(t *testing.T) {
-	rv := newRemoteViews(2, 16, 2)
+	rv := newRemoteViews(2, 16)
 	owner := 1
 	rv.ownerOf = func(v graph.VertexID) int { return owner }
 

@@ -202,7 +202,7 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		port:     port,
 		plan:     plan,
 		cfg:      cfg,
-		feed:     make(chan coordMsg, cfg.QueueDepth),
+		feed:     make(chan coordMsg, fabric.QueueDepth),
 		syncs:    map[uint64]*barrierWait{},
 		acks:     make([]fabric.Ack, plan.Shards),
 		ledger:   make([]int64, plan.Shards),

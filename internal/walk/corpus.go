@@ -79,10 +79,6 @@ type CorpusConfig struct {
 	// wakes the refresh loop, it waits this long before draining so a
 	// churn burst collapses into one resample cycle (default 2ms).
 	RefreshInterval time.Duration
-	// RefreshWorkers is the sharded regrow fan-out — concurrent walker
-	// queries per refresh (default GOMAXPROCS). Unsharded corpora regrow
-	// on the refresh goroutine's own frontier and ignore it.
-	RefreshWorkers int
 	// CreditWindow bounds the outstanding (fed but not yet refreshed)
 	// touch events before Feed blocks — the corpus-side analogue of the
 	// router's per-shard ingest credits. 0 selects DefaultCreditWindow;
@@ -105,9 +101,6 @@ func (c CorpusConfig) withDefaults() CorpusConfig {
 	}
 	if c.RefreshInterval == 0 {
 		c.RefreshInterval = 2 * time.Millisecond
-	}
-	if c.RefreshWorkers <= 0 {
-		c.RefreshWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.CreditWindow == 0 {
 		c.CreditWindow = DefaultCreditWindow
@@ -630,7 +623,7 @@ func (c *CorpusService) regrow(jobs []corpusJob) ([][]graph.VertexID, error) {
 		c.regrowLocal(jobs, sufs)
 		return sufs, nil
 	}
-	workers := min(c.cfg.RefreshWorkers, len(jobs))
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	var next atomic.Int64
 	var errMu sync.Mutex
 	var firstErr error

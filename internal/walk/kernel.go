@@ -291,7 +291,7 @@ func newStepKernel(e Engine, cache fabric.CacheSpec) *stepKernel {
 	if !cache.Off {
 		if ve, ok := e.(ViewSampler); ok {
 			k.ve = ve
-			k.vc = newViewCache(cache.Size, cache.MinDegree)
+			k.vc = newViewCache(DefaultHubCacheSize, cache.MinDegree)
 		}
 	}
 	if be, ok := e.(BatchSampler); ok {

@@ -40,27 +40,20 @@ var ErrLiveClosed = errors.New("walk: live service closed")
 type LiveConfig struct {
 	// Walkers is the walker-pool size (default GOMAXPROCS).
 	Walkers int
-	// QueueDepth is the buffer depth of the query and feed queues
-	// (default 256). A full feed queue applies backpressure: Feed blocks.
-	QueueDepth int
 	// WalkLength is the default walk length for Query calls that pass
 	// length <= 0 (default 80).
 	WalkLength int
 	// Seed makes the walker RNG streams reproducible.
 	Seed uint64
 	// Cache configures the pool walkers' hub-view LRUs (zero value =
-	// enabled with defaults; Off disables; remote fields are unused in
-	// the unsharded service). Takes effect only when the engine supports
-	// versioned views (concurrent.Engine does).
+	// enabled with defaults; Off disables). Takes effect only when the
+	// engine supports versioned views (concurrent.Engine does).
 	Cache fabric.CacheSpec
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
 	if c.Walkers <= 0 {
 		c.Walkers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	if c.WalkLength <= 0 {
 		c.WalkLength = 80
@@ -137,8 +130,8 @@ func NewLiveService(e LiveEngine, cfg LiveConfig) *LiveService {
 	ls := &LiveService{
 		e:    e,
 		cfg:  cfg,
-		reqs: make(chan liveReq, cfg.QueueDepth),
-		feed: make(chan []graph.Update, cfg.QueueDepth),
+		reqs: make(chan liveReq, fabric.QueueDepth),
+		feed: make(chan []graph.Update, fabric.QueueDepth),
 	}
 	master := xrand.New(cfg.Seed)
 	for i := 0; i < cfg.Walkers; i++ {

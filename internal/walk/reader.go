@@ -141,7 +141,7 @@ func NewReaderService(port fabric.ReadPort, cfg ReaderConfig) (*ReaderService, e
 	}
 	r.walkFront.init(port, ShardPlan{Shards: r.shards, RangeSize: 1}, cfg.Seed, cfg.WalkLength, readerQueryNs)
 	r.appliedCond = sync.NewCond(&r.appliedMu)
-	r.rv = newRemoteViews(r.shards, cfg.Cache.RemoteSize, cfg.Cache.RequestAfter)
+	r.rv = newRemoteViews(r.shards, DefaultRemoteViewSize)
 	r.rv.ownerOf = func(v graph.VertexID) int { return r.planNow().Owner(v) }
 	// The write-coordinator's newest broadcast is cached transport-side
 	// and delivered at attach; consume events until it lands so routing

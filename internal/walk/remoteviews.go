@@ -40,7 +40,6 @@ import (
 // strikes on every durable stint) keep the full benefit.
 type remoteViews struct {
 	capacity int
-	reqAfter int
 
 	// ownerOf resolves a vertex's current owner (set by the shard node;
 	// nil skips the ownership check — unit tests and static plans).
@@ -81,20 +80,16 @@ const (
 	// itself).
 	churnYoungHits = 8
 	// churnMaxStrikes caps the admission back-off exponent: at most
-	// reqAfter << churnMaxStrikes crossings before re-requesting.
+	// DefaultViewRequestAfter << churnMaxStrikes crossings before
+	// re-requesting.
 	churnMaxStrikes = 6
 )
 
-func newRemoteViews(shards, capacity, reqAfter int) *remoteViews {
-	if capacity <= 0 {
-		capacity = DefaultRemoteViewSize
-	}
-	if reqAfter <= 0 {
-		reqAfter = DefaultViewRequestAfter
-	}
+// newRemoteViews returns a remote-view cache holding at most capacity
+// views (DefaultRemoteViewSize outside unit tests).
+func newRemoteViews(shards, capacity int) *remoteViews {
 	return &remoteViews{
 		capacity:  capacity,
-		reqAfter:  reqAfter,
 		views:     map[graph.VertexID]*remoteEntry{},
 		wm:        make([]int64, shards),
 		crossings: map[graph.VertexID]int{},
@@ -159,7 +154,7 @@ func (rv *remoteViews) noteCrossing(u graph.VertexID) bool {
 		return false
 	}
 	rv.crossings[u]++
-	if rv.crossings[u] < rv.reqAfter<<rv.strikes[u] {
+	if rv.crossings[u] < DefaultViewRequestAfter<<rv.strikes[u] {
 		return false
 	}
 	delete(rv.crossings, u)

@@ -68,9 +68,6 @@ type ShardedLiveConfig struct {
 	// WalkersPerShard is each shard's walker-crew size (default
 	// max(1, GOMAXPROCS / shards)).
 	WalkersPerShard int
-	// QueueDepth is the buffer depth of the feed and per-shard ingest
-	// queues (default 256). A full feed queue applies backpressure.
-	QueueDepth int
 	// WalkLength is the default walk length for Query calls that pass
 	// length <= 0 (default 80).
 	WalkLength int
@@ -100,9 +97,6 @@ func (c ShardedLiveConfig) withDefaults(shards int) ShardedLiveConfig {
 		if c.WalkersPerShard < 1 {
 			c.WalkersPerShard = 1
 		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	if c.WalkLength <= 0 {
 		c.WalkLength = 80
@@ -219,7 +213,7 @@ func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLive
 	if err := validateReplication(plan); err != nil {
 		return nil, err
 	}
-	fab := inproc.New(plan.Shards, cfg.QueueDepth)
+	fab := inproc.New(plan.Shards)
 	nodes := make([]*shardNode, plan.Shards)
 	for i := range engines {
 		nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, false)
@@ -286,16 +280,11 @@ func ServeShardedOver(port fabric.CoordPort, attach func() (fabric.ReadPort, err
 	return s, nil
 }
 
-// bootstrapChunk bounds one bootstrap batch (updates per feed element):
-// large enough to amortize framing, small enough that the credit window
-// still paces the stream.
-const bootstrapChunk = 1 << 16
-
 // bootstrap streams src's rows to the shards as bootstrap (Boot) batches
 // — credit-paced, but excluded from the routed ledger and the shards'
 // update tallies, so a bootstrapped session's Updates counter reflects
 // feed events alone. Each batch holds whole rows of one owner's vertices,
-// read straight from src (AppendRowUpdates): at most bootstrapChunk
+// read straight from src (AppendRowUpdates): at most fabric.BootstrapChunk
 // updates, unless a single row is longer and travels alone. A host thus
 // receives every row in one batch, onto an empty record, and bulk-builds
 // it in one pass instead of replaying it edge by edge. The owners'
@@ -341,9 +330,9 @@ func ownerRows(src *core.Sampler, plan ShardPlan, v, n uint64) ([]graph.Update, 
 		return u
 	}
 	size, end := 0, v
-	for end < n && size < bootstrapChunk {
+	for end < n && size < fabric.BootstrapChunk {
 		d := src.Degree(graph.VertexID(end))
-		if size > 0 && size+d > bootstrapChunk {
+		if size > 0 && size+d > fabric.BootstrapChunk {
 			break
 		}
 		size += d

@@ -268,9 +268,9 @@ func TestShardedServiceTransportParity(t *testing.T) {
 	run := func(t *testing.T, transport string) parityOutcome {
 		svc := serveTransport(t, transport, g, shards, walk.ShardedLiveConfig{
 			WalkersPerShard: 2, WalkLength: length, Seed: 0xBA5E,
-			// Every vertex view-servable on first crossing, so the remote
-			// cache layer takes part in the step identities below.
-			Cache: fabric.CacheSpec{MinDegree: 1, RequestAfter: 1},
+			// Every vertex view-servable, so the remote cache layer takes
+			// part in the step identities below.
+			Cache: fabric.CacheSpec{MinDegree: 1},
 		})
 		qr := xrand.New(0x5EED)
 		for q := 0; q < queries; q++ {
@@ -313,6 +313,9 @@ func TestShardedServiceTransportParity(t *testing.T) {
 				t.Fatalf("after Sync: steps %d, local %d + remote hits %d, shard steps %v", st.Steps, st.Local, st.Cache.RemoteHits, st.ShardSteps)
 			}
 			time.Sleep(time.Millisecond)
+		}
+		if st.Cache.RemoteHits == 0 {
+			t.Fatal("no hop was served from a remote view: the step identities above never covered that layer")
 		}
 		if st.Steps != int64(queries*length)+res.Steps {
 			t.Fatalf("steps %d, want %d query + %d bulk", st.Steps, queries*length, res.Steps)

@@ -160,7 +160,7 @@ func startShardNode(e LiveEngine, plan ShardPlan, shard int, port fabric.ShardPo
 	if !cache.Off {
 		if ve, ok := e.(ViewSampler); ok {
 			n.ve = ve
-			n.rv = newRemoteViews(plan.Shards, cache.RemoteSize, cache.RequestAfter)
+			n.rv = newRemoteViews(plan.Shards, DefaultRemoteViewSize)
 			// Replies are validated against the *current* owner: after a
 			// liveness flip, a straggler reply from the old owner must
 			// not install a view stamped against the wrong shard's

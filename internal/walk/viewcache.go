@@ -23,9 +23,9 @@ type ViewSampler interface {
 	SampleOrView(u graph.VertexID, minDegree int, r *xrand.RNG) (graph.VertexID, bool, *core.VertexView)
 }
 
-// Hub-cache defaults, shared by the in-process services and the daemons
-// (which receive a fabric.CacheSpec in their session Hello and resolve
-// zeros against these).
+// Hub-cache sizes, shared by the in-process services and the daemons,
+// and the admission default a zero fabric.CacheSpec.MinDegree resolves
+// to.
 const (
 	// DefaultHubCacheSize is each crew walker's local view-LRU capacity.
 	DefaultHubCacheSize = 256
@@ -92,13 +92,11 @@ type viewSlot struct {
 	prev, next int
 }
 
-// newViewCache returns a cache with the given capacity and hub-degree
-// threshold (zeros select the defaults). A nil cache is a valid
-// "disabled" cache for every method.
+// newViewCache returns a cache with the given capacity
+// (DefaultHubCacheSize outside unit tests) and hub-degree threshold (0
+// selects the default). A nil cache is a valid "disabled" cache for
+// every method.
 func newViewCache(capacity, minDegree int) *viewCache {
-	if capacity <= 0 {
-		capacity = DefaultHubCacheSize
-	}
 	if minDegree <= 0 {
 		minDegree = DefaultHubMinDegree
 	}

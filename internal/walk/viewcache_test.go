@@ -78,11 +78,11 @@ func TestViewCacheLRU(t *testing.T) {
 // covers the latest watermark for o; installs of already-stale replies
 // are rejected; the not-a-hub negative cache resets on advance.
 func TestRemoteViewsWatermarks(t *testing.T) {
-	rv := newRemoteViews(2, 4, 2)
+	rv := newRemoteViews(2, 4)
 
 	// Request policy: second crossing triggers, in-flight dedupes.
 	if rv.noteCrossing(9) {
-		t.Fatal("first crossing requested a view (RequestAfter=2)")
+		t.Fatal("first crossing requested a view (DefaultViewRequestAfter=2)")
 	}
 	if !rv.noteCrossing(9) {
 		t.Fatal("second crossing did not request a view")

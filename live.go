@@ -14,27 +14,9 @@ import (
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
+	"github.com/bingo-rw/bingo/internal/remote"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
-
-// ConcurrentConfig tunes the concurrency wrapper. The zero value selects
-// all defaults.
-type ConcurrentConfig struct {
-	// Stripes is the lock-stripe count (rounded up to a power of two;
-	// default GOMAXPROCS×8). More stripes mean less writer/walker
-	// contention at a few cache lines each.
-	Stripes int
-	// MaxStepRetries bounds epoch-validation re-draws per walk step
-	// (default 4).
-	MaxStepRetries int
-	// Workers bounds ApplyBatch fan-out (default: the engine's worker
-	// setting).
-	Workers int
-}
-
-func (c ConcurrentConfig) internal() concurrent.Config {
-	return concurrent.Config{Stripes: c.Stripes, MaxStepRetries: c.MaxStepRetries, Workers: c.Workers}
-}
 
 // ConcurrentEngine is a fully concurrent Bingo engine: any number of
 // goroutines may sample, walk, insert, delete, and batch-apply updates
@@ -49,12 +31,7 @@ type ConcurrentEngine struct {
 // returned wrapper takes ownership of the underlying engine: after this
 // call the original Engine must no longer be used directly.
 func (e *Engine) Concurrent() *ConcurrentEngine {
-	return e.ConcurrentWith(ConcurrentConfig{})
-}
-
-// ConcurrentWith is Concurrent with explicit tuning.
-func (e *Engine) ConcurrentWith(cfg ConcurrentConfig) *ConcurrentEngine {
-	return &ConcurrentEngine{ce: concurrent.Wrap(e.s, cfg.internal()), floatMode: e.s.Config().FloatBias}
+	return &ConcurrentEngine{ce: concurrent.Wrap(e.s, concurrent.Config{}), floatMode: e.s.Config().FloatBias}
 }
 
 // NumVertices returns the vertex-ID space size.
@@ -166,40 +143,18 @@ func (c *ConcurrentEngine) CheckInvariants() error {
 // HubCacheOptions tune the hub-vertex view caches of the serving
 // runtimes. The zero value enables caching with defaults; set Off to get
 // the pre-cache behavior (every hop through the engine lock, every
-// boundary crossing a walker hand-off).
-type HubCacheOptions struct {
-	// Off disables all cache layers.
-	Off bool
-	// Size is each walker's local view-LRU capacity (0 = default 256).
-	Size int
-	// MinDegree is the hub admission threshold: only vertices of at
-	// least this degree are cached or served as views (0 = default 8).
-	MinDegree int
-	// RemoteSize is the per-shard remote-view cache capacity in the
-	// sharded runtimes (0 = default 512).
-	RemoteSize int
-	// RequestAfter is how many walker hand-offs a shard observes toward
-	// one non-owned vertex before fetching its view (0 = default 2).
-	RequestAfter int
-}
+// boundary crossing a walker hand-off). MinDegree is the hub admission
+// threshold: only vertices of at least this degree are cached or served
+// as views (0 = default 8). The cache sizes are fixed: 256 views per
+// walker, 512 remote views per shard, a view fetched after a shard's
+// second hand-off toward the same non-owned vertex.
+type HubCacheOptions = fabric.CacheSpec
 
-func (o HubCacheOptions) spec() fabric.CacheSpec {
-	return fabric.CacheSpec{
-		Off:          o.Off,
-		Size:         o.Size,
-		MinDegree:    o.MinDegree,
-		RemoteSize:   o.RemoteSize,
-		RequestAfter: o.RequestAfter,
-	}
-}
-
-// LiveOptions configure Serve.
+// LiveOptions configure Serve. Every serving queue holds 256 entries; a
+// full feed queue makes Feed block (backpressure).
 type LiveOptions struct {
 	// Walkers is the walker-pool size (default GOMAXPROCS).
 	Walkers int
-	// QueueDepth buffers queries and feed batches (default 256); a full
-	// feed queue makes Feed block (backpressure).
-	QueueDepth int
 	// WalkLength is the default for Query length <= 0 (default 80).
 	WalkLength int
 	// Seed makes walker RNG streams reproducible.
@@ -208,19 +163,13 @@ type LiveOptions struct {
 	HubCache HubCacheOptions
 }
 
-// LiveStats snapshots a LiveWalker's counters.
-type LiveStats struct {
-	// Queries and Steps count served walk queries and their total steps.
-	Queries, Steps int64
-	// Batches and Updates count ingested feed batches and their events.
-	Batches, Updates int64
-	// Dropped counts feed batches whose application failed; the first
-	// error is reported by Close, and ingestion continues past it.
-	Dropped int64
-	// CacheHits and CacheStale report the walkers' hub-view caches:
-	// lock-free hops served, and views dropped on epoch mismatch.
-	CacheHits, CacheStale int64
-}
+// LiveStats snapshots a LiveWalker's counters: served queries and their
+// steps, ingested feed batches and their events, batches Dropped because
+// their application failed (the first error is reported by Close, and
+// ingestion continues past it), and the walkers' hub-view caches —
+// lock-free hops served (CacheHits) and views dropped on epoch mismatch
+// (CacheStale).
+type LiveStats = walk.LiveStats
 
 // LiveWalker serves walk queries from a walker pool while a streaming
 // update feed mutates the graph — the paper's dynamic-graph serving
@@ -234,10 +183,9 @@ type LiveWalker struct {
 func (c *ConcurrentEngine) Serve(o LiveOptions) *LiveWalker {
 	svc := walk.NewLiveService(c.ce, walk.LiveConfig{
 		Walkers:    o.Walkers,
-		QueueDepth: o.QueueDepth,
 		WalkLength: o.WalkLength,
 		Seed:       o.Seed,
-		Cache:      o.HubCache.spec(),
+		Cache:      o.HubCache,
 	})
 	return &LiveWalker{svc: svc, floatMode: c.floatMode}
 }
@@ -259,14 +207,7 @@ func (lw *LiveWalker) Feed(ups []Update) error {
 }
 
 // Stats snapshots the service counters.
-func (lw *LiveWalker) Stats() LiveStats {
-	st := lw.svc.Stats()
-	return LiveStats{
-		Queries: st.Queries, Steps: st.Steps,
-		Batches: st.Batches, Updates: st.Updates, Dropped: st.Dropped,
-		CacheHits: st.CacheHits, CacheStale: st.CacheStale,
-	}
-}
+func (lw *LiveWalker) Stats() LiveStats { return lw.svc.Stats() }
 
 // Close drains both queues, stops the pool, and returns the first ingest
 // error. Idempotent.
@@ -280,16 +221,10 @@ type ShardedOptions struct {
 	// WalkersPerShard sizes each shard's walker crew (default
 	// max(1, GOMAXPROCS / shards)).
 	WalkersPerShard int
-	// QueueDepth buffers the feed and per-shard ingest queues (default
-	// 256); a full feed queue makes Feed block (backpressure).
-	QueueDepth int
 	// WalkLength is the default for Query length <= 0 (default 80).
 	WalkLength int
 	// Seed makes query RNG streams reproducible.
 	Seed uint64
-	// Concurrency tunes each shard's concurrency wrapper (zero value =
-	// defaults).
-	Concurrency ConcurrentConfig
 	// HubCache tunes the shards' hub-view caches.
 	HubCache HubCacheOptions
 	// Replicas is the block ownership replication factor (default 1 = no
@@ -318,6 +253,9 @@ type HubCacheStats = fabric.CacheTallies
 // counts cross-shard walker hand-offs and Local the hops sampled by the
 // shard owning the walker's vertex; Cache.RemoteHits are boundary
 // crossings the hub cache absorbed, so Steps = Local + Cache.RemoteHits.
+// ShardSteps splits the hops the shard set served by serving shard, and
+// Corpus carries the maintenance tallies of a standing corpus riding on
+// the service (see CorpusWalker.ServiceStats).
 //
 // The fields run on two clocks, the same for in-process shards and remote
 // daemons. Queries, Steps, Transfers, and Local fold in when a walk
@@ -326,26 +264,7 @@ type HubCacheStats = fabric.CacheTallies
 // Updates, Dropped, ShardSteps, and Cache are the shards' cumulative
 // tallies from their latest barrier acknowledgement: exact as of the last
 // Sync. Call Sync first when the ingest counters must be current.
-type ShardedLiveStats struct {
-	Queries, Steps            int64
-	Batches, Updates, Dropped int64
-	Transfers, Local          int64
-	Cache                     HubCacheStats
-	// ShardSteps splits the hops the shard set served by serving shard
-	// (attached readers' walks included) — the shard set's load share.
-	ShardSteps []int64
-	// Corpus reports standing-walk-corpus maintenance riding on this
-	// service when one is attached (see CorpusWalker.ServiceStats; only
-	// the maintenance tallies — Resamples through Fallbacks — are
-	// populated here, serving counters stay on CorpusWalker.Stats).
-	Corpus CorpusStats
-	// Failover reports replica-failover activity (replicated sessions):
-	// shard-link deaths, walkers re-routed or relaunched across them, and
-	// completed rejoin cycles with their copied snapshot blocks.
-	Failover FailoverStats
-	// Backpressure reports the ingest credit window's activity.
-	Backpressure BackpressureStats
-}
+type ShardedLiveStats = walk.ShardedLiveStats
 
 // FailoverStats report a replicated session's failover activity: Deaths
 // counts shard-link death events, Reroutes walkers re-routed to a live
@@ -360,16 +279,6 @@ type FailoverStats = walk.FailoverTallies
 // largest admitted per-shard in-flight update event count — and Stalled,
 // the total time the feed router spent blocked waiting for shard credits.
 type BackpressureStats = walk.BackpressureTallies
-
-// TransferRatio is walker hand-offs per sampled hop — the share of walk
-// progress that cost a cross-shard transfer (hops the hub cache served
-// from remote views cross shard ownership without a hand-off).
-func (s ShardedLiveStats) TransferRatio() float64 {
-	if s.Steps == 0 {
-		return 0
-	}
-	return float64(s.Transfers) / float64(s.Steps)
-}
 
 // ShardedLiveWalker serves walk queries through the sharded live runtime:
 // N per-shard concurrent engines, an ingest router splitting feed batches
@@ -398,12 +307,11 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	if shards < 1 {
 		shards = 1
 	}
-	svc, err := walk.ServeSharded(e.s, shards, o.Replicas, wrapShard(o.Concurrency), walk.ShardedLiveConfig{
+	svc, err := walk.ServeSharded(e.s, shards, o.Replicas, wrapShard, walk.ShardedLiveConfig{
 		WalkersPerShard: o.WalkersPerShard,
-		QueueDepth:      o.QueueDepth,
 		WalkLength:      o.WalkLength,
 		Seed:            o.Seed,
-		Cache:           o.HubCache.spec(),
+		Cache:           o.HubCache,
 		CreditWindow:    o.CreditWindow,
 	})
 	if err != nil {
@@ -412,11 +320,9 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	return &ShardedLiveWalker{svc: svc, floatMode: e.s.Config().FloatBias}, nil
 }
 
-// wrapShard returns how the sharded bootstrap makes each copied shard
-// sampler a live engine: wrapped for concurrent use.
-func wrapShard(cc ConcurrentConfig) func(*core.Sampler) walk.LiveEngine {
-	return func(s *core.Sampler) walk.LiveEngine { return concurrent.Wrap(s, cc.internal()) }
-}
+// wrapShard is how the sharded bootstrap makes each copied shard sampler
+// a live engine: wrapped for concurrent use.
+func wrapShard(s *core.Sampler) walk.LiveEngine { return concurrent.Wrap(s, concurrent.Config{}) }
 
 // Shards returns the partition count.
 func (sw *ShardedLiveWalker) Shards() int { return sw.svc.Shards() }
@@ -462,24 +368,7 @@ func (sw *ShardedLiveWalker) DeepWalk(o WalkOptions) (WalkResult, ShardedLiveSta
 
 // Stats snapshots the service counters (see ShardedLiveStats for which
 // are current as of the call and which as of the last Sync).
-func (sw *ShardedLiveWalker) Stats() ShardedLiveStats {
-	return fromShardedStats(sw.svc.Stats())
-}
-
-// fromShardedStats re-types the internal snapshot; only Corpus, whose
-// public shape differs, is converted.
-func fromShardedStats(st walk.ShardedLiveStats) ShardedLiveStats {
-	return ShardedLiveStats{
-		Queries: st.Queries, Steps: st.Steps,
-		Batches: st.Batches, Updates: st.Updates, Dropped: st.Dropped,
-		Transfers: st.Transfers, Local: st.Local,
-		Cache:        st.Cache,
-		ShardSteps:   st.ShardSteps,
-		Corpus:       fromCorpusTallies(st.Corpus),
-		Failover:     st.Failover,
-		Backpressure: st.Backpressure,
-	}
-}
+func (sw *ShardedLiveWalker) Stats() ShardedLiveStats { return sw.svc.Stats() }
 
 // Close drains the feed, waits for in-flight walkers, ends the session —
 // in-process shard crews stop, shard daemons wind down and exit their
@@ -491,9 +380,6 @@ func (sw *ShardedLiveWalker) Close() error { return sw.svc.Close() }
 
 // RemoteOptions configure ServeRemote.
 type RemoteOptions struct {
-	// QueueDepth buffers the coordinator's feed queue (default 256); a
-	// full queue makes Feed block (backpressure).
-	QueueDepth int
 	// WalkLength is the default for Query length <= 0 (default 80).
 	WalkLength int
 	// Seed makes query RNG streams reproducible.
@@ -502,13 +388,13 @@ type RemoteOptions struct {
 	// carries it, so the coordinator decides the cache policy for the
 	// whole session.
 	HubCache HubCacheOptions
-	// Replication is the block ownership replication factor (default 1 =
-	// no replication). With factor R every ownership block's rows live on
+	// Replicas is the block ownership replication factor (default 1 = no
+	// replication). With Replicas = R every ownership block's rows live on
 	// R consecutive daemons fed from the same routed stream, the
 	// coordinator survives daemon deaths by promoting replicas (a
 	// dead-mask flip), and dead daemons that come back are re-primed from
 	// live replica snapshots. At most 64 shards.
-	Replication int
+	Replicas int
 	// CreditWindow bounds per-daemon in-flight (routed but unapplied)
 	// update events; a full window blocks Feed instead of growing daemon
 	// memory (0 = default 16384, negative disables).
@@ -533,30 +419,14 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bingo: ServeRemote needs at least one shard address")
 	}
-	n := e.s.NumVertices()
-	plan := walk.NewShardPlan(n, len(addrs))
-	if o.Replication > 1 {
-		plan.Replicas = o.Replication
-	}
 	// The daemons factorize with this engine's config and λ; each sizes
 	// its batch parallelism to its own cores.
 	cfg := e.s.Config()
 	cfg.Workers = 0
-	port, err := tcpgob.DialWith(addrs, fabric.Hello{
-		RangeSize:   plan.RangeSize,
-		NumVertices: n,
-		Sampler:     cfg,
-		Cache:       o.HubCache.spec(),
-		Replicas:    plan.Replicas,
-	}, tcpgob.DialConfig{Resilient: plan.Replicas > 1})
-	if err != nil {
-		return nil, err
-	}
-	attach := func() (fabric.ReadPort, error) { return tcpgob.DialReader(addrs, fabric.Hello{}) }
-	svc, err := walk.ServeShardedOver(port, attach, e.s, plan, walk.ShardedLiveConfig{
-		QueueDepth:   o.QueueDepth,
+	svc, err := remote.Open(addrs, e.s, o.Replicas, cfg, walk.ShardedLiveConfig{
 		WalkLength:   o.WalkLength,
 		Seed:         o.Seed,
+		Cache:        o.HubCache,
 		CreditWindow: o.CreditWindow,
 	})
 	if err != nil {
@@ -580,25 +450,12 @@ type ReaderOptions struct {
 	HubCache HubCacheOptions
 }
 
-// ReaderWalkerStats snapshot a read-coordinator's activity.
-type ReaderWalkerStats struct {
-	// Queries and Steps count completed Query walks and their hops;
-	// Transfers the cross-shard hand-offs inside shard-served segments.
-	Queries, Steps, Transfers int64
-	// LocalHits counts hops served from the reader's own hub-view cache
-	// (no shard round trip); Launches walker launches into the shard
-	// set; ViewRequests hub views requested from owners; CachedViews the
-	// current cache population.
-	LocalHits, Launches, ViewRequests int64
-	CachedViews                       int
-	// PlanEpoch is the reader's view of the live ownership-plan version,
-	// kept current by the write-coordinator's broadcast stream;
-	// PlanFlips counts epoch/liveness changes observed (each drops the
-	// view cache); Applied is the newest applied-update stamp received.
-	PlanEpoch uint64
-	PlanFlips int64
-	Applied   int64
-}
+// ReaderWalkerStats snapshot a read-coordinator's activity: completed
+// queries with their hops and hand-offs, hops served from the reader's
+// own hub-view cache (LocalHits, no shard round trip), walker launches,
+// view requests and the cache population, and the reader's view of the
+// live plan as the write-coordinator's broadcasts keep it current.
+type ReaderWalkerStats = walk.ReaderStats
 
 // ReaderWalker is a read-coordinator: a Query/DeepWalk front end
 // attached to a shard set another process (or service) writes to.
@@ -629,7 +486,7 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 	svc, err := walk.NewReaderService(port, walk.ReaderConfig{
 		WalkLength: o.WalkLength,
 		Seed:       o.Seed,
-		Cache:      o.HubCache.spec(),
+		Cache:      o.HubCache,
 	})
 	if err != nil {
 		return nil, err
@@ -646,7 +503,7 @@ func (sw *ShardedLiveWalker) AttachReader(o ReaderOptions) (*ReaderWalker, error
 	svc, err := sw.svc.AttachReader(walk.ReaderConfig{
 		WalkLength: o.WalkLength,
 		Seed:       o.Seed,
-		Cache:      o.HubCache.spec(),
+		Cache:      o.HubCache,
 	})
 	if err != nil {
 		return nil, err
@@ -684,15 +541,7 @@ func (rd *ReaderWalker) AppliedStamp() int64 { return rd.svc.AppliedStamp() }
 func (rd *ReaderWalker) WaitApplied(stamp int64) error { return rd.svc.WaitApplied(stamp) }
 
 // Stats snapshots the reader's counters.
-func (rd *ReaderWalker) Stats() ReaderWalkerStats {
-	st := rd.svc.Stats()
-	return ReaderWalkerStats{
-		Queries: st.Queries, Steps: st.Steps, Transfers: st.Transfers,
-		LocalHits: st.LocalHits, Launches: st.Launches, ViewRequests: st.ViewRequests,
-		CachedViews: st.CachedViews,
-		PlanEpoch:   st.PlanEpoch, PlanFlips: st.PlanFlips, Applied: st.Applied,
-	}
-}
+func (rd *ReaderWalker) Stats() ReaderWalkerStats { return rd.svc.Stats() }
 
 // Close detaches the reader. The write session and every other reader
 // are unaffected. Idempotent.
@@ -703,9 +552,6 @@ type ShardServeOptions struct {
 	// Walkers is the hosted shard's crew size (default GOMAXPROCS — the
 	// daemon owns its process).
 	Walkers int
-	// Concurrency tunes the shard's concurrency wrapper (zero value =
-	// defaults).
-	Concurrency ConcurrentConfig
 	// Sessions is how many coordinator sessions to serve before
 	// returning: 0 serves exactly one (the pre-multi-session behavior),
 	// negative serves indefinitely — the daemon loops back to accepting
@@ -721,13 +567,7 @@ type ShardServeOptions struct {
 }
 
 // ShardServeStats summarizes a completed shard-daemon session.
-type ShardServeStats struct {
-	Steps, Transfers, Local int64
-	Updates, Dropped        int64
-	Vertices                int
-	Edges                   int64
-	Cache                   HubCacheStats
-}
+type ShardServeStats = walk.ShardNodeStats
 
 // ServeShard hosts one shard of a multi-process serving session: it
 // listens on addr, waits for a coordinator (an Engine.ServeRemote call
@@ -754,6 +594,10 @@ func ServeShard(addr string, shard, shards int, o ShardServeOptions) (ShardServe
 	if sessions == 0 {
 		sessions = 1
 	}
+	walkers := o.Walkers
+	if walkers <= 0 {
+		walkers = runtime.GOMAXPROCS(0)
+	}
 	var last ShardServeStats
 	var lastErr error
 	for n := 0; sessions < 0 || n < sessions; n++ {
@@ -761,32 +605,10 @@ func ServeShard(addr string, shard, shards int, o ShardServeOptions) (ShardServe
 		if err != nil {
 			return last, err
 		}
-		last, lastErr = serveOneShardSession(sc, hello, shard, o)
+		last, lastErr = remote.Serve(sc, hello, shard, walkers)
 		if o.OnSession != nil {
 			o.OnSession(n, last, lastErr)
 		}
 	}
 	return last, lastErr
-}
-
-// serveOneShardSession builds a session-scoped engine from the Hello and
-// runs the shard node until the coordinator ends the session.
-func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o ShardServeOptions) (ShardServeStats, error) {
-	s, err := core.New(hello.NumVertices, hello.Sampler)
-	if err != nil {
-		sc.Close()
-		return ShardServeStats{}, err
-	}
-	eng := concurrent.Wrap(s, o.Concurrency.internal())
-	walkers := o.Walkers
-	if walkers <= 0 {
-		walkers = runtime.GOMAXPROCS(0)
-	}
-	st, err := walk.RunShardNode(eng, walk.PlanFromHello(hello), shard, sc, walkers, hello.Cache)
-	return ShardServeStats{
-		Steps: st.Steps, Transfers: st.Transfers, Local: st.Local,
-		Updates: st.Updates, Dropped: st.Dropped,
-		Vertices: st.Vertices, Edges: st.Edges,
-		Cache: st.Cache,
-	}, err
 }

@@ -3,15 +3,14 @@ package bingo
 import (
 	"testing"
 
-	"github.com/bingo-rw/bingo/internal/concurrent"
-	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
-	"github.com/bingo-rw/bingo/internal/walk"
+	"github.com/bingo-rw/bingo/internal/remote"
 )
 
 // TestServeRemoteCarriesSamplerConfig pins config parity across the
 // process boundary: a shard daemon's session engine, built from the
-// Hello as ServeShard builds it, must factorize with the coordinator
+// Hello by the daemon side ServeShard runs (remote.Serve, whose engine is
+// remote.Sampler), must factorize with the coordinator
 // engine's Config — radix width, adaptivity, thresholds, index threshold —
 // and its calibrated λ, not with core.DefaultConfig. (Workers travels as
 // 0 and resolves to each process's GOMAXPROCS, which here is the
@@ -46,16 +45,12 @@ func TestServeRemoteCarriesSamplerConfig(t *testing.T) {
 				done <- err
 				return
 			}
-			s, err := core.New(hello.NumVertices, hello.Sampler)
-			if err != nil {
-				sc.Close()
-				done <- err
-				return
-			}
-			if s.Config() != eng.s.Config() || s.Lambda() != eng.s.Lambda() {
+			if s, err := remote.Sampler(hello); err != nil {
+				t.Errorf("daemon %d: %v", i, err)
+			} else if s.Config() != eng.s.Config() || s.Lambda() != eng.s.Lambda() {
 				t.Errorf("daemon %d: config %+v λ %v, coordinator engine %+v λ %v", i, s.Config(), s.Lambda(), eng.s.Config(), eng.s.Lambda())
 			}
-			_, err = walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), walk.PlanFromHello(hello), i, sc, 1, hello.Cache)
+			_, err = remote.Serve(sc, hello, i, 1)
 			done <- err
 		}()
 	}
